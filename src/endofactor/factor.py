@@ -12,24 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _poly, forms
 from .errors import (
     DivisionByZero,
     MatchFailure,
-    NotInFixedField,
     UnsupportedCase,
     ValidationFailure,
     ZeroValuation,
 )
-from .etale import charpoly_over
 from .localfield import FieldElement, hilbert_symbol, norm_test
 from .params import (
     EndoscopicDatum,
     IndexEntry,
     RegularParam,
     TameCharacter,
-    check_regularity,
+    charpoly_product,
+    is_regular_charpoly,
     match_stable_classes,
     side_dimensions,
     validate_endoscopic,
@@ -120,49 +120,73 @@ class CharPolyPack:
         return _poly.peval(poly, value, value.algebra.zero())
 
 
-def build_charpoly_pack(y, g, role="endoscopic"):
+def build_charpoly_pack(y, g):
     """Exact product of the per-index characteristic polynomials of the
     eigenvalue data, with side sub-products and the formal derivative."""
-    ground = g.info["ground"]
-    if ground == "E":
-        one = [g.E.E.one()]
-    else:
-        one = [Fraction(1)]
-    sides = {"-": list(one), "+": list(one)}
-    for en in y.entries:
-        cp = charpoly_over(en.value, ground)
-        sides[en.side] = _poly.pmul(sides[en.side], cp)
-    P = _poly.pmul(sides["-"], sides["+"])
+    P_minus = charpoly_product([en.value for en in y.side("-")], g)
+    P_plus = charpoly_product([en.value for en in y.side("+")], g)
+    P = _poly.pmul(P_minus, P_plus)
     return CharPolyPack(
-        ground=ground,
+        ground=g.info["ground"],
         P=P,
-        P_minus=sides["-"],
-        P_plus=sides["+"],
+        P_minus=P_minus,
+        P_plus=P_plus,
         dP=_poly.pderiv(P),
         ext=g.E,
     )
 
 
-_FORMULA = {
-    ("symplectic", 0): "C = -eta*c*P'(y)*P(-1)*y^(1-d/2)",
-    ("so_odd", 1): "C = -2*eta*c*P'(y)*P(-1)*y^((3-d)/2)*(1+y)/(y-1)",
-    ("so_even", 0): "C = 2*eta*c*P'(y)*P(-1)*y^(1-d/2)*(1+y)/(y-1)",
-    ("twisted_gl_even", 0): "C = eta*P'(y)*P(-1)*y^(1-d/2)*(1+y)/x",
-    ("twisted_gl_odd", 1): "C = x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x",
-    ("unitary", 0): "C = -eta*c*P_E'(y)*y^(1-d/2)/P_E(-1)",
-    ("unitary", 1): "C = -eta*c*P_E'(y)*y^((1-d)/2)*(1+y)/P_E(-1)",
-    ("bc_unitary", 0): "C = -eta*P_E'(y)*y^(1-d/2)*(1+y)/(x*P_E(-1))",
-    ("bc_unitary", 1): "C = -eta*P_E'(y)*y^((3-d)/2)/(x*P_E(-1))",
+class Formula(NamedTuple):
+    """One row of the formulary.  For a field index i on the minus side,
+
+        C = scalar * lead * coef * P'(y) * P(point)^power
+            * y^((offset - d)/2) * (1+y)^plus * (y-1)^minus
+
+    evaluated in F_i at y = y_i.  ``lead`` is eta (an element of E in the
+    unitary cases, where P is P_E) or x_D; ``coef`` is the form coefficient
+    c or 1/x; ``pole`` is (point, power) and ``y_factor`` is (plus, minus).
+    """
+
+    label: str
+    scalar: int
+    lead: str
+    coef: str
+    pole: tuple
+    offset: int
+    y_factor: tuple
+
+
+FORMULAS = {
+    ("symplectic", 0): Formula("C = -eta*c*P'(y)*P(-1)*y^(1-d/2)",
+                               -1, "eta", "c", (-1, 1), 2, (0, 0)),
+    ("so_odd", 1): Formula("C = -2*eta*c*P'(y)*P(-1)*y^((3-d)/2)*(1+y)/(y-1)",
+                           -2, "eta", "c", (-1, 1), 3, (1, -1)),
+    ("so_even", 0): Formula("C = 2*eta*c*P'(y)*P(-1)*y^(1-d/2)*(1+y)/(y-1)",
+                            2, "eta", "c", (-1, 1), 2, (1, -1)),
+    ("twisted_gl_even", 0): Formula("C = eta*P'(y)*P(-1)*y^(1-d/2)*(1+y)/x",
+                                    1, "eta", "1/x", (-1, 1), 2, (1, 0)),
+    ("twisted_gl_odd", 1): Formula("C = x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x",
+                                   1, "x_D", "1/x", (1, 1), 3, (0, 1)),
+    ("unitary", 0): Formula("C = -eta*c*P_E'(y)*y^(1-d/2)/P_E(-1)",
+                            -1, "eta", "c", (-1, -1), 2, (0, 0)),
+    ("unitary", 1): Formula("C = -eta*c*P_E'(y)*y^((1-d)/2)*(1+y)/P_E(-1)",
+                            -1, "eta", "c", (-1, -1), 1, (1, 0)),
+    ("bc_unitary", 0): Formula("C = -eta*P_E'(y)*y^(1-d/2)*(1+y)/(x*P_E(-1))",
+                               -1, "eta", "1/x", (-1, -1), 2, (1, 0)),
+    ("bc_unitary", 1): Formula("C = -eta*P_E'(y)*y^((3-d)/2)/(x*P_E(-1))",
+                               -1, "eta", "1/x", (-1, -1), 3, (0, 0)),
 }
 
 
-def _int_exponent(num):
-    if num % 2:
-        raise UnsupportedCase("half-integral exponent: case/parity mismatch")
-    return num // 2
+def formula_for(g):
+    """The formulary row of g: keyed by the parity of d in the unitary
+    cases, by the case's fixed parity otherwise."""
+    if g.case in ("unitary", "bc_unitary"):
+        return FORMULAS[g.case, g.d % 2]
+    return FORMULAS[g.case, g.info["d_parity"]]
 
 
-def compute_C(name, pack, y, x, g, e=None):
+def compute_C(name, pack, y, x, g):
     """The per-index quantity C_i, certified to lie in F_pm^x.
 
     Returns (value in F_i, value as an element of F_pm); raises
@@ -174,52 +198,20 @@ def compute_C(name, pack, y, x, g, e=None):
     xe = x.entry(name)
     if not ye.algebra.is_field:
         raise UnsupportedCase(f"index {name!r} is split; C is only defined for field indices")
-    alg = ye.algebra
     yv = ye.value
-    d = g.d
-    case = g.case
-    parity = d % 2
+    row = formula_for(g)
+    if (row.offset - g.d) % 2:
+        raise UnsupportedCase("half-integral exponent: case/parity mismatch")
+    point, power = row.pole
+    plus, minus = row.y_factor
     try:
-        dPy = pack.in_algebra(pack.dP, yv)
-        if case == "symplectic":
-            k = _int_exponent(2 - d)
-            c = -1 * g.eta.as_fraction() * xe.c * dPy * pack.at(pack.P, -1) * yv ** k
-        elif case == "so_odd":
-            k = _int_exponent(3 - d)
-            c = (-2 * g.eta.as_fraction()) * xe.c * dPy * pack.at(pack.P, -1) \
-                * yv ** k * (1 + yv) * (yv - 1) ** (-1)
-        elif case == "so_even":
-            k = _int_exponent(2 - d)
-            c = (2 * g.eta.as_fraction()) * xe.c * dPy * pack.at(pack.P, -1) \
-                * yv ** k * (1 + yv) * (yv - 1) ** (-1)
-        elif case == "twisted_gl_even":
-            k = _int_exponent(2 - d)
-            c = g.eta.as_fraction() * xe.value ** (-1) * dPy * pack.at(pack.P, -1) \
-                * yv ** k * (1 + yv)
-        elif case == "twisted_gl_odd":
-            k = _int_exponent(3 - d)
-            c = x.x_D.as_fraction() * xe.value ** (-1) * dPy * pack.at(pack.P, 1) \
-                * yv ** k * (yv - 1)
-        elif case == "unitary":
-            eta = g.E.embed(g.eta, alg)
-            pm1 = g.E.embed(pack.at(pack.P, -1).inverse(), alg)
-            if parity == 0:
-                k = _int_exponent(2 - d)
-                c = -1 * eta * xe.c * dPy * pm1 * yv ** k
-            else:
-                k = _int_exponent(1 - d)
-                c = -1 * eta * xe.c * dPy * pm1 * yv ** k * (1 + yv)
-        elif case == "bc_unitary":
-            eta = g.E.embed(g.eta, alg)
-            pm1 = g.E.embed(pack.at(pack.P, -1).inverse(), alg)
-            if parity == 0:
-                k = _int_exponent(2 - d)
-                c = -1 * eta * xe.value ** (-1) * dPy * pm1 * yv ** k * (1 + yv)
-            else:
-                k = _int_exponent(3 - d)
-                c = -1 * eta * xe.value ** (-1) * dPy * pm1 * yv ** k
-        else:
-            raise UnsupportedCase(f"unknown case {case!r}")
+        lead = x.x_D if row.lead == "x_D" else g.eta
+        if pack.ground == "E":
+            lead = g.E.embed(lead, yv.algebra)
+        coef = xe.c if row.coef == "c" else xe.value ** (-1)
+        c = (row.scalar * lead * coef * pack.in_algebra(pack.dP, yv)
+             * pack.at(pack.P, point) ** power * yv ** ((row.offset - g.d) // 2)
+             * (1 + yv) ** plus * (yv - 1) ** minus)
     except ZeroValuation as exc:
         raise DivisionByZero(f"index {name!r}: {exc}") from None
     if not c:
@@ -248,40 +240,70 @@ class FactorTrace:
         return "\n".join(self.lines())
 
 
-def validate_package(y, x, g, e):
-    """Run every structural validation; raise ValidationFailure on the
-    first report that fails, MatchFailure if the classes do not match."""
-    for rep in (validate_group(g), validate_endoscopic(g, e),
-                validate_param(y, g, "endoscopic"), validate_param(x, g, "group")):
-        if not rep.ok:
-            raise ValidationFailure("\n".join(rep.lines()))
+def validation_steps(y, x, g, e):
+    """The validation order shared by validate_package and the validate
+    command, one step at a time.
+
+    Yields (lines, failure): the report lines of a step, and the exception
+    validate_package raises for it, or None when the step passes.  The four
+    structural reports come first; the sequence ends after them if one
+    failed.  Then the side dimensions, and regularity, judged on the
+    characteristic-polynomial pack of y; the stable classes are matched only
+    when the parameters are regular.  Returns the pack.
+    """
+    reports = (validate_group(g), validate_endoscopic(g, e),
+               validate_param(y, g, "endoscopic"), validate_param(x, g, "group"))
+    for rep in reports:
+        yield rep.lines(), None if rep.ok else ValidationFailure("\n".join(rep.lines()))
+    if not all(rep.ok for rep in reports):
+        return None
     dims = side_dimensions(y, g)
-    if dims != (e.d_minus, e.d_plus):
-        raise ValidationFailure(
-            f"sides have dimensions {dims}, datum says ({e.d_minus}, {e.d_plus})"
-        )
-    if not check_regularity(y, g, "endoscopic"):
-        raise ValidationFailure("parameters are not suitably regular")
-    if not match_stable_classes(y, x, g, e):
-        raise MatchFailure(
+    if dims == (e.d_minus, e.d_plus):
+        yield ["sides: ok"], None
+    else:
+        yield ([f"sides: dim-mismatch: parameters give {dims}, "
+                f"datum says ({e.d_minus}, {e.d_plus})"],
+               ValidationFailure(f"sides have dimensions {dims}, "
+                                 f"datum says ({e.d_minus}, {e.d_plus})"))
+    pack = build_charpoly_pack(y, g)
+    if not is_regular_charpoly(pack.P, g):
+        yield (["regularity: not suitably regular"],
+               ValidationFailure("parameters are not suitably regular"))
+        return pack
+    yield ["regularity: ok"], None
+    if match_stable_classes(y, x, g, e):
+        yield ["matching: ok"], None
+    else:
+        yield (["matching: stable classes do not correspond"], MatchFailure(
             "stable classes do not correspond: x_i/tau(x_i) must equal "
-            "(-1)^(d+1) * y_i * nu/tau(nu) (x_i = y_i in the untwisted cases)"
-        )
+            "(-1)^(d+1) * y_i * nu/tau(nu) (x_i = y_i in the untwisted cases)"))
+    return pack
+
+
+def validate_package(y, x, g, e):
+    """Run the validation steps in order and raise the first failure;
+    return the characteristic-polynomial pack of y."""
+    steps = validation_steps(y, x, g, e)
+    while True:
+        try:
+            _, failure = next(steps)
+        except StopIteration as done:
+            return done.value
+        if failure is not None:
+            raise failure
 
 
 def compute_delta(y, x, g, e):
     """The exact transfer factor of a matched pair (the Delta_IV term is
     omitted throughout).  Returns (value, trace)."""
-    validate_package(y, x, g, e)
-    pack = build_charpoly_pack(y, g)
+    pack = validate_package(y, x, g, e)
     trace = FactorTrace(case=g.case)
     total = UnitCircleValue.one()
-    label = _FORMULA[(g.case, g.d % 2) if g.case in ("unitary", "bc_unitary")
-                     else (g.case, g.info["d_parity"])]
+    label = formula_for(g).label
     for en in y.entries:
         if en.side != "-" or not en.algebra.is_field:
             continue
-        c_fi, c_base = compute_C(en.name, pack, y, x, g, e)
+        c_fi, c_base = compute_C(en.name, pack, y, x, g)
         verdict = norm_test(c_base, en.algebra)
         total = total * UnitCircleValue.from_sign(verdict)
         trace.index_lines.append(
@@ -296,19 +318,16 @@ def compute_delta(y, x, g, e):
 def _apply_prefactors(total, pack, y, x, g, e, trace):
     if g.case == "twisted_gl_odd":
         arg = (g.eta.as_fraction() * x.x_D.as_fraction()
-               * pack.at(pack.P, 1) * _poly.peval(pack.P_minus, Fraction(-1), Fraction(0)))
+               * pack.at(pack.P, 1) * pack.at(pack.P_minus, -1))
         value = eval_character(e.chi, g.F.element(arg))
         trace.prefactor_lines.append(
             f"prefactor chi(eta*x_D*P(1)*P_minus(-1)) at {arg}: {value.render()}"
         )
         return total * value
     if g.case in ("unitary", "bc_unitary"):
-        zero = pack.zero()
         for tag, poly, mu in (("minus", pack.P_minus, e.mu_minus),
                               ("plus", pack.P_plus, e.mu_plus)):
-            num = _poly.peval(poly, pack.scalar(0), zero)
-            den = _poly.peval(poly, pack.scalar(-1), zero)
-            arg = num * den.inverse()
+            arg = pack.at(poly, 0) * pack.at(poly, -1).inverse()
             value = eval_character(mu, arg)
             trace.prefactor_lines.append(
                 f"prefactor mu_{tag}(P_{tag}(0)/P_{tag}(-1)) at {arg!r}: {value.render()}"

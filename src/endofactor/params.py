@@ -446,45 +446,37 @@ def side_dimensions(param, g):
 def _norm_one_values(param, g, role):
     """The eigenvalue data y_i (deriving them through the matching relation
     for a twisted group side)."""
-    info = g.info
     out = []
     for en in param.entries:
-        if role == "group" and info["twisted"]:
+        if role == "group" and g.info["twisted"]:
             ratio = en.value / en.value.tau()
             sign = (-1) ** (g.d + 1)
             if g.case == "bc_unitary":
                 nu = g.E.embed(g.nu, en.algebra)
             else:
                 nu = en.algebra.embed_ground(g.nu.as_fraction())
-            y = ratio * nu.tau() / nu * sign
+            out.append(ratio * nu.tau() / nu * sign)
         else:
-            y = en.value
-        out.append((en, y))
+            out.append(en.value)
     return out
 
 
-def _case_charpoly(param, g, role="endoscopic", side=None):
-    """Product of per-index characteristic polynomials over the case ground."""
-    info = g.info
-    ground = info["ground"]
-    if ground == "E":
-        poly = [g.E.E.one()]
-    else:
-        poly = [Fraction(1)]
-    for en, y in _norm_one_values(param, g, role):
-        if side is not None and en.side != side:
-            continue
-        poly = _poly.pmul(poly, charpoly_over(y, ground))
+def charpoly_product(values, g):
+    """Product of the characteristic polynomials of ``values`` over the case
+    ground (the base field, or E in the unitary cases)."""
+    ground = g.info["ground"]
+    poly = [g.E.E.one() if ground == "E" else Fraction(1)]
+    for value in values:
+        poly = _poly.pmul(poly, charpoly_over(value, ground))
     return poly
 
 
-def check_regularity(param, g, role="endoscopic"):
-    """The conservative sufficient condition: the case polynomial (with the
-    distinguished eigenvalue-1 line adjoined where the case has one) is
-    squarefree, and the formulary's denominators at T = 1, -1 stay away
-    from zero."""
+def is_regular_charpoly(poly, g):
+    """The conservative sufficient condition on the product P of the
+    characteristic polynomials: P (with the distinguished eigenvalue-1 line
+    adjoined where the case has one) is squarefree, and the formulary's
+    denominators at T = 1, -1 stay away from zero."""
     info = g.info
-    poly = _case_charpoly(param, g, role)
     if info["ground"] == "E":
         one = g.E.E.one()
         zero = g.E.E.zero()
@@ -499,6 +491,12 @@ def check_regularity(param, g, role="endoscopic"):
     if not info["dline"] and _poly.peval(poly, one, zero) == zero:
         return False
     return True
+
+
+def check_regularity(param, g, role="endoscopic"):
+    """Regularity of a parameter pack: is_regular_charpoly on the product of
+    the characteristic polynomials of its eigenvalue data."""
+    return is_regular_charpoly(charpoly_product(_norm_one_values(param, g, role), g), g)
 
 
 def _structure_key(en):

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import _poly, factor, forms
 from .errors import (
+    EndofactorError,
     NotInFixedField,
     PoleAtMinusOne,
     PoleAtOne,
@@ -56,7 +57,9 @@ class LieParam:
     X maps index names to Cayley transforms, Q_j / P_j to the per-index
     characteristic polynomials of X_j / y_j over the base field; Q_X is
     the characteristic polynomial of X on the whole space (a zero
-    eigenvalue for the distinguished line, then the index blocks).
+    eigenvalue for the distinguished line, then the index blocks).  ``pack``
+    is the factor engine's own characteristic-polynomial pack of y, which
+    the cross-checks against the engine read.
     """
 
     y: object
@@ -71,6 +74,7 @@ class LieParam:
     P_I: list
     Q_X: list
     dQ_X: list
+    pack: factor.CharPolyPack
 
 
 def eta_from_nu(nu):
@@ -112,15 +116,12 @@ def make_lie_param(y, x, g, c=None):
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], prod_q)
     c_D = F.element(-g.nu.as_fraction() * det_prod)
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
-                    P_j=P_j, Q_j=Q_j, P_I=P_I, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X))
+                    P_j=P_j, Q_j=Q_j, P_I=P_I, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
+                    pack=factor.build_charpoly_pack(y, g))
 
 
-def _minus_field_names(data):
-    return [en.name for en in data.y.entries if en.side == "-" and en.algebra.is_field]
-
-
-def _plus_field_names(data):
-    return [en.name for en in data.y.entries if en.side == "+" and en.algebra.is_field]
+def _field_names(data, side):
+    return [en.name for en in data.y.field_indices(side)]
 
 
 def delta_I_lie(data, eta=None):
@@ -128,7 +129,7 @@ def delta_I_lie(data, eta=None):
     eta * c_i * Q_X'(X_i); insensitive to X -> lambda^2 X."""
     eta = data.eta if eta is None else eta
     total = factor.UnitCircleValue.one()
-    for name in _minus_field_names(data):
+    for name in _field_names(data, "-"):
         en = data.y.entry(name)
         qx = _poly.peval(data.dQ_X, data.X[name], en.algebra.zero())
         arg = qx.as_base() * data.c[name] * eta.as_fraction()
@@ -196,6 +197,15 @@ def check_cD_square_class(data):
     return is_square(probe)
 
 
+def _b_base(data, i):
+    """B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i), in F_pm."""
+    en = data.y.entry(i)
+    qx = _poly.peval(data.dQ_X, data.X[i], en.algebra.zero())
+    b_i = Fraction(1, 2) * data.eta.as_fraction() * qx * (en.value + 1) \
+        * data.x.entry(i).value.tau()
+    return b_i.as_base()   # NotInFixedField when the assertion fails
+
+
 def check_Bi_Ci_consistency(data, i):
     """sgn(C_i) = sgn(B_i) * sgn(c_D * x_D) with
     B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i).
@@ -203,14 +213,9 @@ def check_Bi_Ci_consistency(data, i):
     The correction class c_D * x_D is evaluated through the defining class
     eta * P(1) * P(-1) * x_D, so the identity holds for every Cayley-linked
     instance regardless of how the bookkeeping c_D was produced."""
-    en = data.y.entry(i)
-    alg = en.algebra
-    x_i = data.x.entry(i).value
-    qx = _poly.peval(data.dQ_X, data.X[i], alg.zero())
-    b_i = Fraction(1, 2) * data.eta.as_fraction() * qx * (en.value + 1) * x_i.tau()
-    b_base = b_i.as_base()
-    pack = factor.build_charpoly_pack(data.y, data.g)
-    _, c_base = factor.compute_C(i, pack, data.y, data.x, data.g)
+    alg = data.y.entry(i).algebra
+    b_base = _b_base(data, i)
+    _, c_base = factor.compute_C(i, data.pack, data.y, data.x, data.g)
     lhs = norm_test(c_base, alg)
     p1 = _poly.peval(data.P_I, Fraction(1), Fraction(0))
     pm1 = _poly.peval(data.P_I, Fraction(-1), Fraction(0))
@@ -226,21 +231,15 @@ def reconstruct_delta(data, chi):
     B_i norm characters, the per-index distinguished-line characters at
     c_D * x_D, and the chi prefactor.  Must equal compute_delta exactly."""
     total = factor.UnitCircleValue.one()
-    for name in _minus_field_names(data):
-        en = data.y.entry(name)
-        alg = en.algebra
-        x_i = data.x.entry(name).value
-        qx = _poly.peval(data.dQ_X, data.X[name], alg.zero())
-        b_i = Fraction(1, 2) * data.eta.as_fraction() * qx * (en.value + 1) * x_i.tau()
-        total = total * factor.UnitCircleValue.from_sign(norm_test(b_i.as_base(), alg))
+    for name in _field_names(data, "-"):
+        alg = data.y.entry(name).algebra
+        total = total * factor.UnitCircleValue.from_sign(norm_test(_b_base(data, name), alg))
         correction = alg.base_pm.element(
             data.c_D.as_fraction() * data.x.x_D.as_fraction()
         )
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
     p1 = _poly.peval(data.P_I, Fraction(1), Fraction(0))
-    pm_m1 = _poly.peval(
-        factor.build_charpoly_pack(data.y, data.g).P_minus, Fraction(-1), Fraction(0)
-    )
+    pm_m1 = _poly.peval(data.pack.P_minus, Fraction(-1), Fraction(0))
     F = data.g.F
     arg = F.element(data.eta.as_fraction() * data.x.x_D.as_fraction() * p1 * pm_m1)
     return total * factor.eval_character(chi, arg)
@@ -259,14 +258,13 @@ def run_suite(y, x, g, e):
     if g.case != "twisted_gl_odd":
         results.append(("notice: reduced suite (identities are for the odd twisted case)", True))
         return results
-    from .errors import EndofactorError
     try:
         data = make_lie_param(y, x, g)
     except EndofactorError:
         results.append(("lie-data", False))
         return results
-    minus = _minus_field_names(data)
-    plus = _plus_field_names(data)
+    minus = _field_names(data, "-")
+    plus = _field_names(data, "+")
     for i in minus:
         for j in plus:
             results.append((f"li-identity-1[{i},{j}]", li_identity_1(data, i, j)))

@@ -1,6 +1,7 @@
 import io
 import json
 import contextlib
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestValidate:
     def test_missing_file_exits_three(self):
         code, _ = run_cli(["validate", "/nonexistent/x.json"])
         assert code == 3
+
+    def test_towers_not_an_object_exits_three(self, tmp_path, capsys):
+        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
+        doc = json.loads(sample.read_text())
+        doc["towers"] = ["K0"]
+        path = tmp_path / "towers.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run_cli(["compute", str(path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "parse error: $.towers: field 'towers' has the wrong type\n")
 
 
 class TestCompute:

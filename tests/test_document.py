@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
+SAMPLE = Path(__file__).resolve().parent.parent / "sample-instance.json"
 
 
 class TestLiterals:
@@ -51,6 +53,13 @@ class TestLiterals:
             parse_tower_literal("q", F5)        # unknown generator
         with pytest.raises(ParseError):
             parse_tower_literal("u", F5)        # f = 1: no unramified generator
+        with pytest.raises(ParseError) as err:
+            parse_tower_literal("pi^100000000", F5)
+        assert "column 4" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            parse_tower_literal("((pi^8)^8)^2", F5)   # nested exponents multiply
+        assert "column 12" in str(err.value)
+        assert parse_tower_literal("(pi^8)^8", F5) == F5.pi() ** 64
 
     def test_repr_round_trip(self, rng):
         from support import random_etale_unit, random_field_algebra, random_tower
@@ -83,6 +92,11 @@ class TestDocuments:
             load_document("{}")
         with pytest.raises(ParseError):
             load_document(json.dumps({"base": {"kind": "p-adic"}}))
+        sample = json.loads(SAMPLE.read_text())
+        for towers in (["K0"], "K0"):
+            with pytest.raises(ParseError) as err:
+                load_document(json.dumps(dict(sample, towers=towers)))
+            assert str(err.value).startswith("$.towers: ")
 
     def test_unknown_tower_reference(self, rng):
         from support import make_instance

@@ -184,6 +184,24 @@ class TestComputeDelta:
         # C = eta*c0*(128/25); the factor is the sign of eta*c0
         assert value.sign == (1 if eta.as_fraction() * c0 > 0 else -1)
 
+    def test_one_charpoly_per_index(self, rng, monkeypatch):
+        from support import make_instance
+        from endofactor import etale, factor, params, verify
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return etale.charpoly_over(*args)
+
+        for module in (factor, params, verify):
+            if getattr(module, "charpoly_over", None) is etale.charpoly_over:
+                monkeypatch.setattr(module, "charpoly_over", counting)
+        for case in ALL_CASES:
+            inst = make_instance(rng, case, p=5, n_indices=(2, 3))
+            calls.clear()
+            compute_delta(*inst.astuple())
+            assert len(calls) == len(inst.y.entries), case
+
 
 class TestSwap:
     def test_so_odd_theorem(self, rng):

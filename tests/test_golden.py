@@ -1,0 +1,77 @@
+"""Golden output: the exact bytes the command line prints for the shipped
+sample document, and the trace label of each of the nine formula variants."""
+
+import contextlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+
+from endofactor.cli import main
+from endofactor.factor import compute_delta
+
+SAMPLE = str(Path(__file__).resolve().parent.parent / "sample-instance.json")
+
+# The rows of the formula table in README.md, by (case, parity of d).
+README_FORMULAS = {
+    ("symplectic", 0): "-eta*c*P'(y)*P(-1)*y^(1-d/2)",
+    ("so_odd", 1): "-2*eta*c*P'(y)*P(-1)*y^((3-d)/2)*(1+y)/(y-1)",
+    ("so_even", 0): "2*eta*c*P'(y)*P(-1)*y^(1-d/2)*(1+y)/(y-1)",
+    ("twisted_gl_even", 0): "eta*P'(y)*P(-1)*y^(1-d/2)*(1+y)/x",
+    ("twisted_gl_odd", 1): "x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x",
+    ("unitary", 0): "-eta*c*P_E'(y)*y^(1-d/2)/P_E(-1)",
+    ("unitary", 1): "-eta*c*P_E'(y)*y^((1-d)/2)*(1+y)/P_E(-1)",
+    ("bc_unitary", 0): "-eta*P_E'(y)*y^(1-d/2)*(1+y)/(x*P_E(-1))",
+    ("bc_unitary", 1): "-eta*P_E'(y)*y^((3-d)/2)/(x*P_E(-1))",
+}
+
+
+def run_cli(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("args, lines", [
+    (["compute", SAMPLE, "--trace"], [
+        "case: twisted_gl_odd",
+        "index i0: C = x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x; C = 3200 in F_pm (checked); "
+        "norm test: -1",
+        "prefactor chi(eta*x_D*P(1)*P_minus(-1)) at 640: -1",
+        "delta = +1 (angle 0)",
+    ]),
+    (["validate", SAMPLE], [
+        "group: ok",
+        "endoscopic: ok",
+        "param-endoscopic: ok",
+        "param-group: ok",
+        "sides: ok",
+        "regularity: ok",
+        "matching: ok",
+        "valid",
+    ]),
+    (["check", SAMPLE], [
+        "cayley-roundtrip[i0]: pass",
+        "li-identity-2[i0]: pass",
+        "B-C-consistency[i0]: pass",
+        "cD-square-class: pass",
+        "lie-side-reconstruction: pass",
+        "all checks passed",
+    ]),
+], ids=["compute-trace", "validate", "check"])
+def test_sample_document_output(args, lines):
+    assert run_cli(args) == (0, "".join(line + "\n" for line in lines), "")
+
+
+@pytest.mark.parametrize("case, parity", sorted(README_FORMULAS))
+def test_trace_label_matches_readme(case, parity):
+    from support import make_instance
+    inst = make_instance(random.Random(f"{case}/{parity}"), case, p=5,
+                         force_d_parity=parity)
+    _, trace = compute_delta(*inst.astuple())
+    names = [en.name for en in inst.y.field_indices("-")]
+    assert names and len(trace.index_lines) == len(names)
+    for name, line in zip(names, trace.index_lines):
+        assert line.startswith(f"index {name}: C = {README_FORMULAS[case, parity]}; C = ")

@@ -208,6 +208,22 @@ class TestSuite:
         assert "cD-square-class" in names
         assert "lie-side-reconstruction" in names
 
+    def test_engine_pack_built_at_most_twice(self, rng, monkeypatch):
+        # once inside compute_delta, once for the Lie-side checks
+        from endofactor import factor
+        built = []
+        original = factor.build_charpoly_pack
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factor, "build_charpoly_pack", counting)
+        inst = _mixed_instance(rng)
+        results = run_suite(*inst.astuple())
+        assert all(ok for _, ok in results)
+        assert 1 <= len(built) <= 2
+
     def test_corruption_is_caught(self, rng):
         # corrupting y_j breaks the correspondence with x; the identities on
         # the re-derived Cayley data still hold, but the reconstruction
