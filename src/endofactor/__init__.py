@@ -32,9 +32,7 @@ from .etale import (
     QuadraticEtale,
     UnitaryBaseData,
     charpoly_over,
-    norm_trace,
     quadratic_field,
-    sgn_value,
     split_algebra,
     tau,
 )

@@ -34,10 +34,6 @@ def padd(p, q):
     return trim(out)
 
 
-def pneg(p):
-    return [-c for c in p]
-
-
 def pmul(p, q):
     if not p or not q:
         return []

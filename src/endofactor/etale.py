@@ -28,13 +28,12 @@ from .errors import (
     ZeroValuation,
 )
 from .localfield import (
-    ExtensionTower,
     FieldElement,
     ResidueField,
+    RingOps,
     is_square,
-    norm_test,
     trivial_tower,
-    valuation,
+    _reduce_mod,
     _vp,
 )
 
@@ -90,10 +89,6 @@ class QuadraticEtale:
             x = x.as_fraction()
         return self.element(self.base_pm.element(Fraction(x)))
 
-    @property
-    def degree_over_ground(self):
-        return 2 * self.base_pm.n
-
     def __eq__(self, other):
         return isinstance(other, QuadraticEtale) and self._fingerprint == other._fingerprint
 
@@ -115,7 +110,7 @@ def split_algebra(base_pm):
     return QuadraticEtale(base_pm, base_pm.one(), split_root=base_pm.one())
 
 
-class EtaleElement:
+class EtaleElement(RingOps):
     """a + b*rt in a quadratic etale algebra."""
 
     __slots__ = ("algebra", "a", "b")
@@ -148,25 +143,17 @@ class EtaleElement:
 
     # -- ring operations --------------------------------------------------------
 
+    def _one(self):
+        return self.algebra.one()
+
     def __add__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
         return EtaleElement(self.algebra, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return EtaleElement(self.algebra, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._co(other)
@@ -179,40 +166,12 @@ class EtaleElement:
             self.a * o.b + self.b * o.a,
         )
 
-    __rmul__ = __mul__
-
     def inverse(self):
         n = self.norm()
         if not n:
             raise ZeroValuation("element is not a unit in the etale algebra")
-        ninv = n ** (-1)
+        ninv = n.inverse()
         return EtaleElement(self.algebra, self.a * ninv, -self.b * ninv)
-
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base
-        return result
 
     def __eq__(self, other):
         o = self._co(other)
@@ -276,16 +235,6 @@ class EtaleElement:
 
 def tau(x):
     return x.tau()
-
-
-def norm_trace(x):
-    """(norm, trace) of an etale element, both in F_pm."""
-    return (x.norm(), x.trace())
-
-
-def sgn_value(c, ext):
-    """The norm character of F_i/F_pm at c in F_pm^x."""
-    return norm_test(c, ext)
 
 
 def charpoly_over(x, ground="F"):
@@ -412,7 +361,8 @@ class UnitaryBaseData:
         ramified = self._data()[0]
         if ramified:
             return v
-        assert v % 2 == 0
+        if v % 2:
+            raise ZeroValuation(f"norm valuation {v} is odd over the unramified E")
         return v // 2
 
     def e_residue(self, x):
@@ -424,8 +374,8 @@ class UnitaryBaseData:
         a = x.a.as_fraction()
         b = x.b.as_fraction() * Fraction(p) ** k
         if ramified:
-            return res.element([_mod_p(a, p)])
-        return res.element([_mod_p(a, p), _mod_p(b, p)])
+            return res.element([_reduce_mod(a, p)])
+        return res.element([_reduce_mod(a, p), _reduce_mod(b, p)])
 
     def sgn(self, x):
         """The norm character sgn_{E/F} on F^x."""
@@ -441,11 +391,3 @@ class UnitaryBaseData:
 
     def __repr__(self):
         return f"E = {self.base}(sqrt({self.delta_e!r}))"
-
-
-def _mod_p(fr, p):
-    fr = Fraction(fr)
-    if fr == 0:
-        return 0
-    assert _vp(fr, p) >= 0
-    return (fr.numerator * pow(fr.denominator, -1, p)) % p

@@ -24,11 +24,13 @@ from .errors import (
 )
 from .localfield import FieldElement, hilbert_symbol, norm_test
 from .params import (
+    CASES,
     EndoscopicDatum,
     IndexEntry,
     RegularParam,
     TameCharacter,
     charpoly_product,
+    ground_scalar,
     is_regular_charpoly,
     match_stable_classes,
     side_dimensions,
@@ -93,7 +95,8 @@ class CharPolyPack:
     """P, its side factors, and its derivative, over the case's ground.
 
     Coefficients are Fractions for ground "F" and elements of E for
-    ground "E"; all lists are constant-term first.
+    ground "E"; all lists are constant-term first.  ``scalar`` maps a
+    base-field scalar into the ground ring (``params.ground_scalar``).
     """
 
     ground: str
@@ -101,15 +104,10 @@ class CharPolyPack:
     P_minus: list
     P_plus: list
     dP: list
-    ext: object = None   # UnitaryBaseData when ground == "E"
-
-    def scalar(self, x):
-        if self.ground == "F":
-            return Fraction(x)
-        return self.ext.E.embed_ground(x)
+    scalar: object
 
     def zero(self):
-        return Fraction(0) if self.ground == "F" else self.ext.E.zero()
+        return self.scalar(0)
 
     def at(self, poly, point):
         """Evaluate at a ground scalar (Fraction)."""
@@ -132,7 +130,7 @@ def build_charpoly_pack(y, g):
         P_minus=P_minus,
         P_plus=P_plus,
         dP=_poly.pderiv(P),
-        ext=g.E,
+        scalar=ground_scalar(g),
     )
 
 
@@ -240,22 +238,31 @@ class FactorTrace:
         return "\n".join(self.lines())
 
 
+def _failure(rep):
+    return None if rep.ok else ValidationFailure("\n".join(rep.lines()))
+
+
 def validation_steps(y, x, g, e):
     """The validation order shared by validate_package and the validate
     command, one step at a time.
 
     Yields (lines, failure): the report lines of a step, and the exception
     validate_package raises for it, or None when the step passes.  The four
-    structural reports come first; the sequence ends after them if one
-    failed.  Then the side dimensions, and regularity, judged on the
-    characteristic-polynomial pack of y; the stable classes are matched only
-    when the parameters are regular.  Returns the pack.
+    structural reports come first; the sequence ends after the group report
+    when the case is unknown, and after all four if one failed.  Then the
+    side dimensions, and regularity, judged on the characteristic-polynomial
+    pack of y; the stable classes are matched only when the parameters are
+    regular.  Returns the pack.
     """
-    reports = (validate_group(g), validate_endoscopic(g, e),
+    group = validate_group(g)
+    yield group.lines(), _failure(group)
+    if g.case not in CASES:
+        return None
+    reports = (validate_endoscopic(g, e),
                validate_param(y, g, "endoscopic"), validate_param(x, g, "group"))
     for rep in reports:
-        yield rep.lines(), None if rep.ok else ValidationFailure("\n".join(rep.lines()))
-    if not all(rep.ok for rep in reports):
+        yield rep.lines(), _failure(rep)
+    if not (group.ok and all(rep.ok for rep in reports)):
         return None
     dims = side_dimensions(y, g)
     if dims == (e.d_minus, e.d_plus):

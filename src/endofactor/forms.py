@@ -19,7 +19,8 @@ from .etale import trace_to_ground
 
 
 class QuadraticSpace:
-    """A nondegenerate symmetric bilinear form given by its Gram matrix."""
+    """A nondegenerate symmetric bilinear form given by its Gram matrix,
+    with the diagonal of a congruent diagonal form."""
 
     def __init__(self, field, gram):
         rows = []
@@ -35,10 +36,9 @@ class QuadraticSpace:
                 if rows[i][j] != rows[j][i]:
                     raise NonSymmetric(f"Gram[{i}][{j}] != Gram[{j}][{i}]")
         self.dim = d
-        if d:
-            _, ok = _diagonalize(self)
-            if not ok:
-                raise Degenerate("Gram matrix is singular")
+        self.diag, ok = _diagonalize(self)
+        if not ok:
+            raise Degenerate("Gram matrix is singular")
 
     def __repr__(self):
         return f"QuadraticSpace(dim={self.dim} over {self.field!r})"
@@ -129,9 +129,7 @@ def invariants(space):
         one = field.element(1)
         return FormInvariants(0, det=one, disc=one, hasse=1,
                               signature=(0, 0) if field.base.is_real else None)
-    diag, ok = _diagonalize(space)
-    if not ok:
-        raise Degenerate("form is singular")
+    diag = space.diag
     if field.base.is_real:
         pos = sum(1 for v in diag if v.as_fraction() > 0)
         det = field.element(1 if (d - pos) % 2 == 0 else -1)

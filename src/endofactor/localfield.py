@@ -63,6 +63,74 @@ def _vp(x, p):
     return v
 
 
+def _row_valuation(row, p):
+    """min v_p over the nonzero entries of a u-row; None for a zero row."""
+    vals = [_vp(c, p) for c in row if c]
+    return min(vals) if vals else None
+
+
+def _reduce_mod(x, m):
+    """A p-integral Fraction reduced mod m, as an int in [0, m); raises
+    ZeroValuation when the denominator is not invertible mod m."""
+    x = Fraction(x)
+    try:
+        return x.numerator * pow(x.denominator, -1, m) % m
+    except ValueError:
+        raise ZeroValuation(f"{x} is not integral modulo {m}") from None
+
+
+class RingOps:
+    """The operators that FieldElement and EtaleElement share.
+
+    A subclass supplies ``_co`` (coercion of the other operand, None when
+    it does not apply), ``__add__``, ``__neg__``, ``__mul__``, ``_one`` and
+    ``inverse``.
+    """
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __truediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return (self ** -n).inverse()
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            base = base * base
+        return result
+
+
 @dataclass(frozen=True)
 class BaseField:
     """The ground local field: Q_p (kind 'p-adic') or R (kind 'real')."""
@@ -507,7 +575,7 @@ class ExtensionTower:
         return f"{self.base}[f={self.f},e={self.e}]"
 
 
-class FieldElement:
+class FieldElement(RingOps):
     """An element of a tower, with exact rational coordinates."""
 
     __slots__ = ("tower", "coords")
@@ -529,6 +597,9 @@ class FieldElement:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _one(self):
+        return self.tower.one()
+
     def __add__(self, other):
         o = self._co(other)
         if o is None:
@@ -538,21 +609,10 @@ class FieldElement:
             tuple(self.tower._u_add(a, b) for a, b in zip(self.coords, o.coords)),
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return FieldElement(
             self.tower, tuple(tuple(-c for c in row) for row in self.coords)
         )
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._co(other)
@@ -560,33 +620,8 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.tower, self.tower._mul_coords(self.coords, o.coords))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.tower._invert(o)
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.tower._invert(self)
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.tower._invert(self) ** (-n)
-        result = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base
-        return result
+    def inverse(self):
+        return self.tower._invert(self)
 
     def __eq__(self, other):
         o = self._co(other)
@@ -601,9 +636,6 @@ class FieldElement:
         return hash((self.tower._fingerprint, self.coords))
 
     # -- p-adic structure ------------------------------------------------------
-
-    def is_zero(self):
-        return not self
 
     def as_fraction(self):
         """The rational value; only for elements of a trivial tower."""
@@ -626,18 +658,14 @@ class FieldElement:
             raise ZeroValuation("residue of a non-integral element")
         if v > 0:
             return ResidueElement(t.residue, tuple([0] * t.f))
+        # a unit's row 0 is p-integral, and its reduction is the residue
         p = t.base.p
-        reps = []
-        for c in self.coords[0]:
-            # units always have p-integral coordinates on this basis
-            assert not c or _vp(c, p) >= 0
-            reps.append((c.numerator * pow(c.denominator, -1, p)) % p if c else 0)
-        return ResidueElement(t.residue, tuple(reps))
+        return ResidueElement(t.residue, tuple(_reduce_mod(c, p) for c in self.coords[0]))
 
-    def unit_part(self):
-        """x * pi^(-v(x)); exact."""
-        v = self.valuation()
-        return self * self.tower.pi() ** (-v)
+    def unit_split(self):
+        """(v, x * pi^(-v)) with v = v(x); exact."""
+        v = valuation(self)
+        return v, self * self.tower.pi() ** (-v)
 
     def __repr__(self):
         terms = []
@@ -698,21 +726,16 @@ def make_extension(base, f, eis):
     eis_uvecs = tuple(_norm_uvec(c, f) for c in eis)
     if eis_uvecs[-1] != tuple([_Q1] + [_Q0] * (f - 1)):
         raise NotEisenstein("defining polynomial must be monic")
-
-    def vur(uvec):
-        vals = [_vp(c, p) for c in uvec if c]
-        return min(vals) if vals else None
-
     if e == 1:
-        root_v = vur(tuple(-c for c in eis_uvecs[0]))
+        root_v = _row_valuation(eis_uvecs[0], p)
         if root_v != 1:
             raise NotEisenstein("degree-1 step needs a valuation-1 root")
     else:
-        v0 = vur(eis_uvecs[0])
+        v0 = _row_valuation(eis_uvecs[0], p)
         if v0 != 1:
             raise NotEisenstein("constant term must be a unit times p")
         for k in range(1, e):
-            vk = vur(eis_uvecs[k])
+            vk = _row_valuation(eis_uvecs[k], p)
             if vk is not None and vk < 1:
                 raise NotEisenstein(f"coefficient {k} must have positive valuation")
     return ExtensionTower(base, f, eis_uvecs, unram)
@@ -735,16 +758,21 @@ def trivial_tower(base):
 
 
 def valuation(a):
-    """Normalized valuation with v(pi) = 1, via the norm to the base."""
+    """Normalized valuation with v(pi) = 1, read off the coordinates: the
+    minimum over the nonzero rows b of e * v_p(row_b) + b.
+
+    Exact: the u^a are an integral basis of the unramified step (its
+    polynomial is a monic lift of an irreducible one), the pi^b are one of
+    the Eisenstein step, and the terms are distinct mod e.
+    """
     t = a.tower
     if t.base.is_real:
         raise UnsupportedCase("no valuation over R")
     if not a:
         raise ZeroValuation("valuation of zero")
-    nrm = t.norm_to_base(a)
-    vnum = _vp(nrm, t.base.p)
-    assert vnum % t.f == 0, "norm valuation not divisible by f"
-    return vnum // t.f
+    p = t.base.p
+    return min(t.e * v + b for b, v in enumerate(_row_valuation(row, p) for row in a.coords)
+               if v is not None)
 
 
 def is_square(a):
@@ -754,12 +782,11 @@ def is_square(a):
         raise ZeroValuation("squareness of zero")
     if t.base.is_real:
         return a.as_fraction() > 0
-    v = valuation(a)
+    v, u = a.unit_split()
     if v % 2:
         return False
-    u = a * t.pi() ** (-v)
     if t.base.p == 2:
-        return _mod8(u.as_fraction()) == 1
+        return _reduce_mod(u.as_fraction(), 8) == 1
     return t.residue.is_square(u.residue())
 
 
@@ -770,19 +797,11 @@ def square_class(a):
         raise ZeroValuation("square class of zero")
     if t.base.is_real:
         return t.element(1) if a.as_fraction() > 0 else t.element(-1)
-    v = valuation(a)
-    u = a * t.pi() ** (-v)
+    v, u = a.unit_split()
     if t.base.p == 2:
-        m = _mod8(u.as_fraction())
-        rep = t.element(m) * t.pi() ** (v % 2)
-        return rep
+        return t.element(_reduce_mod(u.as_fraction(), 8)) * t.pi() ** (v % 2)
     unit_rep = t.one() if t.residue.is_square(u.residue()) else t.unit_nonsquare()
     return unit_rep * t.pi() ** (v % 2)
-
-
-def _mod8(x):
-    """An odd Fraction mod 8."""
-    return (x.numerator * pow(x.denominator, -1, 8)) % 8
 
 
 def hilbert_symbol(a, b):
@@ -797,9 +816,8 @@ def hilbert_symbol(a, b):
     if t.base.p == 2:
         # trivial tower only (proper dyadic towers cannot be built)
         return _hilbert2(a.as_fraction(), b.as_fraction())
-    alpha, beta = valuation(a), valuation(b)
-    ua = a * t.pi() ** (-alpha)
-    ub = b * t.pi() ** (-beta)
+    alpha, ua = a.unit_split()
+    beta, ub = b.unit_split()
     arg = t.element((-1) ** (alpha * beta)) * ua ** beta * ub ** (-alpha)
     return 1 if t.residue.is_square(arg.residue()) else -1
 
@@ -808,10 +826,11 @@ def _hilbert2(a, b):
     va, vb = _vp(a, 2), _vp(b, 2)
     u = a / Fraction(2) ** va
     w = b / Fraction(2) ** vb
-    eps_u = (_mod8(u) - 1) // 2 % 2
-    eps_w = (_mod8(w) - 1) // 2 % 2
-    om_u = (_mod8(u) ** 2 - 1) // 8 % 2
-    om_w = (_mod8(w) ** 2 - 1) // 8 % 2
+    u8, w8 = _reduce_mod(u, 8), _reduce_mod(w, 8)
+    eps_u = (u8 - 1) // 2 % 2
+    eps_w = (w8 - 1) // 2 % 2
+    om_u = (u8 ** 2 - 1) // 8 % 2
+    om_w = (w8 ** 2 - 1) // 8 % 2
     exp = eps_u * eps_w + va * om_w + vb * om_u
     return -1 if exp % 2 else 1
 
@@ -862,26 +881,21 @@ class _ResidueRing:
             self.mods = (p ** m0, p ** m1)
             a0 = tower.eis[0][0]
             a1 = tower.eis[1][0]
-            self.a0 = self._int(a0, self.mods[0])
-            self.a1 = self._int(a1, self.mods[0])
+            self.a0 = _reduce_mod(a0, self.mods[0])
+            self.a1 = _reduce_mod(a1, self.mods[0])
         else:
             raise UnsupportedCase("oracle supports towers with e*f <= 2 only")
         self.size = self.mods[0] * (self.mods[1] if len(self.mods) > 1 else 1)
         self._squares = None
 
-    @staticmethod
-    def _int(fr, mod):
-        fr = Fraction(fr)
-        return (fr.numerator * pow(fr.denominator, -1, mod)) % mod if mod > 1 else 0
-
     def reduce(self, x):
         """A tower element with integral coordinates, reduced."""
         c = x.coords
         if self.kind == "z":
-            return (self._int(c[0][0], self.mods[0]),)
+            return (_reduce_mod(c[0][0], self.mods[0]),)
         if self.kind == "u":
-            return (self._int(c[0][0], self.mods[0]), self._int(c[0][1], self.mods[1]))
-        return (self._int(c[0][0], self.mods[0]), self._int(c[1][0], self.mods[1]))
+            return (_reduce_mod(c[0][0], self.mods[0]), _reduce_mod(c[0][1], self.mods[1]))
+        return (_reduce_mod(c[0][0], self.mods[0]), _reduce_mod(c[1][0], self.mods[1]))
 
     def mul(self, x, y):
         if self.kind == "z":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import _poly
 from .errors import IndexMismatch, UnsupportedCase
@@ -113,7 +114,7 @@ class GroupDescriptor:
     def info(self):
         return case_info(self.case)
 
-    @property
+    @cached_property
     def F(self):
         return trivial_tower(self.base)
 
@@ -443,29 +444,36 @@ def side_dimensions(param, g):
 # regularity, matching, stable classes
 # ---------------------------------------------------------------------------
 
+def _twist(g, algebra):
+    """nu/tau(nu) * (-1)^(d+1) in an index algebra of a twisted case: the
+    matching relation reads x_i/tau(x_i) = y_i * _twist(g, F_i)."""
+    if g.case == "bc_unitary":
+        nu = g.E.embed(g.nu, algebra)
+    else:
+        nu = algebra.embed_ground(g.nu.as_fraction())
+    return nu / nu.tau() * (-1) ** (g.d + 1)
+
+
 def _norm_one_values(param, g, role):
     """The eigenvalue data y_i (deriving them through the matching relation
     for a twisted group side)."""
-    out = []
-    for en in param.entries:
-        if role == "group" and g.info["twisted"]:
-            ratio = en.value / en.value.tau()
-            sign = (-1) ** (g.d + 1)
-            if g.case == "bc_unitary":
-                nu = g.E.embed(g.nu, en.algebra)
-            else:
-                nu = en.algebra.embed_ground(g.nu.as_fraction())
-            out.append(ratio * nu.tau() / nu * sign)
-        else:
-            out.append(en.value)
-    return out
+    if role == "group" and g.info["twisted"]:
+        return [en.value / en.value.tau() / _twist(g, en.algebra) for en in param.entries]
+    return [en.value for en in param.entries]
+
+
+def ground_scalar(g):
+    """The case's ground ring for characteristic polynomials, as the map
+    from base-field scalars into it: Fraction, or the embedding into E in
+    the unitary cases."""
+    return g.E.E.embed_ground if g.info["ground"] == "E" else Fraction
 
 
 def charpoly_product(values, g):
     """Product of the characteristic polynomials of ``values`` over the case
     ground (the base field, or E in the unitary cases)."""
     ground = g.info["ground"]
-    poly = [g.E.E.one() if ground == "E" else Fraction(1)]
+    poly = [ground_scalar(g)(1)]
     for value in values:
         poly = _poly.pmul(poly, charpoly_over(value, ground))
     return poly
@@ -476,19 +484,15 @@ def is_regular_charpoly(poly, g):
     characteristic polynomials: P (with the distinguished eigenvalue-1 line
     adjoined where the case has one) is squarefree, and the formulary's
     denominators at T = 1, -1 stay away from zero."""
-    info = g.info
-    if info["ground"] == "E":
-        one = g.E.E.one()
-        zero = g.E.E.zero()
-        minus_one = g.E.E.embed_ground(-1)
-    else:
-        one, zero, minus_one = Fraction(1), Fraction(0), Fraction(-1)
-    aug = _poly.pmul(poly, [-one, one]) if info["dline"] else poly
+    dline = g.info["dline"]
+    scalar = ground_scalar(g)
+    one, zero, minus_one = scalar(1), scalar(0), scalar(-1)
+    aug = _poly.pmul(poly, [-one, one]) if dline else poly
     if not _poly.is_squarefree(aug):
         return False
     if _poly.peval(poly, minus_one, zero) == zero:
         return False
-    if not info["dline"] and _poly.peval(poly, one, zero) == zero:
+    if not dline and _poly.peval(poly, one, zero) == zero:
         return False
     return True
 
@@ -516,13 +520,7 @@ def match_stable_classes(y, x, g, e=None):
             if xe.value != ye.value:
                 return False
             continue
-        lhs = xe.value / xe.value.tau()
-        if g.case == "bc_unitary":
-            nu = g.E.embed(g.nu, xe.algebra)
-        else:
-            nu = xe.algebra.embed_ground(g.nu.as_fraction())
-        rhs = ye.value * nu / nu.tau() * ((-1) ** (g.d + 1))
-        if lhs != rhs:
+        if xe.value / xe.value.tau() != ye.value * _twist(g, xe.algebra):
             return False
     return True
 

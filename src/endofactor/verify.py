@@ -106,7 +106,9 @@ def make_lie_param(y, x, g, c=None):
         cv = tower.element(1) if c is None or en.name not in c else tower.element(c[en.name])
         cvals[en.name] = cv
         xi = cayley(en.value)
-        assert xi.tau() == -xi
+        if xi.tau() != -xi:
+            raise NotInFixedField(f"index {en.name!r}: the Cayley transform of y "
+                                  "is not tau-odd (y is not of norm 1)")
         X[en.name] = xi
         P_j[en.name] = charpoly_over(en.value, "F")
         Q_j[en.name] = charpoly_over(xi, "F")

@@ -297,9 +297,8 @@ def test_criterion_9_trivial_suite():
     RRb = BaseField("real")
     FR = trivial_tower(RRb)
     cc = quadratic_field(FR, FR.element(-1))
-    from endofactor.etale import sgn_value
-    ok = ok and sgn_value(FR.element(-2), cc) == -1
-    ok = ok and sgn_value(FR.element(2), cc) == 1
+    ok = ok and norm_test(FR.element(-2), cc) == -1
+    ok = ok and norm_test(FR.element(2), cc) == 1
     yv = cc.element(Fraction(3, 5), Fraction(4, 5))
     gr = GroupDescriptor("symplectic", 2, RRb, eta=FR.element(1))
     ypr = RegularParam((IndexEntry("i", "-", cc, yv, None),))

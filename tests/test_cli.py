@@ -66,6 +66,21 @@ class TestValidate:
             "parse error: $.towers: field 'towers' has the wrong type\n")
 
 
+    def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
+        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
+        doc = json.loads(sample.read_text())
+        doc["group"]["case"] = "foo"
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", str(path)])
+        assert code == 1
+        assert out == "group: case-unknown: unknown group case 'foo'\ninvalid\n"
+        code, out = run_cli(["compute", str(path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "invalid: ValidationFailure: group: case-unknown: unknown group case 'foo'\n")
+
+
 class TestCompute:
     def test_plain_output(self, doc_path):
         code, out = run_cli(["compute", doc_path])

@@ -8,13 +8,11 @@ from endofactor.etale import (
     UnitaryBaseData,
     charpoly_over,
     norm_to_ground,
-    norm_trace,
     quadratic_field,
-    sgn_value,
     split_algebra,
     tau,
 )
-from endofactor.localfield import BaseField, make_extension, trivial_tower
+from endofactor.localfield import BaseField, make_extension, norm_test, trivial_tower
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
@@ -49,23 +47,23 @@ class TestTau:
 class TestNormTrace:
     def test_field_formula(self):
         x = K.element(3, 2)
-        assert norm_trace(x) == (F5.element(9 - 5 * 4), F5.element(6))
+        assert (x.norm(), x.trace()) == (F5.element(9 - 5 * 4), F5.element(6))
 
     def test_split_formula(self):
         y = S.from_pair(3, 7)
-        assert norm_trace(y) == (F5.element(21), F5.element(10))
+        assert (y.norm(), y.trace()) == (F5.element(21), F5.element(10))
 
     def test_norm_one_constraint(self, rng):
         from support import random_norm_one
         y = random_norm_one(rng, K)
-        assert norm_trace(y)[0] == F5.one()
+        assert y.norm() == F5.one()
 
     def test_lands_in_base(self, rng):
         from support import random_etale_unit, random_field_algebra, random_tower
         for _ in range(10):
             alg = random_field_algebra(rng, random_tower(rng, Q5))
             x = random_etale_unit(rng, alg)
-            n, t = norm_trace(x)
+            n, t = x.norm(), x.trace()
             # the as_base projection would raise if anything leaked
             assert (x * tau(x)).as_base() == n
             assert (x + tau(x)).as_base() == t
@@ -107,22 +105,22 @@ class TestCharpoly:
 
 class TestSgn:
     def test_split_trivial(self):
-        assert sgn_value(F5.element(7), S) == 1
+        assert norm_test(F5.element(7), S) == 1
 
     def test_real_sign(self):
         fr = trivial_tower(BaseField("real"))
         cc = quadratic_field(fr, fr.element(-1))
-        assert sgn_value(fr.element(-2), cc) == -1
-        assert sgn_value(fr.element(2), cc) == 1
+        assert norm_test(fr.element(-2), cc) == -1
+        assert norm_test(fr.element(2), cc) == 1
 
     def test_derived(self):
-        assert sgn_value(F5.element(2), K) == -1
+        assert norm_test(F5.element(2), K) == -1
 
     def test_norms_positive(self, rng):
         from support import random_etale_unit
         for _ in range(10):
             t = random_etale_unit(rng, K)
-            assert sgn_value(t.norm(), K) == 1
+            assert norm_test(t.norm(), K) == 1
 
 
 class TestUnitary:
@@ -162,6 +160,13 @@ class TestUnitary:
         assert ubr.e_valuation(ubr.E.rt()) == 1
         assert ubr.e_valuation(ubr.E.embed_ground(5)) == 2
         assert ubr.sgn(2) == -1
+
+    def test_e_valuation_rejects_odd_norm_valuation(self):
+        # an element of the ramified K has a norm of odd valuation, which no
+        # element of the unramified E can have
+        ub = UnitaryBaseData(Q5, 2)
+        with pytest.raises(ZeroValuation):
+            ub.e_valuation(K.rt())
 
 
 def test_as_base_guards():

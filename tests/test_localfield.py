@@ -13,6 +13,7 @@ from endofactor.errors import (
 )
 from endofactor.localfield import (
     BaseField,
+    _reduce_mod,
     brute_force_norm_oracle,
     hilbert_symbol,
     is_square,
@@ -226,3 +227,13 @@ class TestOracle:
             for c in reps:
                 depth = (valuation(d) % 2) + 1
                 assert brute_force_norm_oracle(c, k, depth) == norm_test(c, k)
+
+
+def test_reduce_mod_needs_an_integral_value():
+    assert _reduce_mod(Fraction(3, 7), 5) == 4
+    assert _reduce_mod(Fraction(-1, 3), 8) == 5
+    assert _reduce_mod(0, 5) == 0
+    with pytest.raises(ZeroValuation):
+        _reduce_mod(Fraction(1, 5), 5)
+    with pytest.raises(ZeroValuation):
+        _reduce_mod(Fraction(3, 2), 8)

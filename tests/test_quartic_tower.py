@@ -40,18 +40,12 @@ def test_structure(quartic):
 
 
 def test_valuation_matches_coordinate_minimum(quartic, rng):
-    # v computed through the norm must agree with the ultrametric
-    # coordinate formula min(e * v_p(coefficient) + pi-power)
+    # v is read off the coordinates; the norm to the base, whose valuation
+    # is f * v, is the slow reference
     from support import random_nonzero
     for _ in range(25):
         x = random_nonzero(rng, quartic)
-        coord_v = None
-        for b, row in enumerate(x.coords):
-            vals = [2 * _vp(c) + b for c in row if c]
-            if vals:
-                v = min(vals)
-                coord_v = v if coord_v is None else min(coord_v, v)
-        assert valuation(x) == coord_v
+        assert valuation(x) == _vp(quartic.norm_to_base(x)) // quartic.f
 
 
 def _vp(fr):
@@ -65,6 +59,15 @@ def _vp(fr):
         d //= 5
         v -= 1
     return v
+
+
+def test_negative_power_is_inverse_of_power(quartic, rng):
+    from support import random_etale_unit, random_nonzero
+    k = quadratic_field(quartic, quartic.pi())
+    for x in (random_nonzero(rng, quartic), random_etale_unit(rng, k)):
+        for n in range(6):
+            assert x ** -n == (x ** n).inverse()
+            assert x ** -n * x ** n == x ** 0 == 1
 
 
 def test_arithmetic_properties(quartic, rng):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor.errors import PoleAtMinusOne, PoleAtOne
+from endofactor.errors import NotInFixedField, PoleAtMinusOne, PoleAtOne
 from endofactor.etale import quadratic_field
 from endofactor.factor import compute_delta
 from endofactor.localfield import BaseField, trivial_tower
@@ -35,6 +35,18 @@ def _mixed_instance(rng, p=5, tries=60):
         if inst.y.field_indices("-") and inst.y.field_indices("+"):
             return inst
     raise RuntimeError("no mixed instance")
+
+
+def test_lie_param_needs_norm_one_values(rng):
+    # doubling a field-index y_i makes its norm 4, so X_i is not tau-odd
+    inst = _mixed_instance(rng)
+    entries = tuple(IndexEntry(en.name, en.side, en.algebra, 2 * en.value, en.c)
+                    if en is inst.y.field_indices("-")[0] else en
+                    for en in inst.y.entries)
+    y = RegularParam(entries, inst.y.x_D)
+    with pytest.raises(NotInFixedField):
+        make_lie_param(y, inst.x, inst.g)
+    assert ("lie-data", False) in run_suite(y, inst.x, inst.g, inst.e)
 
 
 class TestCayley:
