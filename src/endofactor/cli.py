@@ -81,6 +81,9 @@ def cmd_compute(args, out):
 
 def cmd_check(args, out):
     doc = load_document(_read(args.document), precision=args.precision)
+    _, failure = next(validation_steps(doc.y, doc.x, doc.group, doc.endoscopic))
+    if failure is not None:     # the group report
+        raise failure
     results = verify.run_suite(doc.y, doc.x, doc.group, doc.endoscopic)
     ok = all(flag for _, flag in results)
     if args.json:

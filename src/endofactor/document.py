@@ -28,11 +28,13 @@ from .errors import ParseError
 from .etale import UnitaryBaseData, quadratic_field, split_algebra
 from .localfield import BaseField, make_extension, trivial_tower
 from .params import (
+    CASES,
     EndoscopicDatum,
     GroupDescriptor,
     IndexEntry,
     RegularParam,
     TameCharacter,
+    case_info,
 )
 
 # ---------------------------------------------------------------------------
@@ -208,14 +210,13 @@ def parse_etale_literal(text, algebra, where="literal"):
 
 @dataclass
 class InstanceDocument:
-    """A parsed instance: the four computation inputs plus naming data."""
+    """A parsed instance: the base field and the four computation inputs."""
 
     base: BaseField
     group: GroupDescriptor
     endoscopic: EndoscopicDatum
     y: RegularParam
     x: RegularParam
-    tower_names: dict
 
 
 def _need(obj, key, where, kind=None):
@@ -286,23 +287,21 @@ def load_document(text, *, precision=None):
     gspec = _need(doc, "group", "$")
     case = _need(gspec, "case", "$.group", str)
     d = _need(gspec, "d", "$.group", int)
-    delta = nu = eta = None
-    if _opt(gspec, "delta") is not None:
-        delta = parse_tower_literal(str(gspec["delta"]), F, "$.group.delta")
-    if _opt(gspec, "nu") is not None:
-        if case == "bc_unitary":
-            if ub is None:
-                raise ParseError("bc_unitary needs $.extension", "$.group.nu")
-            nu = parse_etale_literal(str(gspec["nu"]), ub.E, "$.group.nu")
-        else:
-            nu = parse_tower_literal(str(gspec["nu"]), F, "$.group.nu")
-    if _opt(gspec, "eta") is not None:
-        if case in ("unitary", "bc_unitary"):
-            if ub is None:
-                raise ParseError(f"{case} needs $.extension", "$.group.eta")
-            eta = parse_etale_literal(str(gspec["eta"]), ub.E, "$.group.eta")
-        else:
-            eta = parse_tower_literal(str(gspec["eta"]), F, "$.group.eta")
+    def _group_literal(key, over_E):
+        where = f"$.group.{key}"
+        if _opt(gspec, key) is None:
+            return None
+        if not over_E:
+            return parse_tower_literal(str(gspec[key]), F, where)
+        if ub is None:
+            raise ParseError(f"{case} needs $.extension", where)
+        return parse_etale_literal(str(gspec[key]), ub.E, where)
+    # an unknown case parses over F; validation reports it
+    info = case_info(case) if case in CASES else None
+    over_E = info is not None and info["ground"] == "E"
+    delta = _group_literal("delta", False)
+    nu = _group_literal("nu", over_E and info["twisted"])
+    eta = _group_literal("eta", over_E)
     group = GroupDescriptor(case=case, d=d, base=base, delta=delta, E=ub,
                             nu=nu, eta=eta)
 
@@ -378,14 +377,12 @@ def load_document(text, *, precision=None):
     if _opt(doc, "x_D") is not None:
         x_d = parse_tower_literal(str(doc["x_D"]), F, "$.x_D")
 
-    names = {tower._fingerprint: n for n, tower in towers.items()}
     return InstanceDocument(
         base=base,
         group=group,
         endoscopic=endo,
         y=RegularParam(tuple(y_entries)),
         x=RegularParam(tuple(x_entries), x_d),
-        tower_names=names,
     )
 
 

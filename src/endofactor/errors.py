@@ -1,7 +1,8 @@
 """Typed errors shared across the package.
 
 The exit-code mapping used by the CLI: ParseError -> 3, arithmetic errors
-(PrecisionExhausted and friends) -> 2, validation or matching failures -> 1.
+(ArithmeticFailure and its subclasses) -> 2, validation or matching
+failures -> 1.
 """
 
 
@@ -13,14 +14,6 @@ class EndofactorError(Exception):
 
 class ArithmeticFailure(EndofactorError):
     """Base for errors raised while computing, as opposed to validating."""
-
-
-class PrecisionExhausted(ArithmeticFailure):
-    """A sign/valuation decision could not be made at working precision.
-
-    With exact rational coordinates this is defensive only; it is kept
-    because the public contracts name it.
-    """
 
 
 class ZeroValuation(ArithmeticFailure):
@@ -45,10 +38,6 @@ class PoleAtOne(ArithmeticFailure):
 
 class NotInFixedField(ArithmeticFailure):
     """A value that must be fixed by the involution has a nonzero odd part."""
-
-
-class WildInputUnsupported(ArithmeticFailure):
-    """Character evaluation outside the tame model."""
 
 
 # --- validation-layer errors (exit code 1) ---

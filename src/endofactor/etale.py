@@ -19,6 +19,7 @@ whether the tensor splits is decided by an exact square test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import _poly
 from . import localfield
@@ -56,7 +57,6 @@ class QuadraticEtale:
             raise UnsupportedCase("delta is a square; use split_algebra instead")
         self._fingerprint = ("etale", base_pm._fingerprint, delta.coords,
                              None if unitary_base is None else unitary_base.fingerprint)
-        self._unit_data = None
 
     # -- element construction -----------------------------------------------
 
@@ -324,33 +324,29 @@ class UnitaryBaseData:
 
     # -- tame structure of E (uniformizer, residue field, valuation) -----------
 
+    @cached_property
     def _data(self):
-        if self.E._unit_data is None:
-            p = self.base.p
-            d = self.delta_e.as_fraction()
-            v = _vp(d, p)
-            k = (v - (v % 2)) // 2
-            dprime = d / Fraction(p) ** (2 * k)
-            ramified = bool(v % 2)
-            if ramified:
-                pi_e = self.E.element(0, Fraction(1) / Fraction(p) ** k)
-                res = ResidueField(p, 1, (0, 1))
-            else:
-                pi_e = self.E.embed_ground(p)
-                dbar = (dprime.numerator * pow(dprime.denominator, -1, p)) % p
-                res = ResidueField(p, 2, ((-dbar) % p, 0, 1))
-            self.E._unit_data = (ramified, k, dprime, pi_e, res)
-        return self.E._unit_data
+        """(ramified, k, uniformizer, residue field), with v(delta_E) = 2k
+        or 2k + 1: the residue field is F_p over a ramified E, and F_p[x]
+        modulo x^2 - (delta_E / p^(2k) mod p) over an unramified one."""
+        p = self.base.p
+        d = self.delta_e.as_fraction()
+        v = _vp(d, p)
+        k = v // 2
+        if v % 2:
+            return True, k, self.E.element(0, Fraction(1) / Fraction(p) ** k), self.F.residue
+        dbar = _reduce_mod(d / Fraction(p) ** (2 * k), p)
+        return False, k, self.E.embed_ground(p), ResidueField(p, 2, ((-dbar) % p, 0, 1))
 
     @property
     def ramified(self):
-        return self._data()[0]
+        return self._data[0]
 
     def uniformizer(self):
-        return self._data()[3]
+        return self._data[2]
 
     def residue_field(self):
-        return self._data()[4]
+        return self._data[3]
 
     def e_valuation(self, x):
         """Normalized valuation on E (v(uniformizer) = 1)."""
@@ -358,8 +354,7 @@ class UnitaryBaseData:
             raise ZeroValuation("valuation of zero")
         nrm = x.norm().as_fraction()
         v = _vp(nrm, self.base.p)
-        ramified = self._data()[0]
-        if ramified:
+        if self.ramified:
             return v
         if v % 2:
             raise ZeroValuation(f"norm valuation {v} is odd over the unramified E")
@@ -367,7 +362,7 @@ class UnitaryBaseData:
 
     def e_residue(self, x):
         """Residue of a unit of E in the canonical residue field."""
-        ramified, k, dprime, pi_e, res = self._data()
+        ramified, k, _, res = self._data
         if self.e_valuation(x) != 0:
             raise ZeroValuation("residue of a non-unit")
         p = self.base.p

@@ -177,11 +177,10 @@ FORMULAS = {
 
 
 def formula_for(g):
-    """The formulary row of g: keyed by the parity of d in the unitary
-    cases, by the case's fixed parity otherwise."""
-    if g.case in ("unitary", "bc_unitary"):
-        return FORMULAS[g.case, g.d % 2]
-    return FORMULAS[g.case, g.info["d_parity"]]
+    """The formulary row of g: keyed by the parity of d over E, and by the
+    case's fixed parity (its line) over F."""
+    info = g.info
+    return FORMULAS[g.case, g.d % 2 if info["ground"] == "E" else info["line"]]
 
 
 def compute_C(name, pack, y, x, g):
@@ -331,7 +330,7 @@ def _apply_prefactors(total, pack, y, x, g, e, trace):
             f"prefactor chi(eta*x_D*P(1)*P_minus(-1)) at {arg}: {value.render()}"
         )
         return total * value
-    if g.case in ("unitary", "bc_unitary"):
+    if pack.ground == "E":
         for tag, poly, mu in (("minus", pack.P_minus, e.mu_minus),
                               ("plus", pack.P_plus, e.mu_plus)):
             arg = pack.at(poly, 0) * pack.at(poly, -1).inverse()
@@ -360,10 +359,11 @@ def eval_character(chi, arg):
 def swapped_delta(y, x, g, e):
     """The factor with the roles of the two endoscopic halves exchanged.
 
-    Defined for the swap-symmetric cases.  Equals compute_delta when the
-    inner-torsor cocycle is trivial; the nontrivial class negates the
-    value (non-archimedean base)."""
-    if g.case not in ("so_odd", "so_even", "unitary"):
+    Defined for the swap-symmetric cases (equal halves, untwisted).  Equals
+    compute_delta when the inner-torsor cocycle is trivial; the nontrivial
+    class negates the value (non-archimedean base)."""
+    fm, fp = g.info["factors"]
+    if fm != fp or g.info["twisted"]:
         raise UnsupportedCase(f"swap undefined for case {g.case!r}")
     e_swapped = EndoscopicDatum(
         d_minus=e.d_plus,

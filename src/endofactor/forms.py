@@ -233,14 +233,14 @@ def trace_form_gram(param, *, side=None):
     return _assemble(ground, blocks, x_d)
 
 
-def symmetrize_twisted(param, *, side=None):
+def symmetrize_twisted(param):
     """The symmetrization q(v, v') = x(v, v') + x(v', v) of a twisted form.
 
     Equals the trace form with coefficients x_i + tau(x_i).  Raises
     Degenerate when the symmetrization is singular, which signals
     non-suitably-regular input.
     """
-    entries = [en for en in param.entries if side is None or en.side == side]
+    entries = param.entries
     if not entries:
         raise ValueError("cannot symmetrize an empty pack")
     if param.x_D is not None:

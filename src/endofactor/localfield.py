@@ -9,7 +9,7 @@ decision is therefore exact; nothing is ever rounded.
 
 The precision attribute of BaseField is kept as part of the public
 contract (and validated), but with exact coordinates no operation can run
-out of precision, so PrecisionExhausted is defensive rather than routine.
+out of precision.
 
 Supported bases: Q_p for any odd prime p (arbitrary towers with e*f >= 1),
 Q_2 itself (trivial tower only; proper dyadic extensions are rejected),

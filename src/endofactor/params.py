@@ -18,47 +18,33 @@ from .errors import IndexMismatch, UnsupportedCase
 from .etale import EtaleElement, UnitaryBaseData, charpoly_over
 from .localfield import FieldElement, is_square, trivial_tower
 
-CASES = (
-    "symplectic",
-    "so_odd",
-    "so_even",
-    "twisted_gl_even",
-    "twisted_gl_odd",
-    "unitary",
-    "bc_unitary",
-)
-
-# per-case structure:
-#   d_parity: required parity of d (None = free)
-#   twisted: x-side carries free x_i (and x_D in the odd case)
-#   ground: "F" or "E" for the characteristic-polynomial ground field
-#   c_sign: tau(c) = c_sign * c for the x-side form coefficients (untwisted)
+# The independent facts of each case; every dimension and parity rule
+# follows from them:
 #   factors: the two endoscopic halves (minus, plus)
-#   dim_sum: d_minus + d_plus as a function of d
-#   dline: a distinguished eigenvalue-1 line accompanies the index set
+#   twisted: the group side carries free x_i (and x_D in the odd case)
+#   ground: "F" or "E", the ground field of the characteristic polynomials
+#   c_sign: tau(c) = c_sign * c for the group-side form coefficients (untwisted)
+#   line: 1 when one dimension lies outside the indices, else 0
+# Over F, d has the parity of line (over E it is free); the index degrees
+# sum to d - line; d_minus + d_plus = d - line + the number of so_odd
+# halves; and an so_odd half adjoins an eigenvalue-1 line to P.
 _INFO = {
-    "symplectic":      dict(d_parity=0, twisted=False, ground="F", c_sign=-1,
-                            factors=("so_even", "symplectic"), dim_sum=lambda d: d,
-                            dline=False),
-    "so_odd":          dict(d_parity=1, twisted=False, ground="F", c_sign=1,
-                            factors=("so_odd", "so_odd"), dim_sum=lambda d: d + 1,
-                            dline=True),
-    "so_even":         dict(d_parity=0, twisted=False, ground="F", c_sign=1,
-                            factors=("so_even", "so_even"), dim_sum=lambda d: d,
-                            dline=False),
-    "twisted_gl_even": dict(d_parity=0, twisted=True, ground="F", c_sign=None,
-                            factors=("so_even", "so_odd"), dim_sum=lambda d: d + 1,
-                            dline=True),
-    "twisted_gl_odd":  dict(d_parity=1, twisted=True, ground="F", c_sign=None,
-                            factors=("so_odd", "symplectic"), dim_sum=lambda d: d,
-                            dline=True),
-    "unitary":         dict(d_parity=None, twisted=False, ground="E", c_sign=1,
-                            factors=("unitary", "unitary"), dim_sum=lambda d: d,
-                            dline=False),
-    "bc_unitary":      dict(d_parity=None, twisted=True, ground="E", c_sign=None,
-                            factors=("unitary", "unitary"), dim_sum=lambda d: d,
-                            dline=False),
+    "symplectic":      dict(factors=("so_even", "symplectic"), twisted=False,
+                            ground="F", c_sign=-1, line=0),
+    "so_odd":          dict(factors=("so_odd", "so_odd"), twisted=False,
+                            ground="F", c_sign=1, line=1),
+    "so_even":         dict(factors=("so_even", "so_even"), twisted=False,
+                            ground="F", c_sign=1, line=0),
+    "twisted_gl_even": dict(factors=("so_even", "so_odd"), twisted=True,
+                            ground="F", c_sign=None, line=0),
+    "twisted_gl_odd":  dict(factors=("so_odd", "symplectic"), twisted=True,
+                            ground="F", c_sign=None, line=1),
+    "unitary":         dict(factors=("unitary", "unitary"), twisted=False,
+                            ground="E", c_sign=1, line=0),
+    "bc_unitary":      dict(factors=("unitary", "unitary"), twisted=True,
+                            ground="E", c_sign=None, line=0),
 }
+CASES = tuple(_INFO)
 
 
 def case_info(case):
@@ -150,25 +136,11 @@ class TameCharacter:
     def restricts_to_sgn_power(self, k):
         """Exact check of the restriction to F^x against sgn_{E/F}^k."""
         E = self.E
-        p = E.base.p
-        probes = [p, canonical_unit_generator(p)]
-        for t in probes:
+        for t in (E.base.p, E.F.residue.multiplicative_generator().rep[0]):
             want = Fraction(1, 2) if E.sgn(t) ** (k % 2) == -1 else Fraction(0)
             if self.angle(t) != want:
                 return False
         return True
-
-
-def canonical_unit_generator(p):
-    """Smallest generator of (Z/p)^x."""
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    return 1  # p == 2
 
 
 @dataclass
@@ -243,8 +215,8 @@ def validate_group(g):
     if g.d < 1:
         rep.add("dim-positive", f"d = {g.d} must be >= 1")
         return rep
-    if info["d_parity"] is not None and g.d % 2 != info["d_parity"]:
-        want = "even" if info["d_parity"] == 0 else "odd"
+    if info["ground"] == "F" and g.d % 2 != info["line"]:
+        want = ("even", "odd")[info["line"]]
         rep.add("dim-parity", f"case {g.case} needs d {want}, got d = {g.d}")
     if g.case == "so_even":
         if g.delta is None:
@@ -264,25 +236,25 @@ def validate_group(g):
 
 
 def _validate_nu(g, info, rep):
-    if g.case in ("twisted_gl_even", "twisted_gl_odd"):
+    if not info["twisted"]:
+        if g.nu is not None:
+            rep.add("nu-extraneous", "nu is only meaningful for twisted cases")
+    elif info["ground"] == "F":
         if not isinstance(g.nu, FieldElement) or not g.nu:
             rep.add("nu-missing", "twisted linear cases need nu in F^x")
-    elif g.case == "bc_unitary":
-        if not isinstance(g.nu, EtaleElement) or not g.nu:
-            rep.add("nu-missing", "base-change case needs nu in E^x")
-    elif g.nu is not None:
-        rep.add("nu-extraneous", "nu is only meaningful for twisted cases")
+    elif not isinstance(g.nu, EtaleElement) or not g.nu:
+        rep.add("nu-missing", "base-change case needs nu in E^x")
 
 
 def _validate_eta(g, info, rep):
     if g.eta is None:
         rep.add("eta-missing", "eta is a required input")
         return
-    if g.case in ("unitary", "bc_unitary"):
+    if info["ground"] == "E":
         if not isinstance(g.eta, EtaleElement) or not g.eta:
             rep.add("eta-type", "eta must be a nonzero element of E")
             return
-        if g.case == "unitary":
+        if not info["twisted"]:
             if g.d % 2 == 1 and g.eta.b:
                 rep.add("eta-parity", "odd d needs eta in F^x")
             if g.d % 2 == 0 and g.eta.a:
@@ -297,7 +269,7 @@ def validate_endoscopic(g, e):
     rep = ValidationReport("endoscopic")
     info = g.info
     fm, fp = info["factors"]
-    want = info["dim_sum"](g.d)
+    want = g.d - info["line"] + info["factors"].count("so_odd")
     if e.d_minus < 0 or e.d_plus < 0:
         rep.add("dim-negative", "factor dimensions must be >= 0")
         return rep
@@ -334,9 +306,8 @@ def validate_endoscopic(g, e):
             rep.add("chi-missing", "odd twisted case needs chi as a square class")
     elif e.chi is not None:
         rep.add("chi-extraneous", "chi is only meaningful for the odd twisted case")
-    if g.case in ("unitary", "bc_unitary"):
-        shift = 1 if g.case == "bc_unitary" else 0
-        for tag, mu, k in (("minus", e.mu_minus, e.d_plus + shift),
+    if info["ground"] == "E":
+        for tag, mu, k in (("minus", e.mu_minus, e.d_plus + info["twisted"]),
                            ("plus", e.mu_plus, e.d_minus)):
             if mu is None:
                 rep.add(f"char-missing-{tag}", "unitary cases need both characters")
@@ -395,7 +366,7 @@ def validate_param(param, g, role):
             rep.add("xD-field", "x_D must lie in the base field")
     elif param.x_D is not None:
         rep.add("xD-extraneous", "x_D only belongs to the odd twisted group side")
-    want = g.d - (1 if info["dline"] and g.case in ("so_odd", "twisted_gl_odd") else 0)
+    want = g.d - info["line"]
     if dim != want:
         rep.add("dim-bookkeeping",
                 f"index degrees sum to {dim}, expected {want} for d = {g.d}")
@@ -447,10 +418,7 @@ def side_dimensions(param, g):
 def _twist(g, algebra):
     """nu/tau(nu) * (-1)^(d+1) in an index algebra of a twisted case: the
     matching relation reads x_i/tau(x_i) = y_i * _twist(g, F_i)."""
-    if g.case == "bc_unitary":
-        nu = g.E.embed(g.nu, algebra)
-    else:
-        nu = algebra.embed_ground(g.nu.as_fraction())
+    nu = algebra.one() * g.nu
     return nu / nu.tau() * (-1) ** (g.d + 1)
 
 
@@ -484,7 +452,7 @@ def is_regular_charpoly(poly, g):
     characteristic polynomials: P (with the distinguished eigenvalue-1 line
     adjoined where the case has one) is squarefree, and the formulary's
     denominators at T = 1, -1 stay away from zero."""
-    dline = g.info["dline"]
+    dline = "so_odd" in g.info["factors"]
     scalar = ground_scalar(g)
     one, zero, minus_one = scalar(1), scalar(0), scalar(-1)
     aug = _poly.pmul(poly, [-one, one]) if dline else poly

@@ -58,8 +58,9 @@ class LieParam:
     characteristic polynomials of X_j / y_j over the base field; Q_X is
     the characteristic polynomial of X on the whole space (a zero
     eigenvalue for the distinguished line, then the index blocks).  ``pack``
-    is the factor engine's own characteristic-polynomial pack of y, which
-    the cross-checks against the engine read.
+    is the factor engine's own characteristic-polynomial pack of y; its P,
+    the product of the P_j, is what the identities and the cross-checks
+    against the engine read.
     """
 
     y: object
@@ -71,7 +72,6 @@ class LieParam:
     X: dict
     P_j: dict
     Q_j: dict
-    P_I: list
     Q_X: list
     dQ_X: list
     pack: factor.CharPolyPack
@@ -98,7 +98,6 @@ def make_lie_param(y, x, g, c=None):
     X = {}
     P_j = {}
     Q_j = {}
-    P_I = [Fraction(1)]
     prod_q = [Fraction(1)]
     det_prod = Fraction(1)
     for en in y.entries:
@@ -112,13 +111,12 @@ def make_lie_param(y, x, g, c=None):
         X[en.name] = xi
         P_j[en.name] = charpoly_over(en.value, "F")
         Q_j[en.name] = charpoly_over(xi, "F")
-        P_I = _poly.pmul(P_I, P_j[en.name])
         prod_q = _poly.pmul(prod_q, Q_j[en.name])
         det_prod *= _poly.gauss_det(forms.gram_block(en.algebra, en.algebra.element(cv)))
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], prod_q)
     c_D = F.element(-g.nu.as_fraction() * det_prod)
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
-                    P_j=P_j, Q_j=Q_j, P_I=P_I, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
+                    P_j=P_j, Q_j=Q_j, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
                     pack=factor.build_charpoly_pack(y, g))
 
 
@@ -162,7 +160,7 @@ def li_identity_2(data, i):
     yv = en.value
     xi = data.X[i]
     d = data.g.d
-    p_y = _poly.pmul(data.P_I, [Fraction(-1), Fraction(1)])
+    p_y = _poly.pmul(data.pack.P, [Fraction(-1), Fraction(1)])
     dp_y = _poly.pderiv(p_y)
     lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(dp_y, yv, alg.zero())
     p_y_m1 = _poly.peval(p_y, Fraction(-1), Fraction(0))
@@ -193,8 +191,8 @@ def check_cD_square_class(data):
     """c_D and eta * P(1) * P(-1) agree modulo squares; the two sides come
     from determinant bookkeeping and charpoly evaluation respectively."""
     F = data.g.F
-    p1 = _poly.peval(data.P_I, Fraction(1), Fraction(0))
-    pm1 = _poly.peval(data.P_I, Fraction(-1), Fraction(0))
+    p1 = data.pack.at(data.pack.P, 1)
+    pm1 = data.pack.at(data.pack.P, -1)
     probe = data.c_D * data.eta * F.element(p1 * pm1)
     return is_square(probe)
 
@@ -219,8 +217,8 @@ def check_Bi_Ci_consistency(data, i):
     b_base = _b_base(data, i)
     _, c_base = factor.compute_C(i, data.pack, data.y, data.x, data.g)
     lhs = norm_test(c_base, alg)
-    p1 = _poly.peval(data.P_I, Fraction(1), Fraction(0))
-    pm1 = _poly.peval(data.P_I, Fraction(-1), Fraction(0))
+    p1 = data.pack.at(data.pack.P, 1)
+    pm1 = data.pack.at(data.pack.P, -1)
     correction = alg.base_pm.element(
         data.eta.as_fraction() * p1 * pm1 * data.x.x_D.as_fraction()
     )
@@ -240,8 +238,8 @@ def reconstruct_delta(data, chi):
             data.c_D.as_fraction() * data.x.x_D.as_fraction()
         )
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
-    p1 = _poly.peval(data.P_I, Fraction(1), Fraction(0))
-    pm_m1 = _poly.peval(data.pack.P_minus, Fraction(-1), Fraction(0))
+    p1 = data.pack.at(data.pack.P, 1)
+    pm_m1 = data.pack.at(data.pack.P_minus, -1)
     F = data.g.F
     arg = F.element(data.eta.as_fraction() * data.x.x_D.as_fraction() * p1 * pm_m1)
     return total * factor.eval_character(chi, arg)

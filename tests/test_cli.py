@@ -139,6 +139,18 @@ class TestCheck:
         assert "FAIL" in out
 
 
+    def test_failing_group_report_is_rejected(self, tmp_path, capsys):
+        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
+        doc = json.loads(sample.read_text())
+        doc["group"]["case"] = "foo"
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["check", str(path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "invalid: ValidationFailure: group: case-unknown: unknown group case 'foo'\n")
+
+
 class TestJsonReports:
     def test_validate_json(self, doc_path):
         code, out = run_cli(["validate", doc_path, "--json"])

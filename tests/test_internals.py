@@ -1,6 +1,8 @@
 """Unit tests for the dense-polynomial and residue-field plumbing."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,12 @@ from hypothesis import strategies as st
 
 from endofactor import _poly
 from endofactor.etale import UnitaryBaseData
-from endofactor.localfield import BaseField, ResidueField, canonical_unramified_poly
+from endofactor.localfield import (
+    BaseField,
+    ResidueField,
+    canonical_unramified_poly,
+    trivial_tower,
+)
 
 F = Fraction
 
@@ -100,9 +107,24 @@ class TestResidueFields:
         for k in range(6):
             assert rf.dlog(g ** k) == k
 
+    def test_prime_field_generator_is_the_smallest_primitive_root(self):
+        ntheory = pytest.importorskip("sympy.ntheory")
+        for p in ntheory.primerange(3, 500):
+            residue = trivial_tower(BaseField("p-adic", p)).residue
+            assert residue.multiplicative_generator().rep[0] == ntheory.primitive_root(p)
+
+
+def test_package_has_no_assert():
+    """Invariants raise typed errors, which ``python -O`` keeps."""
+    src = Path(__file__).resolve().parent.parent / "src" / "endofactor"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
 
 def test_tensor_with_wrong_extension_rejected(rng):
-    from endofactor.localfield import trivial_tower
     from endofactor.params import (
         GroupDescriptor,
         IndexEntry,

@@ -6,11 +6,13 @@ from endofactor.errors import IndexMismatch
 from endofactor.etale import UnitaryBaseData, quadratic_field
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import (
+    CASES,
     EndoscopicDatum,
     GroupDescriptor,
     IndexEntry,
     RegularParam,
     TameCharacter,
+    case_info,
     check_regularity,
     match_stable_classes,
     side_dimensions,
@@ -58,6 +60,37 @@ class TestValidateGroup:
     def test_unknown_case(self):
         g = GroupDescriptor("elliptic", 2, Q5, eta=F5.element(1))
         assert "case-unknown" in codes(validate_group(g))
+
+
+class TestCaseTable:
+    # per case, as the formulary states them: the parity d must have (None:
+    # free), d_minus + d_plus - d, and d minus the sum of the index degrees
+    LAWS = {
+        "symplectic": (0, 0, 0),
+        "so_odd": (1, 1, 1),
+        "so_even": (0, 0, 0),
+        "twisted_gl_even": (0, 1, 0),
+        "twisted_gl_odd": (1, 0, 1),
+        "unitary": (None, 0, 0),
+        "bc_unitary": (None, 0, 0),
+    }
+
+    def test_rows_hold_the_independent_facts(self):
+        assert CASES == tuple(self.LAWS)
+        for case in CASES:
+            assert sorted(case_info(case)) == ["c_sign", "factors", "ground", "line", "twisted"]
+
+    def test_dimension_laws(self):
+        for case, (parity, extra, line) in self.LAWS.items():
+            for d in range(1, 7):
+                g = GroupDescriptor(case, d, Q5)
+                wrong = parity is not None and d % 2 != parity
+                assert ("dim-parity" in codes(validate_group(g))) == wrong
+                rep = validate_endoscopic(g, EndoscopicDatum(0, 0))
+                assert f"d_minus + d_plus = 0, expected {d + extra}" in rep.lines()[0]
+                rep = validate_param(RegularParam(()), g, "endoscopic")
+                want = f"index degrees sum to 0, expected {d - line} for d = {d}"
+                assert rep.violations == ([] if d == line else [("dim-bookkeeping", want)])
 
 
 class TestValidateEndoscopic:
