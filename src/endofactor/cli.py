@@ -19,7 +19,7 @@ from .errors import (
     ValidationFailure,
 )
 from .etale import quadratic_field
-from .factor import compute_delta, validation_steps
+from .factor import compute_delta, validate_package, validation_steps
 from .localfield import (
     BaseField,
     brute_force_norm_oracle,
@@ -81,9 +81,7 @@ def cmd_compute(args, out):
 
 def cmd_check(args, out):
     doc = load_document(_read(args.document), precision=args.precision)
-    _, failure = next(validation_steps(doc.y, doc.x, doc.group, doc.endoscopic))
-    if failure is not None:     # the group report
-        raise failure
+    validate_package(doc.y, doc.x, doc.group, doc.endoscopic)
     results = verify.run_suite(doc.y, doc.x, doc.group, doc.endoscopic)
     ok = all(flag for _, flag in results)
     if args.json:

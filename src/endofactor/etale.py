@@ -342,9 +342,6 @@ class UnitaryBaseData:
     def ramified(self):
         return self._data[0]
 
-    def uniformizer(self):
-        return self._data[2]
-
     def residue_field(self):
         return self._data[3]
 
@@ -360,17 +357,28 @@ class UnitaryBaseData:
             raise ZeroValuation(f"norm valuation {v} is odd over the unramified E")
         return v // 2
 
-    def e_residue(self, x):
-        """Residue of a unit of E in the canonical residue field."""
-        ramified, k, _, res = self._data
-        if self.e_valuation(x) != 0:
-            raise ZeroValuation("residue of a non-unit")
+    def tame_coordinates(self, x):
+        """(v, m / (q - 1)) for x in E^x: v = v(x), and m is the logarithm,
+        against the canonical generator of the residue field F_q, of the
+        residue of the unit x * uniformizer^(-v) = a + b*sqrt(delta_E)."""
+        ramified, k, uniformizer, res = self._data
+        v = self.e_valuation(x)
+        unit = x * uniformizer ** (-v)
         p = self.base.p
-        a = x.a.as_fraction()
-        b = x.b.as_fraction() * Fraction(p) ** k
-        if ramified:
-            return res.element([_reduce_mod(a, p)])
-        return res.element([_reduce_mod(a, p), _reduce_mod(b, p)])
+        coords = [unit.a.as_fraction()]
+        if not ramified:
+            coords.append(unit.b.as_fraction() * Fraction(p) ** k)
+        m = res.dlog(res.element([_reduce_mod(c, p) for c in coords]))
+        return v, Fraction(m, res.q - 1)
+
+    @cached_property
+    def sgn_probes(self):
+        """(v, unit angle, sgn) at p and at the canonical generator of
+        F_p^x, which generate F^x modulo its 1-units.  Plain ints and
+        Fractions: the cache holds no element, so no reference to E."""
+        gen = self.F.residue.multiplicative_generator().rep[0]
+        return tuple(self.tame_coordinates(self.E.embed_ground(t)) + (self.sgn(t),)
+                     for t in (self.base.p, gen))
 
     def sgn(self, x):
         """The norm character sgn_{E/F} on F^x."""

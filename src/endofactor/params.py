@@ -121,24 +121,21 @@ class TameCharacter:
     def __post_init__(self):
         object.__setattr__(self, "angle_pi", Fraction(self.angle_pi) % 1)
 
+    def _angle(self, v, unit_angle):
+        """The angle at (v, unit_angle) = ``E.tame_coordinates(x)``."""
+        return (v * self.angle_pi + self.unit_exponent * unit_angle) % 1
+
     def angle(self, x):
         """The exact angle of the character value at x in E^x."""
-        E = self.E
         if isinstance(x, (int, Fraction, FieldElement)):
-            x = E.E.embed_ground(x if not isinstance(x, FieldElement) else x.as_fraction())
-        v = E.e_valuation(x)
-        unit = x * E.uniformizer() ** (-v)
-        res = E.e_residue(unit)
-        m = E.residue_field().dlog(res)
-        q = E.residue_field().q
-        return (v * self.angle_pi + Fraction(self.unit_exponent * m, q - 1)) % 1
+            x = self.E.E.embed_ground(x if not isinstance(x, FieldElement) else x.as_fraction())
+        return self._angle(*self.E.tame_coordinates(x))
 
     def restricts_to_sgn_power(self, k):
         """Exact check of the restriction to F^x against sgn_{E/F}^k."""
-        E = self.E
-        for t in (E.base.p, E.F.residue.multiplicative_generator().rep[0]):
-            want = Fraction(1, 2) if E.sgn(t) ** (k % 2) == -1 else Fraction(0)
-            if self.angle(t) != want:
+        for v, unit_angle, sgn in self.E.sgn_probes:
+            want = Fraction(1, 2) if sgn ** (k % 2) == -1 else Fraction(0)
+            if self._angle(v, unit_angle) != want:
                 return False
         return True
 

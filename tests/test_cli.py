@@ -7,6 +7,9 @@ import pytest
 
 from endofactor.cli import main
 from endofactor.document import dump_document
+from endofactor.localfield import MAX_ORACLE_RING, MAX_PRIME
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample-instance.json"
 
 
 def run_cli(args):
@@ -55,8 +58,7 @@ class TestValidate:
         assert code == 3
 
     def test_towers_not_an_object_exits_three(self, tmp_path, capsys):
-        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
-        doc = json.loads(sample.read_text())
+        doc = json.loads(SAMPLE.read_text())
         doc["towers"] = ["K0"]
         path = tmp_path / "towers.json"
         path.write_text(json.dumps(doc))
@@ -65,10 +67,20 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "parse error: $.towers: field 'towers' has the wrong type\n")
 
+    def test_over_large_prime_exits_three(self, tmp_path, capsys):
+        doc = json.loads(SAMPLE.read_text())
+        doc["base"]["p"] = 1000000000000000003
+        path = tmp_path / "big_p.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: $.base: p = 1000000000000000003 exceeds the largest "
+            f"supported prime {MAX_PRIME}\n")
+
 
     def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
-        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
-        doc = json.loads(sample.read_text())
+        doc = json.loads(SAMPLE.read_text())
         doc["group"]["case"] = "foo"
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
@@ -127,7 +139,7 @@ class TestCheck:
         assert code == 0
         assert "reduced suite" in out
 
-    def test_corrupted_document_fails(self, rng, tmp_path):
+    def test_corrupted_document_fails(self, rng, tmp_path, capsys):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
         doc = dump_document(inst.g, inst.e, inst.y, inst.x)
@@ -135,13 +147,23 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out = run_cli(["check", str(path)])
-        assert code == 1
-        assert "FAIL" in out
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(
+            "invalid: MatchFailure: stable classes do not correspond")
 
+    def test_every_validation_step_runs_before_the_suite(self, tmp_path, capsys):
+        doc = json.loads(SAMPLE.read_text())
+        del doc["x_D"]
+        path = tmp_path / "no_xd.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["check", str(path), "--json"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "invalid: ValidationFailure: param-group: xD-missing: "
+            "odd twisted case needs x_D in F^x\n")
 
     def test_failing_group_report_is_rejected(self, tmp_path, capsys):
-        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
-        doc = json.loads(sample.read_text())
+        doc = json.loads(SAMPLE.read_text())
         doc["group"]["case"] = "foo"
         path = tmp_path / "case.json"
         path.write_text(json.dumps(doc))
@@ -197,3 +219,15 @@ class TestOracle:
     def test_square_delta_exits_one(self):
         code, _ = run_cli(["oracle", "5", "4", "2", "--depth", "2"])
         assert code == 1
+
+    def test_over_large_ring_exits_one(self, capsys):
+        code, out = run_cli(["oracle", "5", "2", "3", "--depth", "30"])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err == ("invalid: UnsupportedCase: oracle residue ring O/pi^30 has 5^30 "
+                       f"elements, more than the limit {MAX_ORACLE_RING}\n")
+
+    def test_over_large_prime_exits_three(self, capsys):
+        code, out = run_cli(["oracle", "1000000000000000003", "2", "3"])
+        assert code == 3 and out == ""
+        assert "exceeds the largest supported prime" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Unit tests for the dense-polynomial and residue-field plumbing."""
 
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 from endofactor import _poly
 from endofactor.etale import UnitaryBaseData
+from endofactor.errors import ZeroValuation
 from endofactor.localfield import (
     BaseField,
     ResidueField,
     canonical_unramified_poly,
+    make_extension,
     trivial_tower,
 )
 
@@ -81,6 +84,24 @@ class TestMatrixOps:
             _poly.gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(1)])
 
 
+SMALL_PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+
+
+def _residue_fields(p):
+    fields = [ResidueField(p, 1, (0, 1)), ResidueField(p, 2, canonical_unramified_poly(p, 2))]
+    if p > 2:
+        dbar = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        fields.append(ResidueField(p, 2, (-dbar % p, 0, 1)))
+    return fields
+
+
+def _order(rf, e):
+    acc, k = e, 1
+    while acc != rf.one:
+        acc, k = acc * e, k + 1
+    return k
+
+
 class TestResidueFields:
     def test_canonical_polys_irreducible(self):
         for p in (3, 5, 7, 13):
@@ -106,6 +127,72 @@ class TestResidueFields:
         g = rf.multiplicative_generator()
         for k in range(6):
             assert rf.dlog(g ** k) == k
+        with pytest.raises(ZeroValuation):
+            rf.dlog(rf.element([0]))
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_dlog_against_a_table_of_powers(self, p):
+        """Every unit of every residue field at p: F_p, F_(p^2) on the
+        canonical modulus, and E's F_p[x]/(x^2 - dbar) for the first
+        non-square dbar."""
+        for rf in _residue_fields(p):
+            g = rf.multiplicative_generator()
+            acc = rf.one
+            for k in range(rf.q - 1):
+                assert rf.dlog(acc) == k
+                acc = acc * g
+            assert acc == rf.one
+
+    def test_dlog_against_sympy(self):
+        ntheory = pytest.importorskip("sympy.ntheory")
+        for p in ntheory.primerange(3, 50):
+            rf = trivial_tower(BaseField("p-adic", p)).residue
+            g = rf.multiplicative_generator().rep[0]
+            for a in range(1, p):
+                assert rf.dlog(rf.element([a])) == ntheory.discrete_log(p, a, g)
+        rf = trivial_tower(BaseField("p-adic", 10007)).residue
+        g = rf.multiplicative_generator().rep[0]
+        for a in (2, 3, 5000, 10006):
+            assert rf.dlog(rf.element([a])) == ntheory.discrete_log(10007, a, g)
+
+    @pytest.mark.parametrize("p", [p for p in SMALL_PRIMES if p < 30])
+    def test_degree_two_generator_against_a_full_scan(self, p):
+        """The scan from encoding p picks what a scan from 1 by element
+        orders picks: the constants below p never generate."""
+        for rf in _residue_fields(p)[1:]:
+            want = next(e for e in rf.elements() if e and _order(rf, e) == rf.q - 1)
+            assert rf.multiplicative_generator() == want
+
+    def test_dlog_costs_two_square_roots_of_q(self, monkeypatch):
+        """About 2*ceil(sqrt(q)) multiplications in F_q at p = 10007, where a
+        table of powers would take q - 1 = 100140048."""
+        rf = UnitaryBaseData(BaseField("p-adic", 10007), 5).residue_field()
+        assert rf.q == 10007 ** 2
+        budget = 2 * (math.isqrt(rf.q) + 1) + rf.q.bit_length()
+        calls = []
+        mul = ResidueField._mul
+
+        def counted(self, a, b):
+            calls.append(1)
+            if len(calls) > budget:
+                raise AssertionError(f"more than {budget} multiplications")
+            return mul(self, a, b)
+
+        monkeypatch.setattr(ResidueField, "_mul", counted)
+        x = rf.element([1234, 5678])
+        k = rf.dlog(x)
+        assert rf.multiplicative_generator() ** k == x
+        assert len(calls) <= budget
+
+    def test_no_state_after_construction(self):
+        """Residue fields and towers keep no memo of logarithms or inverses."""
+        tower = make_extension(BaseField("p-adic", 5), 2, [-5, 0, 1])
+        rf = tower.residue
+        before = dict(vars(rf)), dict(vars(tower))
+        x = tower.from_coords([[2, 1], [1]])
+        assert x * x.inverse() == tower.one()
+        rf.dlog(x.residue())
+        assert (dict(vars(rf)), dict(vars(tower))) == before
 
     def test_prime_field_generator_is_the_smallest_primitive_root(self):
         ntheory = pytest.importorskip("sympy.ntheory")

@@ -12,7 +12,10 @@ from endofactor.errors import (
     ZeroValuation,
 )
 from endofactor.localfield import (
+    MAX_ORACLE_RING,
+    MAX_PRIME,
     BaseField,
+    _ResidueRing,
     _reduce_mod,
     brute_force_norm_oracle,
     hilbert_symbol,
@@ -38,6 +41,16 @@ def test_base_field_validation():
         BaseField("p-adic", 5, precision=4)
     with pytest.raises(ValueError):
         BaseField("complex")
+
+
+def test_prime_bound():
+    """The largest prime under MAX_PRIME is accepted, and the check comes
+    before the trial division, so a huge p is refused at once."""
+    assert MAX_PRIME == 10 ** 5
+    assert BaseField("p-adic", 99991).p == 99991
+    for p in (100003, 1000000000000000003):
+        with pytest.raises(ValueError, match="exceeds the largest supported prime"):
+            BaseField("p-adic", p)
 
 
 class TestMakeExtension:
@@ -218,6 +231,17 @@ class TestOracle:
         k = quadratic_field(F5, F5.element(5))
         with pytest.raises(DepthTooSmall):
             brute_force_norm_oracle(F5.element(2), k, 1)
+
+    def test_ring_bound(self):
+        """Criterion 1 builds O/pi^3 over Q_13 with f = 2, of 13^6 elements;
+        a ring over the limit is refused before anything is allocated."""
+        tower = make_extension(BaseField("p-adic", 13), 2, [-13, 1])
+        assert _ResidueRing(tower, 3).size == 13 ** 6 <= MAX_ORACLE_RING
+        with pytest.raises(UnsupportedCase, match=r"has 13\^8 elements"):
+            _ResidueRing(tower, 4)
+        k = quadratic_field(F5, F5.element(5))
+        with pytest.raises(UnsupportedCase, match=r"has 5\^1000000000 elements"):
+            brute_force_norm_oracle(F5.element(2), k, 10 ** 9)
 
     def test_matches_formula_on_ramified_tower(self):
         t = make_extension(BaseField("p-adic", 3), 1, [-3, 0, 1])

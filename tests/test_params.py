@@ -149,6 +149,23 @@ class TestTameCharacter:
         pi_e = ub.E.embed_ground(5)
         assert mu.angle(pi_e * pi_e) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("p, delta", [(3, 2), (5, 2), (5, 5), (7, 3), (7, 21)])
+    def test_restriction_from_the_probes(self, p, delta):
+        """The cached probes give the same verdict as evaluating the angle at
+        p and at the generator of F_p^x, for every tame character with
+        angle in (1/4)Z and every k."""
+        ub = UnitaryBaseData(BaseField("p-adic", p), delta)
+        assert all(type(v) is int and type(a) is Fraction and type(s) is int
+                   for v, a, s in ub.sgn_probes)
+        probes = (p, ub.F.residue.multiplicative_generator().rep[0])
+        for num in range(4):
+            for exp in range(ub.residue_field().q - 1):
+                mu = TameCharacter(ub, Fraction(num, 4), exp)
+                for k in (0, 1):
+                    want = all(mu.angle(t) == Fraction(1, 2) * (ub.sgn(t) ** k == -1)
+                               for t in probes)
+                    assert mu.restricts_to_sgn_power(k) == want
+
     def test_restriction_search(self):
         ub = UnitaryBaseData(Q5, 5)
         from support import _mu_character
