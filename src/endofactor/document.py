@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .etale import UnitaryBaseData, quadratic_field, split_algebra
-from .localfield import BaseField, make_extension, trivial_tower
+from .localfield import MAX_TOWER_DEGREE, BaseField, make_extension, trivial_tower
 from .params import (
     CASES,
     EndoscopicDatum,
@@ -264,11 +264,15 @@ def load_document(text, *, precision=None):
         where = f"$.towers.{name}"
         f = _need(spec, "f", where, int)
         eis_lits = _need(spec, "eis", where, list)
+        # bounds the degree of the unramified helper below and of the tower
+        degree = max(f, 1) * max(len(eis_lits) - 1, 1)
+        if degree > MAX_TOWER_DEGREE:
+            raise ParseError(f"tower degree {degree} exceeds the limit {MAX_TOWER_DEGREE}", where)
         helper = make_extension(base, max(f, 1), [-(base.p if not base.is_real else 1), 1])
         coeffs = []
         for k, lit in enumerate(eis_lits):
             val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")
-            coeffs.append(list(val.coords[0]))
+            coeffs.append(list(val.coords))
         try:
             towers[name] = make_extension(base, f, coeffs)
         except Exception as exc:

@@ -238,7 +238,7 @@ class FactorTrace:
 
 
 def _failure(rep):
-    return None if rep.ok else ValidationFailure("\n".join(rep.lines()))
+    return None if rep.ok else ValidationFailure("; ".join(rep.lines()))
 
 
 def validation_steps(y, x, g, e):

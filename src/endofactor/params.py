@@ -27,7 +27,8 @@ from .localfield import FieldElement, is_square, trivial_tower
 #   line: 1 when one dimension lies outside the indices, else 0
 # Over F, d has the parity of line (over E it is free); the index degrees
 # sum to d - line; d_minus + d_plus = d - line + the number of so_odd
-# halves; and an so_odd half adjoins an eigenvalue-1 line to P.
+# halves.  Regularity asks the same of P in every case: squarefree, with
+# P(1) and P(-1) nonzero.
 _INFO = {
     "symplectic":      dict(factors=("so_even", "symplectic"), twisted=False,
                             ground="F", c_sign=-1, line=0),
@@ -446,20 +447,14 @@ def charpoly_product(values, g):
 
 def is_regular_charpoly(poly, g):
     """The conservative sufficient condition on the product P of the
-    characteristic polynomials: P (with the distinguished eigenvalue-1 line
-    adjoined where the case has one) is squarefree, and the formulary's
-    denominators at T = 1, -1 stay away from zero."""
-    dline = "so_odd" in g.info["factors"]
+    characteristic polynomials: P is squarefree, and the formulary's
+    denominators at T = 1, -1 stay away from zero.  Where a case has an
+    eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree."""
     scalar = ground_scalar(g)
-    one, zero, minus_one = scalar(1), scalar(0), scalar(-1)
-    aug = _poly.pmul(poly, [-one, one]) if dline else poly
-    if not _poly.is_squarefree(aug):
-        return False
-    if _poly.peval(poly, minus_one, zero) == zero:
-        return False
-    if not dline and _poly.peval(poly, one, zero) == zero:
-        return False
-    return True
+    zero = scalar(0)
+    return (_poly.is_squarefree(poly)
+            and _poly.peval(poly, scalar(1), zero) != zero
+            and _poly.peval(poly, scalar(-1), zero) != zero)
 
 
 def check_regularity(param, g, role="endoscopic"):

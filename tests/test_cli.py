@@ -1,13 +1,14 @@
 import io
 import json
 import contextlib
+import time
 from pathlib import Path
 
 import pytest
 
 from endofactor.cli import main
 from endofactor.document import dump_document
-from endofactor.localfield import MAX_ORACLE_RING, MAX_PRIME
+from endofactor.localfield import MAX_ORACLE_RING, MAX_PRIME, MAX_TOWER_DEGREE
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample-instance.json"
 
@@ -78,6 +79,24 @@ class TestValidate:
             "parse error: $.base: p = 1000000000000000003 exceeds the largest "
             f"supported prime {MAX_PRIME}\n")
 
+
+    @pytest.mark.parametrize("f, eis, degree", [(8, ["-5", "1"], 8),
+                                                (1, ["-5"] + ["0"] * 6 + ["1"], 7),
+                                                (20, ["1"], 20)])
+    def test_over_large_tower_exits_three(self, tmp_path, capsys, f, eis, degree):
+        """The degree bound is checked before any tower is built, so an
+        oversized tower costs no search for its unramified polynomial."""
+        doc = json.loads(SAMPLE.read_text())
+        doc["towers"]["K0"] = {"f": f, "eis": eis}
+        path = tmp_path / "big_tower.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out = run_cli(["validate", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"parse error: $.towers.K0: tower degree {degree} exceeds the limit "
+            f"{MAX_TOWER_DEGREE}\n")
 
     def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
         doc = json.loads(SAMPLE.read_text())
@@ -171,6 +190,25 @@ class TestCheck:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == (
             "invalid: ValidationFailure: group: case-unknown: unknown group case 'foo'\n")
+
+
+@pytest.mark.parametrize("command", ["compute", "check"])
+def test_failure_message_is_one_line(tmp_path, capsys, command):
+    """A step with several violations fails with all of them on one line;
+    validate keeps one line per violation."""
+    doc = json.loads(SAMPLE.read_text())
+    doc["group"]["case"] = "so_even"
+    path = tmp_path / "so_even.json"
+    path.write_text(json.dumps(doc))
+    violations = ["group: dim-parity: case so_even needs d even, got d = 3",
+                  "group: disc-missing: even special orthogonal case needs delta",
+                  "group: nu-extraneous: nu is only meaningful for twisted cases"]
+    code, out = run_cli([command, str(path)])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "invalid: ValidationFailure: " + "; ".join(violations) + "\n")
+    code, out = run_cli(["validate", str(path)])
+    assert code == 1 and out.splitlines()[:3] == violations
 
 
 class TestJsonReports:

@@ -1,5 +1,6 @@
 """Golden output: the exact bytes the command line prints for the shipped
-sample document, and the trace label of each of the nine formula variants."""
+sample document and for documents on the degree-4 tower f = e = 2, and the
+trace label of each of the nine formula variants."""
 
 import contextlib
 import io
@@ -12,6 +13,10 @@ from endofactor.cli import main
 from endofactor.factor import compute_delta
 
 SAMPLE = str(Path(__file__).resolve().parent.parent / "sample-instance.json")
+# One minus-side field index on an f = e = 2 tower over Q_3, over the
+# ground F (symplectic) and over E (unitary, bc_unitary).
+GOLDEN = Path(__file__).resolve().parent / "golden"
+QUARTIC = ("quartic-symplectic", "quartic-unitary", "quartic-bc-unitary")
 
 # The rows of the formula table in README.md, by (case, parity of d).
 README_FORMULAS = {
@@ -63,6 +68,16 @@ def run_cli(args):
 ], ids=["compute-trace", "validate", "check"])
 def test_sample_document_output(args, lines):
     assert run_cli(args) == (0, "".join(line + "\n" for line in lines), "")
+
+
+@pytest.mark.parametrize("name", QUARTIC)
+@pytest.mark.parametrize("command, flag, suffix", [
+    ("compute", "--trace", "compute-trace.txt"),
+    ("check", "--json", "check.json"),
+], ids=["compute-trace", "check-json"])
+def test_quartic_document_output(name, command, flag, suffix):
+    want = (GOLDEN / f"{name}.{suffix}").read_text()
+    assert run_cli([command, str(GOLDEN / f"{name}.json"), flag]) == (0, want, "")
 
 
 @pytest.mark.parametrize("case, parity", sorted(README_FORMULAS))

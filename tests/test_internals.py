@@ -1,6 +1,7 @@
 """Unit tests for the dense-polynomial and residue-field plumbing."""
 
 import ast
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -116,6 +117,27 @@ class TestResidueFields:
                     seen.add(acc)
                     acc = rf._mul(acc, g.rep)
                 assert len(seen) == rf.q - 1
+
+    def test_canonical_poly_matches_full_scan(self):
+        """The search skips the constant term 0; a scan of every monic
+        polynomial, in the same order, with irreducibility by trial division
+        by every monic polynomial of degree at most f/2, finds the same one."""
+        def divides(d, poly, p):
+            r = list(poly)
+            while len(r) >= len(d):
+                c = r[-1]
+                for j in range(len(d)):
+                    r[len(r) - len(d) + j] = (r[len(r) - len(d) + j] - c * d[j]) % p
+                r.pop()
+            return not any(r)
+
+        for p in (2, 3, 5, 7, 11):
+            for f in (1, 2, 3, 4):
+                divisors = [list(t) + [1] for k in range(1, f // 2 + 1)
+                            for t in itertools.product(range(p), repeat=k)]
+                want = next(tuple(t) + (1,) for t in itertools.product(range(p), repeat=f)
+                            if not any(divides(d, list(t) + [1], p) for d in divisors))
+                assert canonical_unramified_poly(p, f) == want
 
     def test_square_counting(self):
         rf = ResidueField(5, 2, canonical_unramified_poly(5, 2))

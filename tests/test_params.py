@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from endofactor import _poly
 from endofactor.errors import IndexMismatch
 from endofactor.etale import UnitaryBaseData, quadratic_field
 from endofactor.localfield import BaseField, trivial_tower
@@ -14,6 +15,8 @@ from endofactor.params import (
     TameCharacter,
     case_info,
     check_regularity,
+    ground_scalar,
+    is_regular_charpoly,
     match_stable_classes,
     side_dimensions,
     stable_class_of,
@@ -254,6 +257,48 @@ class TestRegularity:
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
         assert check_regularity(inst.x, inst.g, "group")
+
+
+def _regular_with_adjoined_line(poly, g):
+    """Regularity as first written: where a case has an so_odd half, the
+    eigenvalue-1 line is adjoined to P before the squarefree test, and P(1)
+    is not tested."""
+    dline = "so_odd" in g.info["factors"]
+    scalar = ground_scalar(g)
+    one, zero, minus_one = scalar(1), scalar(0), scalar(-1)
+    aug = _poly.pmul(poly, [-one, one]) if dline else poly
+    if not _poly.is_squarefree(aug):
+        return False
+    if _poly.peval(poly, minus_one, zero) == zero:
+        return False
+    if not dline and _poly.peval(poly, one, zero) == zero:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_regularity_matches_the_adjoined_line_formula(case):
+    """P(1) != 0 and P squarefree is the same as P * (T - 1) squarefree, so
+    no case needs the adjoined line; checked on products of linear factors
+    with roots at 1, at -1, repeated, or none of these, over F and over E."""
+    ub = UnitaryBaseData(Q5, 2)
+    g = GroupDescriptor(case, 4, Q5, E=ub)
+    if case_info(case)["ground"] == "E":
+        roots = [ub.E.element(a, b) for a, b in
+                 ((1, 0), (-1, 0), (2, 0), (0, 1), (3, Fraction(1, 2)), (2, 0))]
+    else:
+        roots = [Fraction(a) for a in (1, -1, 2, Fraction(1, 3), -4, 2)]
+    one = ground_scalar(g)(1)
+    verdicts = set()
+    for mask in range(1 << len(roots)):
+        poly = [one]
+        for k, r in enumerate(roots):
+            if mask >> k & 1:
+                poly = _poly.pmul(poly, [-r, one])
+        verdict = is_regular_charpoly(poly, g)
+        assert verdict == _regular_with_adjoined_line(poly, g)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 class TestMatching:
