@@ -4,9 +4,12 @@ Polynomials are plain lists of coefficients, constant term first, trailing
 zeros stripped.  Coefficients may be Fractions or any of the package's
 element types; everything here only uses ``+ - *`` (and ``/`` where a field
 is documented), so one implementation serves Q, towers, and etale algebras.
+``charpoly`` needs a field (Q, or the quadratic field E of the unitary
+cases); ``is_squarefree`` works over Z when the coefficients are Fractions.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def trim(coeffs):
@@ -101,8 +104,43 @@ def pgcd(p, q):
 
 
 def is_squarefree(p):
-    g = pgcd(p, pderiv(p))
-    return degree(g) <= 0
+    """No repeated factor: gcd(p, p') has degree <= 0.
+
+    Rational p is scaled to a primitive integer polynomial and run through
+    the primitive remainder sequence of (p, p'); by Gauss's lemma its last
+    nonzero term has the degree of the gcd over Q.  Other coefficients go
+    through ``pgcd``.
+    """
+    if not all(isinstance(c, (int, Fraction)) for c in p):
+        return degree(pgcd(p, pderiv(p))) <= 0
+    den = lcm(*(c.denominator for c in p))
+    a = _primitive([c.numerator * (den // c.denominator) for c in p])
+    b = _primitive(pderiv(a))
+    while b:
+        a, b = b, _primitive(_int_prem(a, b))
+    return degree(a) <= 0
+
+
+def _primitive(coeffs):
+    """Integer coefficients divided by their content."""
+    content = gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
+
+
+def _int_prem(a, b):
+    """The remainder of k*a by b for some nonzero integer k (integer
+    coefficients, b nonzero)."""
+    rem = list(a)
+    lead = b[-1]
+    while len(rem) >= len(b):
+        g = gcd(lead, rem[-1])
+        scale, c = lead // g, rem[-1] // g
+        k = len(rem) - len(b)
+        rem = [v * scale for v in rem]
+        for j, v in enumerate(b):
+            rem[k + j] -= c * v
+        rem = trim(rem)
+    return rem
 
 
 # --- matrices: lists of row lists ---
@@ -121,36 +159,58 @@ def mat_mul(a, b):
     return out
 
 
-def mat_trace(a):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
-
-
 def charpoly(mat, one):
     """det(T*I - mat) as a monic coefficient list, constant term first.
 
-    Faddeev-LeVerrier; needs the coefficient ring to be a Q-algebra (we
-    divide by the integers 1..n), which everything here is.
+    Hessenberg reduction by similarity, then the recurrence for the
+    characteristic polynomial of a Hessenberg matrix (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  The entries must
+    lie in a field.
     """
     n = len(mat)
-    if n == 0:
-        return [one]
     zero = one - one
-    coeffs = [None] * (n + 1)
-    coeffs[n] = one
-    m = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = one
-    c = one
-    for k in range(1, n + 1):
-        m = mat_mul(mat, m)
-        c = mat_trace(m) * Fraction(-1, k)
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] = m[i][i] + c
-    return coeffs
+    h = [list(row) for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = one / h[m][m - 1]
+        pivot_row = h[m]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            # row i -= u * row m, then column m += u * column i
+            u = h[i][m - 1] * inv
+            row = h[i]
+            row[m - 1] = zero
+            for j in range(m, n):
+                if pivot_row[j]:
+                    row[j] = row[j] - u * pivot_row[j]
+            for r in h:
+                if r[i]:
+                    r[m] = r[m] + u * r[i]
+    polys = [[one]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        diag = h[m - 1][m - 1]
+        cur = [zero] + prev
+        for k in range(m):
+            cur[k] = cur[k] - diag * prev[k]
+        sub = one
+        for i in range(m - 1, 0, -1):
+            sub = sub * h[i][i - 1]
+            if not sub:
+                break
+            c = sub * h[i - 1][m - 1]
+            if c:
+                for k, v in enumerate(polys[i - 1]):
+                    cur[k] = cur[k] - c * v
+        polys.append(cur)
+    return polys[n]
 
 
 def gauss_solve(mat, rhs):

@@ -1,0 +1,243 @@
+"""The characteristic polynomial and the squarefree test against slow references.
+
+``_poly.charpoly`` reduces a matrix to Hessenberg form by similarity and
+reads det(T*I - H) off a recurrence.  The reference below is
+Faddeev-LeVerrier: n matrix products, dividing only by the integers 1..n.
+
+``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z by
+a primitive remainder sequence.  The reference is the Euclidean gcd of p and
+p' over Q, which ``_poly.pgcd`` still computes for coefficients in E.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import support
+from endofactor import _poly, factor
+from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field
+from endofactor.localfield import BaseField, make_extension
+
+F = Fraction
+
+
+def _mat_trace(a):
+    t = a[0][0]
+    for i in range(1, len(a)):
+        t = t + a[i][i]
+    return t
+
+
+def _faddeev_leverrier(mat, one):
+    """det(T*I - mat), constant term first, over any Q-algebra."""
+    n = len(mat)
+    if n == 0:
+        return [one]
+    zero = one - one
+    coeffs = [None] * (n + 1)
+    coeffs[n] = one
+    m = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = one
+    for k in range(1, n + 1):
+        m = _poly.mat_mul(mat, m)
+        c = _mat_trace(m) * Fraction(-1, k)
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] = m[i][i] + c
+    return coeffs
+
+
+def _assert_matches(mat, one):
+    assert _poly.charpoly(mat, one) == _faddeev_leverrier(mat, one)
+
+
+@pytest.fixture
+def checked_charpoly(monkeypatch):
+    """Route every ``_poly.charpoly`` call through the reference; return the
+    list of matrices seen."""
+    seen = []
+    fast = _poly.charpoly
+
+    def both(mat, one):
+        seen.append(mat)
+        out = fast(mat, one)
+        assert out == _faddeev_leverrier(mat, one)
+        return out
+
+    monkeypatch.setattr(_poly, "charpoly", both)
+    return seen
+
+
+def _random_fraction(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_random_fraction_matrices(rng):
+    for n in range(1, 9):
+        for _ in range(4):
+            mat = [[_random_fraction(rng) if rng.random() < 0.7 else F(0)
+                    for _ in range(n)] for _ in range(n)]
+            _assert_matches(mat, F(1))
+
+
+def _perm(n, sigma):
+    return [[F(int(sigma[i] == j)) for j in range(n)] for i in range(n)]
+
+
+def _degenerate_matrices(rng):
+    r = lambda: _random_fraction(rng)  # noqa: E731
+    yield []
+    for n in (1, 2, 3, 5, 8):
+        yield [[F(0)] * n for _ in range(n)]
+        yield [[r() if j >= i else F(0) for j in range(n)] for i in range(n)]
+        yield [[r() if j <= i else F(0) for j in range(n)] for i in range(n)]
+        yield [[r() if j > i else F(0) for j in range(n)] for i in range(n)]
+        yield [[r() if j < i else F(0) for j in range(n)] for i in range(n)]
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        yield _perm(n, sigma)
+        yield _perm(n, sigma[1:] + sigma[:1])
+        # the first half of the columns is zero below the diagonal: no pivot
+        yield [[F(0) if i > j and j < n // 2 else r() for j in range(n)] for i in range(n)]
+        # a pivot below the sub-diagonal: column j is nonzero only at row n - 1
+        yield [[F(0) if i > j and i != n - 1 else r() for j in range(n)] for i in range(n)]
+    for sizes in ((2, 3), (1, 1, 1), (3, 1, 4), (4, 4)):
+        n = sum(sizes)
+        mat = [[F(0)] * n for _ in range(n)]
+        start = 0
+        for size in sizes:
+            for i in range(start, start + size):
+                for j in range(start, start + size):
+                    mat[i][j] = r()
+            start += size
+        yield mat
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        # the same blocks with rows and columns permuted alike
+        yield [[mat[sigma[i]][sigma[j]] for j in range(n)] for i in range(n)]
+    # nilpotent, conjugated away from triangular form
+    n = 6
+    strict = [[r() if j > i else F(0) for j in range(n)] for i in range(n)]
+    unipotent = [[F(1) if i == j else (r() if j > i else F(0)) for j in range(n)]
+                 for i in range(n)]
+    lower = [[F(1) if i == j else (r() if j < i else F(0)) for j in range(n)]
+             for i in range(n)]
+    conj = _poly.mat_mul(_poly.mat_mul(lower, unipotent), strict)
+    inv_cols = [_poly.gauss_solve(_poly.mat_mul(lower, unipotent),
+                                  [F(int(i == j)) for i in range(n)]) for j in range(n)]
+    inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    yield _poly.mat_mul(conj, inv)
+
+
+def test_degenerate_shapes(rng):
+    count = 0
+    for mat in _degenerate_matrices(rng):
+        _assert_matches(mat, F(1))
+        count += 1
+    assert count == 55
+
+
+@pytest.mark.parametrize("delta_e", [3, 2], ids=["ramified", "unramified"])
+def test_e_valued_matrices(rng, checked_charpoly, delta_e):
+    base = BaseField("p-adic", 3)
+    ub = UnitaryBaseData(base, delta_e)
+    E = ub.E
+    for f, e in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        tower = make_extension(base, f, [-3, 1] if e == 1 else [-3, 0, 1])
+        alg = ub.algebra_over(tower)
+        for _ in range(3):
+            x = alg.element(support.random_unit(rng, tower), support.random_unit(rng, tower))
+            charpoly_over(x, "E")
+    assert [len(m) for m in checked_charpoly] == [1] * 3 + [2] * 6 + [4] * 3 + [3] * 3
+    for n in range(1, 6):
+        mat = [[E.element(_random_fraction(rng), _random_fraction(rng))
+                if rng.random() < 0.6 else E.zero() for _ in range(n)] for _ in range(n)]
+        _assert_matches(mat, E.one())
+
+
+def test_degree_eight_matrices_of_quartic_tower(rng, checked_charpoly):
+    tower = make_extension(BaseField("p-adic", 5), 2, [[0, -5], [0, 0], [1]])
+    for delta in tower.square_class_reps()[1:]:
+        alg = quadratic_field(tower, delta)
+        for _ in range(4):
+            charpoly_over(support.random_etale_unit(rng, alg), "F")
+    assert [len(m) for m in checked_charpoly] == [8] * 12
+
+
+# --- squarefree ---
+
+def _reference_squarefree(p):
+    return _poly.degree(_poly.pgcd(p, _poly.pderiv(p))) <= 0
+
+
+def _random_poly(rng, deg):
+    lead = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+    return [_random_fraction(rng) for _ in range(deg)] + [lead]
+
+
+def _product(factors):
+    out = [F(1)]
+    for fac in factors:
+        out = _poly.pmul(out, fac)
+    return out
+
+
+def _assert_squarefree_matches(p, expected=None):
+    verdict = _poly.is_squarefree(p)
+    assert verdict == _reference_squarefree(p)
+    if expected is not None:
+        assert verdict == expected
+
+
+def test_squarefree_random_products(rng):
+    for _ in range(40):
+        factors = [_random_poly(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        _assert_squarefree_matches(_product(factors))
+        repeated = rng.choice(factors)
+        _assert_squarefree_matches(_product(factors + [repeated]), False)
+
+
+def test_squarefree_scaling_and_content(rng):
+    for _ in range(20):
+        p = _product([_random_poly(rng, rng.randint(1, 3)) for _ in range(3)])
+        for scale in (F(6, 35), F(-12), F(1, 1024), F(-7, 3)):
+            _assert_squarefree_matches([c * scale for c in p], _poly.is_squarefree(p))
+        # integer coefficients sharing a content
+        ints = [F(30 * rng.randint(-5, 5)) for _ in range(4)] + [F(30)]
+        _assert_squarefree_matches(ints)
+        _assert_squarefree_matches(_poly.pmul(ints, ints), False)
+
+
+def test_squarefree_small_degrees_and_zero_roots(rng):
+    T = [F(0), F(1)]
+    _assert_squarefree_matches([], True)
+    _assert_squarefree_matches([F(7, 3)], True)
+    _assert_squarefree_matches([F(-1, 2), F(3, 4)], True)
+    _assert_squarefree_matches(T, True)
+    _assert_squarefree_matches(_poly.pmul(T, T), False)
+    for _ in range(10):
+        q = _random_poly(rng, rng.randint(1, 4))
+        _assert_squarefree_matches(_poly.pmul(T, q))
+        _assert_squarefree_matches(_poly.pmul(_poly.pmul(T, T), q), False)
+
+
+def test_squarefree_degree_24_instance(monkeypatch):
+    orig = support.random_tower
+    monkeypatch.setattr(support, "random_tower",
+                        lambda rng, base, shapes=None: orig(rng, base, ((3, 2),)))
+    inst = support.make_instance(random.Random(1), "symplectic", p=3, n_indices=(2, 2))
+    P = factor.build_charpoly_pack(inst.y, inst.g).P
+    assert _poly.degree(P) == 24
+    _assert_squarefree_matches(P, True)
+    first = charpoly_over(inst.y.entries[0].value, "F")
+    assert not _poly.is_squarefree(_poly.pmul(P, first))
+
+
+def test_squarefree_e_coefficients():
+    E = UnitaryBaseData(BaseField("p-adic", 3), 2).E
+    lin = [E.element(1, 1), E.one()]
+    other = [E.element(F(1, 2), -1), E.one()]
+    assert _poly.is_squarefree(_poly.pmul(lin, other))
+    assert not _poly.is_squarefree(_poly.pmul(_poly.pmul(lin, other), lin))
