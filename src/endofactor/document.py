@@ -272,7 +272,7 @@ def load_document(text, *, precision=None):
         coeffs = []
         for k, lit in enumerate(eis_lits):
             val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")
-            coeffs.append(list(val.coords))
+            coeffs.append([Fraction(c, val.den) for c in val.num])
         try:
             towers[name] = make_extension(base, f, coeffs)
         except Exception as exc:

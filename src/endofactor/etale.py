@@ -55,7 +55,7 @@ class QuadraticEtale:
         self.is_field = not is_square(delta)
         if _checked and not self.is_field:
             raise UnsupportedCase("delta is a square; use split_algebra instead")
-        self._fingerprint = ("etale", base_pm._fingerprint, delta.coords,
+        self._fingerprint = ("etale", base_pm._fingerprint, delta.num, delta.den,
                              None if unitary_base is None else unitary_base.fingerprint)
 
     # -- element construction -----------------------------------------------
@@ -183,7 +183,8 @@ class EtaleElement(RingOps):
         return bool(self.a) or bool(self.b)
 
     def __hash__(self):
-        return hash((self.algebra._fingerprint, self.a.coords, self.b.coords))
+        a, b = self.a, self.b
+        return hash((self.algebra._fingerprint, a.num, a.den, b.num, b.den))
 
     # -- structure ----------------------------------------------------------------
 
@@ -300,7 +301,7 @@ class UnitaryBaseData:
         self.F = trivial_tower(base)
         delta_e = self.F.element(delta_e)
         self.E = quadratic_field(self.F, delta_e)
-        self.fingerprint = ("E", base.p, delta_e.coords)
+        self.fingerprint = ("E", base.p, delta_e.num, delta_e.den)
 
     @property
     def delta_e(self):

@@ -4,8 +4,11 @@ A tower is an unramified step (canonical degree-f lift of the residue
 field) followed by an Eisenstein step of degree e.  Elements carry exact
 rational coordinates on the monomial basis u^a * pi^b, i.e. they live in
 the number field Q(u, pi) and are read through its distinguished place
-above p.  Every valuation, residue, square-class and Hilbert-symbol
-decision is therefore exact; nothing is ever rounded.
+above p.  The coordinates are integer numerators over one common
+denominator, multiplied through integer structure constants; ``coords``
+is a derived view of them as Fractions.  Every valuation, residue,
+square-class and Hilbert-symbol decision is therefore exact; nothing is
+ever rounded.
 
 The precision attribute of BaseField is kept as part of the public
 contract (and validated), but with exact coordinates no operation can run
@@ -43,8 +46,8 @@ MAX_PRIME = 10 ** 5
 # The most elements of the oracle's O/pi^N; its squares take a byte each.
 MAX_ORACLE_RING = 10 ** 7
 # The largest tower degree e*f a document may declare.  A one-index
-# symplectic compute at p = 3 takes 0.05-0.3 s at degree 4, 0.3-8.5 s at
-# degree 6 and 1.2-78 s at degree 8 (2-vCPU Xeon).
+# symplectic compute at p = 3 takes 0.02-0.14 s at degree 6 and 0.10-0.71 s
+# at degree 8 (2-vCPU Xeon).
 MAX_TOWER_DEGREE = 6
 
 
@@ -61,9 +64,8 @@ def _prime_factors(n):
 
 
 def _vp(x, p):
-    """p-adic valuation of a nonzero Fraction."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of a nonzero int or Fraction."""
+    if not x:
         raise ZeroValuation("valuation of zero")
     v = 0
     n = x.numerator
@@ -385,11 +387,12 @@ class ExtensionTower:
     """A finite extension of the base field, as unramified + Eisenstein step.
 
     Use :func:`make_extension`; the constructor assumes validated input.
-    An element is one flat tuple of n = e*f Fractions on the monomial
-    basis u^a * pi^b, at index k = b*f + a.  The defining data, with the
-    structure constants derived from them at construction, never change.
-    The only mutable state is the brute-force oracle's memo of residue
-    rings, which the factor engine never touches.
+    An element has n = e*f coordinates on the monomial basis u^a * pi^b,
+    at index k = b*f + a, kept as integer numerators over one common
+    denominator.  The structure constants are integers over one common
+    denominator D, built once at construction from the defining data; none
+    of these ever change.  The only mutable state is the brute-force
+    oracle's memo of residue rings, which the factor engine never touches.
     """
 
     def __init__(self, base, f, eis_uvecs, unram_poly):
@@ -397,15 +400,15 @@ class ExtensionTower:
         self.f = f
         self.e = len(eis_uvecs) - 1
         self.n = self.e * self.f
-        self.unram_poly = unram_poly              # tuple of f+1 Fractions
+        self.unram_poly = unram_poly              # tuple of f+1 ints
         self.eis = eis_uvecs                      # tuple of e+1 u-vectors
-        self._table = self._structure_constants()
+        self._table, self._D = self._structure_constants()
         if base.is_real:
             self.q = None
             self.residue = None
         else:
             self.q = base.p ** f
-            self.residue = ResidueField(base.p, f, tuple(int(c) % base.p for c in unram_poly))
+            self.residue = ResidueField(base.p, f, tuple(c % base.p for c in unram_poly))
         self._fingerprint = (
             base.kind,
             base.p,
@@ -416,41 +419,53 @@ class ExtensionTower:
         self._oracle_rings = {}
 
     def _structure_constants(self):
-        """table[i][j]: the product of basis monomials i and j, as the sparse
-        pairs (k, c) of its nonzero coordinates.  Row i is walked from
-        monomial i by the two steps "times u" and "times pi"."""
-        f, n = self.f, self.n
+        """(table, D): table[i][j] is the product of basis monomials i and j,
+        as the sparse pairs (k, c) of its nonzero numerators over D.
 
-        def step(v, shift, wrap):
-            """v times u (shift 1) or pi (shift f); wrap[k] is the image of
-            monomial k when k + shift leaves the basis, else None."""
-            out = [_Q0] * n
+        Row i is walked from monomial i by the two steps "times u" and
+        "times pi", in integers.  The Eisenstein coefficients are numerators
+        over their common denominator d, so the monomials of pi-degree b in
+        row i are over d^b, and D = d^(e-1) before the common factor of the
+        whole table is divided out.
+        """
+        f, e, n = self.f, self.e, self.n
+        d = math.lcm(*(c.denominator for row in self.eis for c in row))
+
+        def step(v, shift, wrap, scale):
+            """v times u (shift 1, scale 1) or pi (shift f, scale d); wrap[k]
+            is the image of monomial k when k + shift leaves the basis, with
+            the denominator raised by scale, else None."""
+            out = [0] * n
             for k, c in enumerate(v):
                 if c and wrap[k] is None:
-                    out[k + shift] += c
+                    out[k + shift] += c * scale
                 elif c:
                     out = [o + c * w for o, w in zip(out, wrap[k])]
             return out
 
         # u^f = -(m_0 + m_1 u + ... + m_(f-1) u^(f-1)) in every pi-row
         minus_m = [-c for c in self.unram_poly[:-1]]
-        u_wrap = [None if (k + 1) % f else [_Q0] * (k + 1 - f) + minus_m + [_Q0] * (n - 1 - k)
+        u_wrap = [None if (k + 1) % f else [0] * (k + 1 - f) + minus_m + [0] * (n - 1 - k)
                   for k in range(n)]
-        # u^a pi^e = -u^a (eis_0 + eis_1 pi + ... + eis_(e-1) pi^(e-1))
-        pi_wrap = [None] * (n - f) + [[-c for row in self.eis[:-1] for c in row]]
+        # u^a pi^e = -u^a (eis_0 + eis_1 pi + ... + eis_(e-1) pi^(e-1)), over d
+        pi_wrap = [None] * (n - f) + [[-c.numerator * (d // c.denominator)
+                                       for row in self.eis[:-1] for c in row]]
         while len(pi_wrap) < n:
-            pi_wrap.append(step(pi_wrap[-1], 1, u_wrap))
-        table = []
+            pi_wrap.append(step(pi_wrap[-1], 1, u_wrap, 1))
+        rows = []
         for i in range(n):
-            row, v = [], [_Q1 if k == i else _Q0 for k in range(n)]
-            for _ in range(self.e):
+            row, v = [], [int(k == i) for k in range(n)]
+            for b in range(e):
                 w = v
                 for _ in range(f):
-                    row.append(tuple((k, c) for k, c in enumerate(w) if c))
-                    w = step(w, 1, u_wrap)
-                v = step(v, f, pi_wrap)
-            table.append(tuple(row))
-        return tuple(table)
+                    row.append([c * d ** (e - 1 - b) for c in w])
+                    w = step(w, 1, u_wrap, 1)
+                v = step(v, f, pi_wrap, d)
+            rows.append(row)
+        g = math.gcd(d ** (e - 1), *(c for row in rows for w in row for c in w))
+        table = tuple(tuple(tuple((k, c // g) for k, c in enumerate(w) if c) for w in row)
+                      for row in rows)
+        return table, d ** (e - 1) // g
 
     # -- construction of elements ------------------------------------------
 
@@ -465,8 +480,17 @@ class ExtensionTower:
         if isinstance(x, FieldElement):
             if x.tower is not self and x.tower._fingerprint != self._fingerprint:
                 raise ValueError("element belongs to a different tower")
-            return FieldElement(self, x.coords)
-        return FieldElement(self, (Fraction(x),) + (_Q0,) * (self.n - 1))
+            return FieldElement(self, x.num, x.den)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return FieldElement(self, (x.numerator,) + (0,) * (self.n - 1), x.denominator)
+
+    def _from_fractions(self, coords):
+        """The element with these n coordinates (ints or Fractions).  Over
+        the lcm of their reduced denominators the numerators have no
+        common factor with it, so the result is in normal form."""
+        den = math.lcm(*(c.denominator for c in coords))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     def from_coords(self, rows):
         """rows[b][a] = coefficient of u^a pi^b (shorter rows are padded)."""
@@ -476,18 +500,18 @@ class ExtensionTower:
             row = [Fraction(c) for c in row]
             if len(row) > self.f:
                 raise ValueError("u-degree exceeds unramified degree")
-            coords += row + [_Q0] * (self.f - len(row))
+            coords += row + [0] * (self.f - len(row))
         if len(rows) > self.e and any(any(Fraction(c) for c in r) for r in rows[self.e:]):
             raise ValueError("pi-degree exceeds ramification degree")
-        return FieldElement(self, tuple(coords))
+        return self._from_fractions(coords)
 
     def pi(self):
         """The uniformizer: the class of the Eisenstein variable."""
         if self.base.is_real:
             raise UnsupportedCase("no uniformizer over a real base")
         if self.e == 1:
-            return self.from_coords([[-c for c in self.eis[0]]])
-        return self.from_coords([[], [1]])
+            return self._from_fractions([-c for c in self.eis[0]])
+        return FieldElement(self, tuple(int(k == self.f) for k in range(self.n)), 1)
 
     def ugen(self):
         """The lift of the residue-field generator (needs f >= 2)."""
@@ -497,26 +521,14 @@ class ExtensionTower:
 
     # -- ring plumbing -------------------------------------------------------
 
-    def _mul_coords(self, x, y):
-        out = [_Q0] * self.n
-        for xi, row in zip(x, self._table):
-            if not xi:
-                continue
-            for yj, prod in zip(y, row):
-                if yj:
-                    c = xi * yj
-                    for k, s in prod:
-                        out[k] += c * s
-        return tuple(out)
-
     def _basis_elements(self):
         for k in range(self.n):
-            yield FieldElement(self, tuple(_Q1 if i == k else _Q0 for i in range(self.n)))
+            yield FieldElement(self, tuple(int(i == k) for i in range(self.n)), 1)
 
-    def mult_matrix(self, x):
-        """Matrix of y -> x*y on the flat basis (index b*f + a), over Q."""
-        m = [[_Q0] * self.n for _ in range(self.n)]
-        for xi, row in zip(x.coords, self._table):
+    def _num_matrix(self, x):
+        """The integer matrix of y -> x*y on the flat basis, over x.den * D."""
+        m = [[0] * self.n for _ in range(self.n)]
+        for xi, row in zip(x.num, self._table):
             if not xi:
                 continue
             for j, prod in enumerate(row):
@@ -524,25 +536,34 @@ class ExtensionTower:
                     m[k][j] += xi * s
         return m
 
+    def mult_matrix(self, x):
+        """Matrix of y -> x*y on the flat basis (index b*f + a), over Q."""
+        d = x.den * self._D
+        return [[Fraction(c, d) if c else _Q0 for c in row] for row in self._num_matrix(x)]
+
     def norm_to_base(self, x):
         """Norm down to the base field, as an exact Fraction."""
         if self.n == 1:
-            return x.coords[0]
-        return _poly.gauss_det(self.mult_matrix(x))
+            return Fraction(x.num[0], x.den)
+        return _poly.gauss_det(self._num_matrix(x)) / (x.den * self._D) ** self.n
 
     def trace_to_base(self, x):
-        if self.n == 1:
-            return x.coords[0]
-        m = self.mult_matrix(x)
-        return sum((m[i][i] for i in range(self.n)), _Q0)
+        tr = 0
+        for xi, row in zip(x.num, self._table):
+            if xi:
+                tr += xi * sum(s for j, prod in enumerate(row) for k, s in prod if k == j)
+        return Fraction(tr, x.den * self._D)
 
     def _invert(self, x):
         if not x:
             raise ZeroValuation("inverse of zero")
         if self.n == 1:
-            return self.element(1 / x.coords[0])
-        rhs = [_Q1] + [_Q0] * (self.n - 1)
-        return FieldElement(self, tuple(_poly.gauss_solve(self.mult_matrix(x), rhs)))
+            a = x.num[0]
+            return FieldElement(self, (x.den if a > 0 else -x.den,), abs(a))
+        # x * z = 1 is (num_matrix / s) z = e_1, so z = s * (num_matrix^-1 e_1)
+        z = self._from_fractions(_poly.gauss_solve(self._num_matrix(x), [1] + [0] * (self.n - 1)))
+        s = x.den * self._D
+        return _normal(self, [c * s for c in z.num], z.den)
 
     # -- canonical data ------------------------------------------------------
 
@@ -553,7 +574,7 @@ class ExtensionTower:
         if self.base.p == 2:
             return self.element(5)
         ns = self.residue.first_nonsquare()
-        return self.from_coords([[Fraction(c) for c in ns.rep]])
+        return self.from_coords([list(ns.rep)])
 
     def square_class_reps(self):
         """The canonical representatives of F^x / F^x2 for this tower."""
@@ -581,20 +602,41 @@ class ExtensionTower:
         return f"{self.base}[f={self.f},e={self.e}]"
 
 
+def _normal(tower, num, den):
+    """The element num / den (den > 0) in normal form: gcd(den, *num) = 1."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return FieldElement(tower, tuple(c // g for c in num), den // g)
+    return FieldElement(tower, tuple(num), den)
+
+
 class FieldElement(RingOps):
-    """An element of a tower, with exact rational coordinates."""
+    """An element of a tower, with exact rational coordinates.
 
-    __slots__ = ("tower", "coords")
+    ``num`` holds n integer numerators (index k = b*f + a, the monomial
+    u^a pi^b) over the one positive denominator ``den``, in normal form:
+    gcd(den, *num) = 1, and zero is ((0,)*n, 1).  Equal elements therefore
+    have equal (num, den).  ``coords`` is a read-only view of the
+    coordinates as Fractions.
+    """
 
-    def __init__(self, tower, coords):
+    __slots__ = ("tower", "num", "den")
+
+    def __init__(self, tower, num, den):
         self.tower = tower
-        self.coords = coords
+        self.num = num
+        self.den = den
+
+    @property
+    def coords(self):
+        d = self.den
+        return tuple(Fraction(c, d) for c in self.num)
 
     # -- coercion ------------------------------------------------------------
 
     def _co(self, other):
         if isinstance(other, FieldElement):
-            if other.tower._fingerprint != self.tower._fingerprint:
+            if other.tower is not self.tower and other.tower._fingerprint != self.tower._fingerprint:
                 raise ValueError("elements of different towers")
             return other
         if isinstance(other, (int, Fraction)):
@@ -610,16 +652,31 @@ class FieldElement(RingOps):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.tower, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        a, b = self.den, o.den
+        if a == b:
+            return _normal(self.tower, [x + y for x, y in zip(self.num, o.num)], a)
+        g = math.gcd(a, b)
+        ma, mb = b // g, a // g
+        return _normal(self.tower, [x * ma + y * mb for x, y in zip(self.num, o.num)], a * ma)
 
     def __neg__(self):
-        return FieldElement(self.tower, tuple(-c for c in self.coords))
+        return FieldElement(self.tower, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.tower, self.tower._mul_coords(self.coords, o.coords))
+        t = self.tower
+        out = [0] * t.n
+        for xi, row in zip(self.num, t._table):
+            if not xi:
+                continue
+            for yj, prod in zip(o.num, row):
+                if yj:
+                    c = xi * yj
+                    for k, s in prod:
+                        out[k] += c * s
+        return _normal(t, out, self.den * o.den * t._D)
 
     def inverse(self):
         return self.tower._invert(self)
@@ -628,13 +685,13 @@ class FieldElement(RingOps):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.den == o.den and self.num == o.num
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __hash__(self):
-        return hash((self.tower._fingerprint, self.coords))
+        return hash((self.tower._fingerprint, self.num, self.den))
 
     # -- p-adic structure ------------------------------------------------------
 
@@ -642,7 +699,7 @@ class FieldElement(RingOps):
         """The rational value; only for elements of a trivial tower."""
         if self.tower.n != 1:
             raise ValueError("element of a proper extension is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def valuation(self):
         return valuation(self)
@@ -657,9 +714,10 @@ class FieldElement(RingOps):
             raise ZeroValuation("residue of a non-integral element")
         if v > 0:
             return t.residue.element([0])
-        # a unit's pi^0 coordinates are p-integral, and reduce to the residue
+        # every coordinate of a unit is p-integral, so den is prime to p
         p = t.base.p
-        return ResidueElement(t.residue, tuple(_reduce_mod(c, p) for c in self.coords[:t.f]))
+        inv = pow(self.den, -1, p)
+        return ResidueElement(t.residue, tuple(c * inv % p for c in self.num[:t.f]))
 
     def unit_split(self):
         """(v, x * pi^(-v)) with v = v(x); exact."""
@@ -706,7 +764,7 @@ def make_extension(base, f, eis):
     if base.is_real:
         if f != 1 or len(eis) != 2:
             raise UnsupportedCase("only the trivial tower is supported over R")
-        unram = (Fraction(0), Fraction(1))
+        unram = (0, 1)
         eis_uvecs = tuple(_norm_uvec(c, 1) for c in eis)
         if eis_uvecs[1] != (_Q1,):
             raise NotEisenstein("defining polynomial must be monic")
@@ -721,7 +779,7 @@ def make_extension(base, f, eis):
         raise DyadicRamifiedUnsupported(
             "extensions with residue characteristic 2 are not supported"
         )
-    unram = tuple(Fraction(c) for c in canonical_unramified_poly(p, f))
+    unram = canonical_unramified_poly(p, f)
     eis_uvecs = tuple(_norm_uvec(c, f) for c in eis)
     if eis_uvecs[-1] != tuple([_Q1] + [_Q0] * (f - 1)):
         raise NotEisenstein("defining polynomial must be monic")
@@ -758,7 +816,8 @@ def trivial_tower(base):
 
 def valuation(a):
     """Normalized valuation with v(pi) = 1, read off the coordinates: the
-    minimum over the nonzero coordinates x_k of e * v_p(x_k) + k // f.
+    minimum over the nonzero coordinates x_k of e * v_p(x_k) + k // f,
+    where v_p(x_k) = v_p(num_k) - v_p(den).
 
     Exact: the u^a are an integral basis of the unramified step (its
     polynomial is a monic lift of an irreducible one), the pi^b are one of
@@ -769,7 +828,9 @@ def valuation(a):
         raise UnsupportedCase("no valuation over R")
     if not a:
         raise ZeroValuation("valuation of zero")
-    return min(t.e * _vp(c, t.base.p) + k // t.f for k, c in enumerate(a.coords) if c)
+    p, e, f = t.base.p, t.e, t.f
+    vd = _vp(a.den, p)
+    return min(e * (_vp(c, p) - vd) + k // f for k, c in enumerate(a.num) if c)
 
 
 def is_square(a):
@@ -875,8 +936,8 @@ class _ResidueRing:
             self.kind = "u"
             self.mods = (p ** N, p ** N)
             m = tower.unram_poly
-            self.m0 = int(m[0]) % self.mods[0]
-            self.m1 = int(m[1]) % self.mods[0]
+            self.m0 = m[0] % self.mods[0]
+            self.m1 = m[1] % self.mods[0]
         else:
             self.kind = "pi"
             m0 = (N + 1) // 2
@@ -890,8 +951,11 @@ class _ResidueRing:
         self._squares = None
 
     def reduce(self, x):
-        """A tower element with integral coordinates, reduced."""
-        return tuple(_reduce_mod(c, m) for c, m in zip(x.coords, self.mods))
+        """A tower element of valuation >= 0, whose den is therefore prime
+        to p, reduced."""
+        if x.den % self.p == 0:
+            raise ZeroValuation(f"{x} is not integral")
+        return tuple(c * pow(x.den, -1, m) % m for c, m in zip(x.num, self.mods))
 
     def mul(self, x, y):
         if self.kind == "z":

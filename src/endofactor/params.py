@@ -495,8 +495,8 @@ def stable_class_of(param, g, role="endoscopic"):
     for en in param.entries:
         if twisted_group:
             r = en.value / en.value.tau()
-            vkey = (r.a.coords, r.b.coords)
         else:
-            vkey = (en.value.a.coords, en.value.b.coords)
+            r = en.value
+        vkey = (r.a.num, r.a.den, r.b.num, r.b.den)
         items.append((en.side, en.algebra._fingerprint, vkey))
     return (g.case, tuple(sorted(items)))

@@ -1,17 +1,21 @@
 """The tower product against a slow reference.
 
-A tower element is one flat coordinate vector, multiplied through the
-tower's structure constants.  The reference below keeps the older layout:
-e rows of f u-coordinates, multiplied as polynomials in u and pi, with u^f
-reduced by the unramified polynomial and pi^e by the Eisenstein one after
-every product.  Both must give the same exact coordinates.
+A tower element is one flat vector of integer numerators over one common
+denominator, multiplied through the tower's integer structure constants.
+The reference below keeps the older layout: e rows of f Fraction
+u-coordinates, multiplied as polynomials in u and pi, with u^f reduced by
+the unramified polynomial and pi^e by the Eisenstein one after every
+product.  Both must give the same exact coordinates, and every result
+must be in normal form.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from endofactor.document import parse_tower_literal
+from endofactor.etale import quadratic_field
 from endofactor.localfield import BaseField, _vp, make_extension, trivial_tower, valuation
 
 P = 5
@@ -65,6 +69,23 @@ def _ref_valuation(tower, x):
                for b, row in enumerate(_rows(tower, x)) if any(row))
 
 
+def _ref_residue(tower, x):
+    """The residue of x (valuation >= 0) from its pi^0 row of Fractions."""
+    p = tower.base.p
+    if valuation(x) > 0:
+        return (0,) * tower.f
+    return tuple(c.numerator * pow(c.denominator, -1, p) % p for c in _rows(tower, x)[0])
+
+
+def _assert_normal(x):
+    """den > 0, gcd(den, *num) = 1, and zero is ((0,)*n, 1)."""
+    n = x.tower.n
+    assert len(x.num) == n and all(isinstance(c, int) for c in x.num + (x.den,))
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert (x.num, x.den) == ((0,) * n, 1)
+
+
 def _random_element(rng, tower):
     while True:
         x = tower.from_coords([[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 25]))
@@ -95,4 +116,64 @@ def test_flat_product_matches_reference(tower, rng):
         assert _ref_mul(tower, _rows(tower, x), _rows(tower, x.inverse())) == one
         if not tower.base.is_real:
             assert valuation(x) == _ref_valuation(tower, x)
+            if valuation(x) >= 0:
+                assert x.residue().rep == _ref_residue(tower, x)
         assert parse_tower_literal(repr(x), tower) == x
+
+
+@pytest.mark.parametrize("tower", _towers(), ids=repr)
+def test_results_are_in_normal_form(tower, rng):
+    for _ in range(12):
+        x, y = _random_element(rng, tower), _random_element(rng, tower)
+        for z in (x + y, -x, x - y, x - x, x * y, x * 0, x.inverse(), x ** -2,
+                  x * Fraction(3, 7) + y * Fraction(5, 2), tower.element(Fraction(-6, 4))):
+            _assert_normal(z)
+        assert (x - x).num == (0,) * tower.n and (x - x).den == 1
+
+
+@pytest.mark.parametrize("tower", _towers()[:len(SHAPES)], ids=repr)
+def test_equal_elements_have_equal_keys(tower, rng):
+    """Elements reached by different paths are == and hash-equal, and so
+    are the etale algebras and elements keyed by them."""
+    half = tower.element(Fraction(1, 2))
+    assert tower.from_coords([[Fraction(2, 4)]]) == half
+    assert hash(tower.from_coords([[Fraction(2, 4)]])) == hash(half)
+    assert hash(tower.from_coords([["1/2"]])) == hash(half + 0)
+    for _ in range(6):
+        x = _random_element(rng, tower)
+        pairs = ((x * x.inverse(), tower.one()),
+                 ((x ** -3).inverse(), x ** 3),
+                 ((x + x) * half, x),
+                 (x * tower.element(Fraction(4, 6)), x * Fraction(2, 3)))
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and (a.num, a.den) == (b.num, b.den)
+    delta = tower.unit_nonsquare() * tower.element(4)
+    alg = quadratic_field(tower, delta)
+    assert alg == quadratic_field(tower, delta * half * half * 4)
+    assert hash(alg) == hash(quadratic_field(tower, delta * half * half * 4))
+    z = alg.element(x, half)
+    w = alg.element(x * x.inverse() * x, tower.from_coords([[Fraction(2, 4)]]))
+    assert z == w and hash(z) == hash(w)
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    """A product, a sum and a valuation on an f = e = 2 tower over Q_5 run
+    on integers alone: not one Fraction is constructed."""
+    tower = make_extension(BaseField("p-adic", P), 2, _eis(2, 2))
+    x = tower.from_coords([[Fraction(3, 25), 7], [Fraction(-4, 9), Fraction(1, 2)]])
+    y = tower.from_coords([[2, Fraction(5, 3)], [0, Fraction(-1, 10)]])
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    Fraction(1, 3)
+    assert len(built) == 1
+    built.clear()
+    x * y
+    x + y
+    valuation(x)
+    assert built == []
