@@ -81,12 +81,12 @@ def _tokenize(text, where):
 class _LiteralParser:
     """Recursive-descent evaluator over a generator environment."""
 
-    def __init__(self, text, env, one, where):
+    def __init__(self, text, env, element, where):
         self.text = text
         self.tokens = _tokenize(text, where)
         self.pos = 0
         self.env = env
-        self.one = one
+        self.element = element      # coerces a Fraction into the ring
         self.where = where
         self.power = 1      # the largest product of nested exponents so far
 
@@ -165,8 +165,8 @@ class _LiteralParser:
                 den_tok, dcol = self._next() if self.pos < len(self.tokens) else ((None, None), None)
                 if not (isinstance(den_tok, tuple) and den_tok[0] == "num") or den_tok[1] == 0:
                     self._fail("bad denominator")
-                return self.one * Fraction(num, den_tok[1])
-            return self.one * Fraction(num)
+                return self.element(Fraction(num, den_tok[1]))
+            return self.element(Fraction(num))
         if isinstance(tok, tuple) and tok[0] == "name":
             name = tok[1]
             if name not in self.env:
@@ -182,7 +182,7 @@ def parse_tower_literal(text, tower, where="literal"):
     if tower.f >= 2:
         env["u"] = tower.ugen()
     try:
-        return _LiteralParser(text, env, tower.one(), where).parse()
+        return _LiteralParser(text, env, tower.element, where).parse()
     except ParseError:
         raise
     except Exception as exc:
@@ -197,7 +197,7 @@ def parse_etale_literal(text, algebra, where="literal"):
     if tower.f >= 2:
         env["u"] = algebra.element(tower.ugen())
     try:
-        return _LiteralParser(text, env, algebra.one(), where).parse()
+        return _LiteralParser(text, env, algebra.element, where).parse()
     except ParseError:
         raise
     except Exception as exc:
@@ -260,6 +260,7 @@ def load_document(text, *, precision=None):
     if not isinstance(tower_specs, dict):
         raise ParseError("field 'towers' has the wrong type", "$.towers")
     towers = {}
+    helpers = {1: F}    # the unramified tower of degree f, for the eis literals
     for name, spec in tower_specs.items():
         where = f"$.towers.{name}"
         f = _need(spec, "f", where, int)
@@ -268,7 +269,9 @@ def load_document(text, *, precision=None):
         degree = max(f, 1) * max(len(eis_lits) - 1, 1)
         if degree > MAX_TOWER_DEGREE:
             raise ParseError(f"tower degree {degree} exceeds the limit {MAX_TOWER_DEGREE}", where)
-        helper = make_extension(base, max(f, 1), [-(base.p if not base.is_real else 1), 1])
+        helper = helpers.get(max(f, 1))
+        if helper is None:
+            helper = helpers[f] = make_extension(base, f, [-(base.p if not base.is_real else 1), 1])
         coeffs = []
         for k, lit in enumerate(eis_lits):
             val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")

@@ -346,6 +346,11 @@ class UnitaryBaseData:
     def residue_field(self):
         return self._data[3]
 
+    @cached_property
+    def residue_generator(self):
+        """The canonical generator of the residue group F_q^x, found once."""
+        return self.residue_field().multiplicative_generator()
+
     def e_valuation(self, x):
         """Normalized valuation on E (v(uniformizer) = 1)."""
         if not x:
@@ -359,9 +364,10 @@ class UnitaryBaseData:
         return v // 2
 
     def tame_coordinates(self, x):
-        """(v, m / (q - 1)) for x in E^x: v = v(x), and m is the logarithm,
-        against the canonical generator of the residue field F_q, of the
-        residue of the unit x * uniformizer^(-v) = a + b*sqrt(delta_E)."""
+        """(v, u) for x in E^x: v = v(x), and u in F_q^x is the residue of
+        the unit x * uniformizer^(-v) = a + b*sqrt(delta_E).  A character
+        reads the logarithm of u against ``residue_generator`` only modulo
+        the order it needs, so the logarithm is left to it."""
         ramified, k, uniformizer, res = self._data
         v = self.e_valuation(x)
         unit = x * uniformizer ** (-v)
@@ -369,17 +375,22 @@ class UnitaryBaseData:
         coords = [unit.a.as_fraction()]
         if not ramified:
             coords.append(unit.b.as_fraction() * Fraction(p) ** k)
-        m = res.dlog(res.element([_reduce_mod(c, p) for c in coords]))
-        return v, Fraction(m, res.q - 1)
+        return v, res.element([_reduce_mod(c, p) for c in coords])
 
     @cached_property
     def sgn_probes(self):
-        """(v, unit angle, sgn) at p and at the canonical generator of
-        F_p^x, which generate F^x modulo its 1-units.  Plain ints and
-        Fractions: the cache holds no element, so no reference to E."""
-        gen = self.F.residue.multiplicative_generator().rep[0]
-        return tuple(self.tame_coordinates(self.E.embed_ground(t)) + (self.sgn(t),)
-                     for t in (self.base.p, gen))
+        """(v, m / (q - 1), sgn) at p and at the canonical generator of
+        F_p^x, which generate F^x modulo its 1-units; m is the logarithm of
+        the residue against ``residue_generator``, taken in F_p^x, where
+        both residues lie.  Plain ints and Fractions: the cache holds no
+        element, so no reference to E."""
+        res = self.residue_field()
+        out = []
+        for t in (self.base.p, self.F.residue.multiplicative_generator().rep[0]):
+            v, u = self.tame_coordinates(self.E.embed_ground(t))
+            m = res.prime_field_log(u, self.residue_generator)
+            out.append((v, Fraction(m, res.q - 1), self.sgn(t)))
+        return tuple(out)
 
     def sgn(self, x):
         """The norm character sgn_{E/F} on F^x."""

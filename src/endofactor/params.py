@@ -9,6 +9,7 @@ of raising, so front ends can print complete diagnoses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,8 +112,12 @@ class TameCharacter:
     """A character of E^x trivial on the 1-units.
 
     Determined by a rational angle on the canonical uniformizer and an
-    exponent against the canonical generator of the residue group; values
-    are exact angles in Q/Z.
+    exponent k against the canonical generator of the residue group F_q^x;
+    values are exact angles in Q/Z.  The unit angle k*m/(q - 1) mod 1 of a
+    residue with logarithm m depends only on m modulo r = (q - 1)/gcd(k,
+    q - 1), so a value costs a logarithm in the subgroup of order r: about
+    2*sqrt(p + 1) multiplications for k divisible by p - 1 over an
+    unramified E.
     """
 
     E: UnitaryBaseData
@@ -123,14 +128,18 @@ class TameCharacter:
         object.__setattr__(self, "angle_pi", Fraction(self.angle_pi) % 1)
 
     def _angle(self, v, unit_angle):
-        """The angle at (v, unit_angle) = ``E.tame_coordinates(x)``."""
+        """The angle at valuation v and unit angle m/(q - 1), where m is
+        the logarithm of the residue or anything congruent to it mod r."""
         return (v * self.angle_pi + self.unit_exponent * unit_angle) % 1
 
     def angle(self, x):
         """The exact angle of the character value at x in E^x."""
         if isinstance(x, (int, Fraction, FieldElement)):
             x = self.E.E.embed_ground(x if not isinstance(x, FieldElement) else x.as_fraction())
-        return self._angle(*self.E.tame_coordinates(x))
+        v, u = self.E.tame_coordinates(x)
+        n = u.field.q - 1
+        m = u.field.dlog(u, n // math.gcd(self.unit_exponent, n), self.E.residue_generator)
+        return self._angle(v, Fraction(m, n))
 
     def restricts_to_sgn_power(self, k):
         """Exact check of the restriction to F^x against sgn_{E/F}^k."""

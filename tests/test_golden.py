@@ -1,6 +1,6 @@
 """Golden output: the exact bytes the command line prints for the shipped
-sample document and for documents on the degree-4 tower f = e = 2, and the
-trace label of each of the nine formula variants."""
+sample document, for documents on the degree-4 tower f = e = 2 and at the
+prime 10007, and the trace label of each of the nine formula variants."""
 
 import contextlib
 import io
@@ -17,6 +17,9 @@ SAMPLE = str(Path(__file__).resolve().parent.parent / "sample-instance.json")
 # ground F (symplectic) and over E (unitary, bc_unitary).
 GOLDEN = Path(__file__).resolve().parent / "golden"
 QUARTIC = ("quartic-symplectic", "quartic-unitary", "quartic-bc-unitary")
+# One minus-side index on the trivial tower over Q_10007, with E unramified
+# and characters of unit exponent (p - 1)*t: logarithms in F_(p^2).
+LARGE_PRIME = ("large-prime-unitary", "large-prime-bc-unitary")
 
 # The rows of the formula table in README.md, by (case, parity of d).
 README_FORMULAS = {
@@ -70,14 +73,27 @@ def test_sample_document_output(args, lines):
     assert run_cli(args) == (0, "".join(line + "\n" for line in lines), "")
 
 
-@pytest.mark.parametrize("name", QUARTIC)
-@pytest.mark.parametrize("command, flag, suffix", [
+GOLDEN_OUTPUTS = pytest.mark.parametrize("command, flag, suffix", [
     ("compute", "--trace", "compute-trace.txt"),
     ("check", "--json", "check.json"),
 ], ids=["compute-trace", "check-json"])
-def test_quartic_document_output(name, command, flag, suffix):
+
+
+def assert_golden(name, command, flag, suffix):
     want = (GOLDEN / f"{name}.{suffix}").read_text()
     assert run_cli([command, str(GOLDEN / f"{name}.json"), flag]) == (0, want, "")
+
+
+@pytest.mark.parametrize("name", QUARTIC)
+@GOLDEN_OUTPUTS
+def test_quartic_document_output(name, command, flag, suffix):
+    assert_golden(name, command, flag, suffix)
+
+
+@pytest.mark.parametrize("name", LARGE_PRIME)
+@GOLDEN_OUTPUTS
+def test_large_prime_document_output(name, command, flag, suffix):
+    assert_golden(name, command, flag, suffix)
 
 
 @pytest.mark.parametrize("case, parity", sorted(README_FORMULAS))

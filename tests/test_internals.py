@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endofactor import _poly
+from endofactor import _poly, localfield
 from endofactor.etale import UnitaryBaseData
 from endofactor.errors import ZeroValuation
 from endofactor.localfield import (
@@ -20,6 +20,7 @@ from endofactor.localfield import (
     make_extension,
     trivial_tower,
 )
+from endofactor.params import TameCharacter
 
 F = Fraction
 
@@ -205,6 +206,72 @@ class TestResidueFields:
         k = rf.dlog(x)
         assert rf.multiplicative_generator() ** k == x
         assert len(calls) <= budget
+
+    @pytest.mark.parametrize("p", [p for p in SMALL_PRIMES if p < 30])
+    def test_subgroup_dlog_against_the_full_one(self, p):
+        """For every unit x and every divisor r of q - 1, the index of x
+        modulo r, against the canonical generator and against another one."""
+        for rf in _residue_fields(p):
+            n = rf.q - 1
+            divisors = [r for r in range(1, n + 1) if n % r == 0]
+            g = rf.multiplicative_generator()
+            for x in itertools.islice(rf.elements(), 1, None):
+                full = rf.dlog(x, g=g)
+                assert all(rf.dlog(x, r, g) == full % r for r in divisors)
+            other = g ** next(k for k in range(n, 0, -1) if math.gcd(k, n) == 1)
+            x = rf.element([1, 1])
+            m = rf.dlog(x, g=other)
+            assert other ** m == x and m < n
+            assert [rf.dlog(x, r) for r in divisors] == [rf.dlog(x) % r for r in divisors]
+            if n > 2:
+                with pytest.raises(ValueError):
+                    rf.dlog(x, n - 1)
+
+    @pytest.mark.parametrize("p", [p for p in SMALL_PRIMES if p < 30])
+    def test_prime_field_log_against_the_full_one(self, p):
+        """The log of a unit of F_p taken in the subgroup F_p^x of F_q^x is
+        its full log; an element outside F_p is refused."""
+        for rf in _residue_fields(p):
+            g = rf.multiplicative_generator()
+            for c in range(1, p):
+                x = rf.element([c])
+                assert rf.prime_field_log(x, g) == rf.dlog(x)
+            if rf.f == 2:
+                with pytest.raises(ValueError):
+                    rf.prime_field_log(rf.element([0, 1]), g)
+
+    def test_tame_character_costs_two_square_roots_of_p(self, monkeypatch):
+        """At p = 10007 over the unramified E, a character of unit exponent
+        (p - 1)*t reads a value's logarithm in a subgroup of order dividing
+        p + 1, and the two sgn probes theirs in F_p^x, of order p - 1: about
+        2*sqrt(p) multiplications in F_q or F_p each, plus O(log q) for the
+        powers and the two generator searches, where one logarithm in all of
+        F_q^x takes about 2p.  Counted over every multiplication, those
+        inside powers included."""
+        p = 10007
+        ub = UnitaryBaseData(BaseField("p-adic", p), 5)
+        assert not ub.ramified
+        mu = TameCharacter(ub, Fraction(1, 2), (p - 1) * 1234)
+        log_q = (p * p).bit_length()
+        calls = []
+        mul = localfield._fp_mulmod
+
+        def counted(*args):
+            calls.append(1)
+            return mul(*args)
+
+        monkeypatch.setattr(localfield, "_fp_mulmod", counted)
+        assert mu.restricts_to_sgn_power(1)
+        assert len(calls) <= 2 * 2 * (math.isqrt(p - 1) + 1) + 16 * log_q
+        calls.clear()
+        assert mu.restricts_to_sgn_power(1) and not calls
+        x = ub.E.element(1234, 5678)
+        angle = mu.angle(x)
+        assert len(calls) <= 2 * (math.isqrt(p + 1) + 1) + 6 * log_q
+        monkeypatch.undo()
+        v, u = ub.tame_coordinates(x)
+        m = ub.residue_field().dlog(u)
+        assert angle == (v * mu.angle_pi + Fraction(mu.unit_exponent * m, p * p - 1)) % 1
 
     def test_no_state_after_construction(self):
         """Residue fields and towers keep no memo of logarithms or inverses."""
