@@ -1,11 +1,13 @@
-"""Dense polynomial and small exact linear-algebra helpers.
+"""Dense polynomials and the characteristic polynomial of a matrix.
 
 Polynomials are plain lists of coefficients, constant term first, trailing
 zeros stripped.  Coefficients may be Fractions or any of the package's
 element types; everything here only uses ``+ - *`` (and ``/`` where a field
 is documented), so one implementation serves Q, towers, and etale algebras.
-``charpoly`` needs a field (Q, or the quadratic field E of the unitary
-cases); ``is_squarefree`` works over Z when the coefficients are Fractions.
+``charpoly`` needs only a commutative ring, so it also runs on the integer
+matrices of the tower kernel; ``is_squarefree`` works over Z when the
+coefficients are Fractions, and ``pgcd`` over E is the one path left that
+needs a field.
 """
 
 from fractions import Fraction
@@ -22,19 +24,6 @@ def trim(coeffs):
 def degree(p):
     """Degree, with deg 0 = -1 by convention."""
     return len(p) - 1
-
-
-def padd(p, q):
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        if k < len(p) and k < len(q):
-            out.append(p[k] + q[k])
-        elif k < len(p):
-            out.append(p[k])
-        else:
-            out.append(q[k])
-    return trim(out)
 
 
 def pmul(p, q):
@@ -145,108 +134,42 @@ def _int_prem(a, b):
 
 # --- matrices: lists of row lists ---
 
-def mat_mul(a, b):
-    n, m, r = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            t = a[i][0] * b[0][j]
-            for k in range(1, r):
-                t = t + a[i][k] * b[k][j]
-            row.append(t)
-        out.append(row)
-    return out
-
-
 def charpoly(mat, one):
     """det(T*I - mat) as a monic coefficient list, constant term first.
 
-    Hessenberg reduction by similarity, then the recurrence for the
-    characteristic polynomial of a Hessenberg matrix (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9).  The entries must
-    lie in a field.
+    Berkowitz's algorithm (Berkowitz 1984): the polynomial of each leading
+    principal block is a lower-triangular Toeplitz matrix times the
+    polynomial of the block before it.  The Toeplitz column is
+    (1, -a, -R*C, -R*A*C, ..., -R*A^(r-1)*C), where A is the previous block,
+    R and C the new row and column beside it, and a the new diagonal entry.
+    Only ``+ - *`` are used, so the entries may lie in any commutative ring:
+    integers, Fractions or elements of E.
     """
-    n = len(mat)
-    zero = one - one
-    h = [list(row) for row in mat]
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        inv = one / h[m][m - 1]
-        pivot_row = h[m]
-        for i in range(m + 1, n):
-            if not h[i][m - 1]:
-                continue
-            # row i -= u * row m, then column m += u * column i
-            u = h[i][m - 1] * inv
-            row = h[i]
-            row[m - 1] = zero
-            for j in range(m, n):
-                if pivot_row[j]:
-                    row[j] = row[j] - u * pivot_row[j]
-            for r in h:
-                if r[i]:
-                    r[m] = r[m] + u * r[i]
-    polys = [[one]]
-    for m in range(1, n + 1):
-        prev = polys[-1]
-        diag = h[m - 1][m - 1]
-        cur = [zero] + prev
-        for k in range(m):
-            cur[k] = cur[k] - diag * prev[k]
-        sub = one
-        for i in range(m - 1, 0, -1):
-            sub = sub * h[i][i - 1]
-            if not sub:
-                break
-            c = sub * h[i - 1][m - 1]
-            if c:
-                for k, v in enumerate(polys[i - 1]):
-                    cur[k] = cur[k] - c * v
-        polys.append(cur)
-    return polys[n]
+    poly = [one]            # leading coefficient first while building
+    for r, row in enumerate(mat):
+        # s = (a, R*C, R*A*C, ...); the Toeplitz column is (1, -s)
+        s = [row[r]]
+        col = [mat[i][r] for i in range(r)]
+        for k in range(r):
+            if k:
+                col = [_dot(mat[i], col) for i in range(r)]
+            s.append(_dot(row, col))
+        # products by the leading one are skipped
+        nxt = [one]
+        for k in range(1, r + 2):
+            acc = poly[k] - s[k - 1] if k <= r else -s[r]
+            for j in range(1, k):
+                acc = acc - s[k - 1 - j] * poly[j]
+            nxt.append(acc)
+        poly = nxt
+    poly.reverse()
+    return poly
 
 
-def gauss_solve(mat, rhs):
-    """Solve mat*x = rhs over Fractions; raises ZeroDivisionError if singular."""
-    n = len(mat)
-    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def gauss_det(mat):
-    """Determinant over Fractions."""
-    n = len(mat)
-    a = [list(map(Fraction, row)) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
+def _dot(u, v):
+    """The sum of u[i]*v[i] over the indices of a nonempty v, not started
+    from a zero (u may be longer)."""
+    acc = u[0] * v[0]
+    for i in range(1, len(v)):
+        acc = acc + u[i] * v[i]
+    return acc

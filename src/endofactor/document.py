@@ -269,15 +269,17 @@ def load_document(text, *, precision=None):
         degree = max(f, 1) * max(len(eis_lits) - 1, 1)
         if degree > MAX_TOWER_DEGREE:
             raise ParseError(f"tower degree {degree} exceeds the limit {MAX_TOWER_DEGREE}", where)
-        helper = helpers.get(max(f, 1))
-        if helper is None:
-            helper = helpers[f] = make_extension(base, f, [-(base.p if not base.is_real else 1), 1])
-        coeffs = []
-        for k, lit in enumerate(eis_lits):
-            val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")
-            coeffs.append([Fraction(c, val.den) for c in val.num])
         try:
+            helper = helpers.get(max(f, 1))
+            if helper is None:
+                helper = helpers[f] = make_extension(base, f, [-(base.p if not base.is_real else 1), 1])
+            coeffs = []
+            for k, lit in enumerate(eis_lits):
+                val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")
+                coeffs.append([Fraction(c, val.den) for c in val.num])
             towers[name] = make_extension(base, f, coeffs)
+        except ParseError:
+            raise
         except Exception as exc:
             raise ParseError(f"bad tower: {exc}", where) from None
 

@@ -12,12 +12,16 @@ The unitary construction tensors F_pm with a quadratic extension E of the
 base field.  The tensor algebra reuses E's rt symbol (delta is the image
 of delta_E), so E embeds coordinate-wise and the characteristic polynomial
 of an element over E is the charpoly of an explicit m x m matrix with
-entries in E.  No compositum and no p-adic square root is ever needed:
-whether the tensor splits is decided by an exact square test.
+entries in E.  Over the base field it is the charpoly of an integer
+2m x 2m block matrix built from the tower kernel's numerators; both go
+through the one division-free routine ``_poly.charpoly``.  No compositum
+and no p-adic square root is ever needed: whether the tensor splits is
+decided by an exact square test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -242,8 +246,10 @@ def charpoly_over(x, ground="F"):
     """Characteristic polynomial of multiplication by x.
 
     ground "F": over the base field, degree 2*[F_pm:F], Fraction
-    coefficients (constant first).  ground "E": over the unitary quadratic
-    extension, degree [F_pm:F], coefficients are elements of E.
+    coefficients (constant first), from the charpoly of an integer matrix
+    rescaled once.  ground "E": over the unitary quadratic extension,
+    degree [F_pm:F], coefficients are elements of E, from the charpoly of
+    the matrix of x with entries in E.
     """
     alg = x.algebra
     tower = alg.base_pm
@@ -251,13 +257,16 @@ def charpoly_over(x, ground="F"):
         n = tower.n
         if n == 1:
             return [x.norm().as_fraction(), -x.trace().as_fraction(), Fraction(1)]
-        A = tower.mult_matrix(x.a)
-        B = tower.mult_matrix(x.b)
-        D = tower.mult_matrix(alg.delta)
-        DB = _poly.mat_mul(D, B)
-        top = [A[i] + DB[i] for i in range(n)]
-        bot = [B[i] + A[i] for i in range(n)]
-        return _poly.charpoly(top + bot, Fraction(1))
+        # The matrix of x is [[A, DB], [B, A]], the blocks being the
+        # matrices of a, delta*b and b.  Each is an integer matrix over
+        # s = v.den * D; scaled by the lcm L of the three s it is the
+        # integer matrix M, and chi_(M/L)(T) = L^(-2n) * chi_M(L*T).
+        parts = (x.a, alg.delta * x.b, x.b)
+        L = math.lcm(*(v.den for v in parts)) * tower._D
+        A, DB, B = ([[c * (L // (v.den * tower._D)) for c in row] for row in tower._num_matrix(v)]
+                    for v in parts)
+        mat = [ra + rdb for ra, rdb in zip(A, DB)] + [rb + ra for rb, ra in zip(B, A)]
+        return [Fraction(c, L ** (2 * n - k)) for k, c in enumerate(_poly.charpoly(mat, 1))]
     if ground == "E":
         ub = alg.unitary_base
         if ub is None:

@@ -17,6 +17,7 @@ determinant bookkeeping of the index trace forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,7 +113,12 @@ def make_lie_param(y, x, g, c=None):
         P_j[en.name] = charpoly_over(en.value, "F")
         Q_j[en.name] = charpoly_over(xi, "F")
         prod_q = _poly.pmul(prod_q, Q_j[en.name])
-        det_prod *= _poly.gauss_det(forms.gram_block(en.algebra, en.algebra.element(cv)))
+        # L * gram is an integer matrix of the even size 2*[F_pm:F], so
+        # det(gram) = c_0 / L^size with c_0 the constant term of its charpoly
+        gram = forms.gram_block(en.algebra, en.algebra.element(cv))
+        L = math.lcm(*(c.denominator for row in gram for c in row))
+        scaled = [[c.numerator * (L // c.denominator) for c in row] for row in gram]
+        det_prod *= Fraction(_poly.charpoly(scaled, 1)[0], L ** len(gram))
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], prod_q)
     c_D = F.element(-g.nu.as_fraction() * det_prod)
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,

@@ -98,6 +98,25 @@ class TestValidate:
             f"parse error: $.towers.K0: tower degree {degree} exceeds the limit "
             f"{MAX_TOWER_DEGREE}\n")
 
+    @pytest.mark.parametrize("base, eis, reason", [
+        ({"kind": "real"}, ["-1", "1"], "only the trivial tower is supported over R"),
+        ({"kind": "p-adic", "p": 2}, ["-2", "1"],
+         "extensions with residue characteristic 2 are not supported")],
+        ids=["real", "dyadic"])
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_unramified_tower_over_unsupported_base_exits_three(self, tmp_path, capsys,
+                                                                 base, eis, reason, command):
+        """f >= 2 over R or Q_2 is a bad tower, also while the unramified
+        helper for its eis literals is built."""
+        doc = json.loads(SAMPLE.read_text())
+        doc["base"] = base
+        doc["towers"]["K0"] = {"f": 2, "eis": eis}
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == f"parse error: $.towers.K0: bad tower: {reason}\n"
+
     def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
         doc = json.loads(SAMPLE.read_text())
         doc["group"]["case"] = "foo"

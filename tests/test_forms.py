@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor._poly import gauss_det
 from endofactor.errors import Degenerate, NonSymmetric
 from endofactor.etale import quadratic_field, split_algebra
 from endofactor.forms import (
@@ -22,6 +21,7 @@ from endofactor.localfield import (
     trivial_tower,
 )
 from endofactor.params import IndexEntry, RegularParam
+from test_poly_reference import gauss_det
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)

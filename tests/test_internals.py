@@ -21,12 +21,19 @@ from endofactor.localfield import (
     trivial_tower,
 )
 from endofactor.params import TameCharacter
+from test_poly_reference import gauss_det, gauss_solve
 
 F = Fraction
 
 
 def fpoly(*cs):
     return [F(c) for c in cs]
+
+
+def _padd(p, q):
+    n = max(len(p), len(q))
+    p, q = p + [F(0)] * (n - len(p)), q + [F(0)] * (n - len(q))
+    return _poly.trim([a + b for a, b in zip(p, q)])
 
 
 class TestPolyOps:
@@ -45,7 +52,7 @@ class TestPolyOps:
         if not b:
             return
         q, r = _poly.pdivmod(a, b)
-        assert _poly.padd(_poly.pmul(q, b), r) == a
+        assert _padd(_poly.pmul(q, b), r) == a
         assert _poly.degree(r) < _poly.degree(b)
 
     def test_gcd(self):
@@ -75,15 +82,15 @@ class TestMatrixOps:
             m = [[F(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             cp = _poly.charpoly(m, F(1))
             assert cp[-1] == 1
-            assert cp[0] == _poly.gauss_det(m) * F((-1) ** n)
+            assert cp[0] == gauss_det(m) * F((-1) ** n)
             assert cp[n - 1] == -sum(m[i][i] for i in range(n))
 
     def test_gauss_solve(self):
         m = [[F(2), F(1)], [F(1), F(3)]]
-        x = _poly.gauss_solve(m, [F(5), F(10)])
+        x = gauss_solve(m, [F(5), F(10)])
         assert [2 * x[0] + x[1], x[0] + 3 * x[1]] == [F(5), F(10)]
         with pytest.raises(ZeroDivisionError):
-            _poly.gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(1)])
+            gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(1)])
 
 
 SMALL_PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]

@@ -1,8 +1,10 @@
 """The characteristic polynomial and the squarefree test against slow references.
 
-``_poly.charpoly`` reduces a matrix to Hessenberg form by similarity and
-reads det(T*I - H) off a recurrence.  The reference below is
-Faddeev-LeVerrier: n matrix products, dividing only by the integers 1..n.
+``_poly.charpoly`` is Berkowitz's division-free algorithm.  It is checked
+against two references: Faddeev-LeVerrier (n matrix products, dividing only
+by the integers 1..n) and a Hessenberg reduction by similarity over a field.
+The Gauss eliminations below are the references for the tower norm, the
+tower inverse and the Gram determinant, which all go through ``charpoly``.
 
 ``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z by
 a primitive remainder sequence.  The reference is the Euclidean gcd of p and
@@ -20,6 +22,112 @@ from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field
 from endofactor.localfield import BaseField, make_extension
 
 F = Fraction
+
+
+def mat_mul(a, b):
+    n, m, r = len(a), len(b[0]), len(b)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            t = a[i][0] * b[0][j]
+            for k in range(1, r):
+                t = t + a[i][k] * b[k][j]
+            row.append(t)
+        out.append(row)
+    return out
+
+
+def gauss_solve(mat, rhs):
+    """Solve mat*x = rhs over Fractions; raises ZeroDivisionError if singular."""
+    n = len(mat)
+    a = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def gauss_det(mat):
+    """Determinant over Fractions."""
+    n = len(mat)
+    a = [list(map(Fraction, row)) for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def hessenberg_charpoly(mat, one):
+    """det(T*I - mat), constant term first, for entries in a field.
+
+    Hessenberg reduction by similarity, then the recurrence for the
+    characteristic polynomial of a Hessenberg matrix (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).
+    """
+    n = len(mat)
+    zero = one - one
+    h = [list(row) for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = one / h[m][m - 1]
+        pivot_row = h[m]
+        for i in range(m + 1, n):
+            if not h[i][m - 1]:
+                continue
+            # row i -= u * row m, then column m += u * column i
+            u = h[i][m - 1] * inv
+            row = h[i]
+            row[m - 1] = zero
+            for j in range(m, n):
+                if pivot_row[j]:
+                    row[j] = row[j] - u * pivot_row[j]
+            for r in h:
+                if r[i]:
+                    r[m] = r[m] + u * r[i]
+    polys = [[one]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        diag = h[m - 1][m - 1]
+        cur = [zero] + prev
+        for k in range(m):
+            cur[k] = cur[k] - diag * prev[k]
+        sub = one
+        for i in range(m - 1, 0, -1):
+            sub = sub * h[i][i - 1]
+            if not sub:
+                break
+            c = sub * h[i - 1][m - 1]
+            if c:
+                for k, v in enumerate(polys[i - 1]):
+                    cur[k] = cur[k] - c * v
+        polys.append(cur)
+    return polys[n]
 
 
 def _mat_trace(a):
@@ -41,7 +149,7 @@ def _faddeev_leverrier(mat, one):
     for i in range(n):
         m[i][i] = one
     for k in range(1, n + 1):
-        m = _poly.mat_mul(mat, m)
+        m = mat_mul(mat, m)
         c = _mat_trace(m) * Fraction(-1, k)
         coeffs[n - k] = c
         for i in range(n):
@@ -49,22 +157,25 @@ def _faddeev_leverrier(mat, one):
     return coeffs
 
 
-def _assert_matches(mat, one):
-    assert _poly.charpoly(mat, one) == _faddeev_leverrier(mat, one)
+def _assert_matches(mat, one, charpoly=_poly.charpoly):
+    """charpoly(mat, one) equals both references; integer matrices are
+    reduced by Hessenberg over Q."""
+    out = charpoly(mat, one)
+    assert out == _faddeev_leverrier(mat, one)
+    assert out == hessenberg_charpoly(mat, Fraction(one) if isinstance(one, int) else one)
+    return out
 
 
 @pytest.fixture
 def checked_charpoly(monkeypatch):
-    """Route every ``_poly.charpoly`` call through the reference; return the
-    list of matrices seen."""
+    """Route every ``_poly.charpoly`` call through the references; return
+    the list of matrices seen."""
     seen = []
     fast = _poly.charpoly
 
     def both(mat, one):
         seen.append(mat)
-        out = fast(mat, one)
-        assert out == _faddeev_leverrier(mat, one)
-        return out
+        return _assert_matches(mat, one, fast)
 
     monkeypatch.setattr(_poly, "charpoly", both)
     return seen
@@ -124,11 +235,11 @@ def _degenerate_matrices(rng):
                  for i in range(n)]
     lower = [[F(1) if i == j else (r() if j < i else F(0)) for j in range(n)]
              for i in range(n)]
-    conj = _poly.mat_mul(_poly.mat_mul(lower, unipotent), strict)
-    inv_cols = [_poly.gauss_solve(_poly.mat_mul(lower, unipotent),
-                                  [F(int(i == j)) for i in range(n)]) for j in range(n)]
+    conj = mat_mul(mat_mul(lower, unipotent), strict)
+    inv_cols = [gauss_solve(mat_mul(lower, unipotent),
+                            [F(int(i == j)) for i in range(n)]) for j in range(n)]
     inv = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
-    yield _poly.mat_mul(conj, inv)
+    yield mat_mul(conj, inv)
 
 
 def test_degenerate_shapes(rng):
@@ -144,12 +255,16 @@ def test_e_valued_matrices(rng, checked_charpoly, delta_e):
     base = BaseField("p-adic", 3)
     ub = UnitaryBaseData(base, delta_e)
     E = ub.E
+    xs = []
     for f, e in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
         tower = make_extension(base, f, [-3, 1] if e == 1 else [-3, 0, 1])
         alg = ub.algebra_over(tower)
-        for _ in range(3):
-            x = alg.element(support.random_unit(rng, tower), support.random_unit(rng, tower))
-            charpoly_over(x, "E")
+        xs += [alg.element(support.random_unit(rng, tower), support.random_unit(rng, tower))
+               for _ in range(3)]
+    # drawing the elements takes tower norms and inverses, checked above
+    checked_charpoly.clear()
+    for x in xs:
+        charpoly_over(x, "E")
     assert [len(m) for m in checked_charpoly] == [1] * 3 + [2] * 6 + [4] * 3 + [3] * 3
     for n in range(1, 6):
         mat = [[E.element(_random_fraction(rng), _random_fraction(rng))
@@ -159,10 +274,14 @@ def test_e_valued_matrices(rng, checked_charpoly, delta_e):
 
 def test_degree_eight_matrices_of_quartic_tower(rng, checked_charpoly):
     tower = make_extension(BaseField("p-adic", 5), 2, [[0, -5], [0, 0], [1]])
+    xs = []
     for delta in tower.square_class_reps()[1:]:
         alg = quadratic_field(tower, delta)
-        for _ in range(4):
-            charpoly_over(support.random_etale_unit(rng, alg), "F")
+        xs += [support.random_etale_unit(rng, alg) for _ in range(4)]
+    # drawing the elements takes tower norms and inverses, checked above
+    checked_charpoly.clear()
+    for x in xs:
+        charpoly_over(x, "F")
     assert [len(m) for m in checked_charpoly] == [8] * 12
 
 

@@ -17,6 +17,7 @@ import pytest
 from endofactor.document import parse_tower_literal
 from endofactor.etale import quadratic_field
 from endofactor.localfield import BaseField, _vp, make_extension, trivial_tower, valuation
+from test_poly_reference import gauss_det, gauss_solve
 
 P = 5
 SHAPES = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 3))
@@ -114,6 +115,9 @@ def test_flat_product_matches_reference(tower, rng):
                 for m in monomials]
         assert tower.mult_matrix(x) == [list(row) for row in zip(*cols)]
         assert _ref_mul(tower, _rows(tower, x), _rows(tower, x.inverse())) == one
+        assert tower.norm_to_base(x) == gauss_det(tower.mult_matrix(x))
+        e_1 = [1] + [0] * (tower.n - 1)
+        assert list(x.inverse().coords) == gauss_solve(tower.mult_matrix(x), e_1)
         if not tower.base.is_real:
             assert valuation(x) == _ref_valuation(tower, x)
             if valuation(x) >= 0:
@@ -157,8 +161,8 @@ def test_equal_elements_have_equal_keys(tower, rng):
 
 
 def test_kernel_builds_no_fraction(monkeypatch):
-    """A product, a sum and a valuation on an f = e = 2 tower over Q_5 run
-    on integers alone: not one Fraction is constructed."""
+    """A product, a sum, a valuation and an inverse on an f = e = 2 tower
+    over Q_5 run on integers alone: not one Fraction is constructed."""
     tower = make_extension(BaseField("p-adic", P), 2, _eis(2, 2))
     x = tower.from_coords([[Fraction(3, 25), 7], [Fraction(-4, 9), Fraction(1, 2)]])
     y = tower.from_coords([[2, Fraction(5, 3)], [0, Fraction(-1, 10)]])
@@ -176,4 +180,5 @@ def test_kernel_builds_no_fraction(monkeypatch):
     x * y
     x + y
     valuation(x)
+    x.inverse()
     assert built == []

@@ -5,6 +5,7 @@ import pytest
 from endofactor.errors import NotInFixedField, PoleAtMinusOne, PoleAtOne
 from endofactor.etale import quadratic_field
 from endofactor.factor import compute_delta
+from endofactor.forms import gram_block
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import IndexEntry, RegularParam
 from endofactor.verify import (
@@ -21,6 +22,7 @@ from endofactor.verify import (
     reconstruct_delta,
     run_suite,
 )
+from test_poly_reference import gauss_det
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
@@ -151,6 +153,11 @@ class TestCd:
             inst = make_instance(rng, "twisted_gl_odd", p=5)
             data = make_lie_param(inst.y, inst.x, inst.g)
             assert check_cD_square_class(data)
+            # the Gram determinants against the Gauss reference
+            want = -inst.g.nu.as_fraction()
+            for en in inst.y.entries:
+                want *= gauss_det(gram_block(en.algebra, en.algebra.element(1)))
+            assert data.c_D.as_fraction() == want
 
     def test_nonsquare_perturbation_fails(self, rng):
         from support import make_instance
