@@ -176,28 +176,22 @@ class _LiteralParser:
 
 
 def parse_tower_literal(text, tower, where="literal"):
-    env = {}
-    if not tower.base.is_real:
-        env["pi"] = tower.pi()
-    if tower.f >= 2:
-        env["u"] = tower.ugen()
-    try:
-        return _LiteralParser(text, env, tower.element, where).parse()
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"cannot evaluate {text!r}: {exc}", where) from None
+    return _parse_literal(text, tower, tower.element, {}, where)
 
 
 def parse_etale_literal(text, algebra, where="literal"):
-    tower = algebra.base_pm
-    env = {"s": algebra.rt()}
+    return _parse_literal(text, algebra.base_pm, algebra.element, {"s": algebra.rt()}, where)
+
+
+def _parse_literal(text, tower, element, env, where):
+    """Evaluate a literal over env and the generators pi and u of tower,
+    which element lifts into the ring of the value."""
     if not tower.base.is_real:
-        env["pi"] = algebra.element(tower.pi())
+        env["pi"] = element(tower.pi())
     if tower.f >= 2:
-        env["u"] = algebra.element(tower.ugen())
+        env["u"] = element(tower.ugen())
     try:
-        return _LiteralParser(text, env, algebra.element, where).parse()
+        return _LiteralParser(text, env, element, where).parse()
     except ParseError:
         raise
     except Exception as exc:
@@ -232,6 +226,13 @@ def _opt(obj, key, default=None):
     return obj.get(key, default) if isinstance(obj, dict) else default
 
 
+def _precision(base_spec):
+    """The declared precision; 64 when it is absent or null."""
+    if _opt(base_spec, "precision") is None:
+        return 64
+    return _need(base_spec, "precision", "$.base", int)
+
+
 def load_document(text, *, precision=None):
     """Parse a JSON instance document (a string) into an InstanceDocument."""
     try:
@@ -239,17 +240,18 @@ def load_document(text, *, precision=None):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"line {exc.lineno}, column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "$") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "$")
     base_spec = _need(doc, "base", "$")
     kind = _need(base_spec, "kind", "$.base", str)
     try:
         if kind == "real":
-            base = BaseField("real",
-                             precision=precision or _opt(base_spec, "precision", 64))
+            base = BaseField("real", precision=precision or _precision(base_spec))
         elif kind == "p-adic":
             base = BaseField("p-adic", _need(base_spec, "p", "$.base", int),
-                             precision=precision or _opt(base_spec, "precision", 64))
+                             precision=precision or _precision(base_spec))
         else:
             raise ParseError(f"unknown base kind {kind!r}", "$.base.kind")
     except ValueError as exc:

@@ -1,19 +1,26 @@
 """Quadratic etale algebras over a tower, with involution tau, norms,
 traces, and characteristic polynomials over the ground field.
 
-An algebra is presented as F_pm[rt]/(rt^2 - delta): elements are written
-a + b*rt with a, b in the tower F_pm, and tau is b -> -b.  It is a field
-iff delta is a non-square.  When delta is a square with a known root s
-(split algebras are built with delta = 1, s = 1), the element corresponds
-to the coordinate pair (a + b*s, a - b*s) of F_pm (+) F_pm and tau is the
+An algebra is presented as F_pm[rt]/(rt^2 - delta), with a + b*rt for a,
+b in the tower F_pm, and tau is b -> -b.  It is a field iff delta is a
+non-square.  When delta is a square with a known root s (split algebras
+are built with delta = 1, s = 1), the element corresponds to the
+coordinate pair (a + b*s, a - b*s) of F_pm (+) F_pm and tau is the
 coordinate swap.
+
+The algebra is an IntegerStructure of its own, on the 2n monomials
+u^a * pi^b * rt^c: it builds integer structure constants once, from the
+tower's and the integer matrix of delta, and an element is 2n integer
+numerators over one denominator, the n of a then the n of b.  It is
+added, multiplied, compared and hashed by the tower kernel's code; a and
+b are views.
 
 The unitary construction tensors F_pm with a quadratic extension E of the
 base field.  The tensor algebra reuses E's rt symbol (delta is the image
-of delta_E), so E embeds coordinate-wise and the characteristic polynomial
-of an element over E is the charpoly of an explicit m x m matrix with
-entries in E.  Over the base field it is the charpoly of an integer
-2m x 2m block matrix built from the tower kernel's numerators; both go
+of delta_E), so E embeds coordinate-wise.  The characteristic polynomial
+of an element over the base field is that of its integer 2n x 2n matrix,
+rescaled once; over E it is that of the n x n matrix with entries in E
+that the two left blocks of the same integer matrix give.  Both go
 through the one division-free routine ``_poly.charpoly``.  No compositum
 and no p-adic square root is ever needed: whether the tensor splits is
 decided by an exact square test.
@@ -21,6 +28,7 @@ decided by an exact square test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -34,16 +42,19 @@ from .errors import (
 )
 from .localfield import (
     FieldElement,
+    FlatElement,
+    IntegerStructure,
     ResidueField,
-    RingOps,
     is_square,
     trivial_tower,
+    _normal,
     _reduce_mod,
+    _sparse_table,
     _vp,
 )
 
 
-class QuadraticEtale:
+class QuadraticEtale(IntegerStructure):
     """F_pm[rt]/(rt^2 - delta); a quadratic field or the split algebra."""
 
     def __init__(self, base_pm, delta, *, split_root=None, unitary_base=None,
@@ -61,17 +72,38 @@ class QuadraticEtale:
             raise UnsupportedCase("delta is a square; use split_algebra instead")
         self._fingerprint = ("etale", base_pm._fingerprint, delta.num, delta.den,
                              None if unitary_base is None else unitary_base.fingerprint)
+        self.n, self._table, self._D = 2 * base_pm.n, *self._structure_constants()
+
+    def _structure_constants(self):
+        """(table, D) on the monomials m_k * rt^c at index c*n + k, m_k those
+        of the tower.  m_i*m_j*rt^(c+c') is the tower product over D moved
+        to the rt^(c+c') half, or for c = c' = 1 that product times delta:
+        over D * s, s = delta.den * D, the integer matrix of delta times the
+        product's numerators."""
+        tower = self.base_pm
+        n, s = tower.n, self.delta.den * tower._D
+        dm = tower._num_matrix(self.delta)
+        rows = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+        for i, j in itertools.product(range(2 * n), repeat=2):
+            c = i // n + j // n
+            for k, t in tower._table[i % n][j % n]:
+                if c < 2:
+                    rows[i][j][c * n + k] += t * s
+                else:
+                    for l in range(n):
+                        rows[i][j][l] += t * dm[l][k]
+        return _sparse_table(rows, tower._D * s)
 
     # -- element construction -----------------------------------------------
 
     def element(self, a, b=0):
-        return EtaleElement(self, self.base_pm.element(a), self.base_pm.element(b))
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
+        """a + b*rt; a and b are coerced into the tower.  Over the lcm of
+        their denominators the numerators have no common factor with it, so
+        the result is in normal form."""
+        a, b = self.base_pm.element(a), self.base_pm.element(b)
+        den = math.lcm(a.den, b.den)
+        ma, mb = den // a.den, den // b.den
+        return EtaleElement(self, tuple(c * ma for c in a.num) + tuple(c * mb for c in b.num), den)
 
     def rt(self):
         """The square root of delta."""
@@ -93,11 +125,12 @@ class QuadraticEtale:
             x = x.as_fraction()
         return self.element(self.base_pm.element(Fraction(x)))
 
-    def __eq__(self, other):
-        return isinstance(other, QuadraticEtale) and self._fingerprint == other._fingerprint
-
-    def __hash__(self):
-        return hash(self._fingerprint)
+    def _invert(self, x):
+        """tau(x) / N(x), N(x) inverted in the tower."""
+        n = x.norm()
+        if not n:
+            raise ZeroValuation("element is not a unit in the etale algebra")
+        return x.tau() * n.inverse()
 
     def __repr__(self):
         shape = "field" if self.is_field else "split"
@@ -114,17 +147,13 @@ def split_algebra(base_pm):
     return QuadraticEtale(base_pm, base_pm.one(), split_root=base_pm.one())
 
 
-class EtaleElement(RingOps):
-    """a + b*rt in a quadratic etale algebra."""
+class EtaleElement(FlatElement):
+    """a + b*rt in a quadratic etale algebra: the n numerators of a, then
+    the n of b, over one denominator.  ``a`` and ``b`` are views."""
 
-    __slots__ = ("algebra", "a", "b")
+    __slots__ = ()
 
-    def __init__(self, algebra, a, b):
-        self.algebra = algebra
-        self.a = a
-        self.b = b
-
-    # -- coercion -------------------------------------------------------------
+    algebra = FlatElement.ring      # the slot ``ring`` under this name
 
     def _co(self, other):
         alg = self.algebra
@@ -145,60 +174,26 @@ class EtaleElement(RingOps):
             return None
         return None
 
-    # -- ring operations --------------------------------------------------------
+    # -- views over the tower ---------------------------------------------------
 
-    def _one(self):
-        return self.algebra.one()
+    @property
+    def a(self):
+        tower = self.algebra.base_pm
+        return _normal(FieldElement, tower, self.num[:tower.n], self.den)
 
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return EtaleElement(self.algebra, self.a + o.a, self.b + o.b)
-
-    def __neg__(self):
-        return EtaleElement(self.algebra, -self.a, -self.b)
-
-    def __mul__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        d = self.algebra.delta
-        return EtaleElement(
-            self.algebra,
-            self.a * o.a + d * (self.b * o.b),
-            self.a * o.b + self.b * o.a,
-        )
-
-    def inverse(self):
-        n = self.norm()
-        if not n:
-            raise ZeroValuation("element is not a unit in the etale algebra")
-        ninv = n.inverse()
-        return EtaleElement(self.algebra, self.a * ninv, -self.b * ninv)
-
-    def __eq__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __hash__(self):
-        a, b = self.a, self.b
-        return hash((self.algebra._fingerprint, a.num, a.den, b.num, b.den))
-
-    # -- structure ----------------------------------------------------------------
+    @property
+    def b(self):
+        tower = self.algebra.base_pm
+        return _normal(FieldElement, tower, self.num[tower.n:], self.den)
 
     def tau(self):
         """The nontrivial automorphism over F_pm."""
-        return EtaleElement(self.algebra, self.a, -self.b)
+        n = self.algebra.base_pm.n
+        return EtaleElement(self.algebra, self.num[:n] + tuple(-c for c in self.num[n:]), self.den)
 
     def norm(self):
         """x * tau(x), an element of F_pm."""
-        return self.a * self.a - self.algebra.delta * (self.b * self.b)
+        return (self * self.tau()).a
 
     def trace(self):
         """x + tau(x), an element of F_pm."""
@@ -209,7 +204,7 @@ class EtaleElement(RingOps):
 
     def as_base(self):
         """The F_pm-value of a tau-fixed element; exact zero test on b."""
-        if self.b:
+        if any(self.num[self.algebra.base_pm.n:]):
             raise NotInFixedField("rt-coordinate is nonzero")
         return self.a
 
@@ -218,19 +213,21 @@ class EtaleElement(RingOps):
         s = self.algebra.split_root
         if s is None:
             raise UnsupportedCase("no explicit square root of delta is known")
-        return (self.a + self.b * s, self.a - self.b * s)
+        a, b = self.a, self.b
+        return (a + b * s, a - b * s)
 
     def __repr__(self):
         if not self:
             return "0"
+        a, b = self.a, self.b
         parts = []
-        if self.a:
-            parts.append(repr(self.a))
-        if self.b:
-            if self.b == self.algebra.base_pm.one():
+        if a:
+            parts.append(repr(a))
+        if b:
+            if b == self.algebra.base_pm.one():
                 parts.append("s")
             else:
-                parts.append(" + ".join(f"{t}*s" for t in repr(self.b).split(" + ")))
+                parts.append(" + ".join(f"{t}*s" for t in repr(b).split(" + ")))
         return " + ".join(parts)
 
 
@@ -246,51 +243,33 @@ def charpoly_over(x, ground="F"):
     """Characteristic polynomial of multiplication by x.
 
     ground "F": over the base field, degree 2*[F_pm:F], Fraction
-    coefficients (constant first), from the charpoly of an integer matrix
-    rescaled once.  ground "E": over the unitary quadratic extension,
-    degree [F_pm:F], coefficients are elements of E, from the charpoly of
-    the matrix of x with entries in E.
+    coefficients (constant first), from the charpoly of the algebra's
+    integer matrix of x rescaled once.  ground "E": over the unitary
+    quadratic extension, degree n = [F_pm:F], coefficients are elements of
+    E.  That integer matrix is N / s; the E-linear map x is A + B*rt on the
+    tower basis, and the two left blocks of N are s*A above s*B, so the
+    charpoly of the E-matrix N_A + N_B*rt is taken and rescaled by s^(k-n).
     """
     alg = x.algebra
-    tower = alg.base_pm
     if ground == "F":
-        n = tower.n
-        if n == 1:
-            return [x.norm().as_fraction(), -x.trace().as_fraction(), Fraction(1)]
-        # The matrix of x is [[A, DB], [B, A]], the blocks being the
-        # matrices of a, delta*b and b.  Each is an integer matrix over
-        # s = v.den * D; scaled by the lcm L of the three s it is the
-        # integer matrix M, and chi_(M/L)(T) = L^(-2n) * chi_M(L*T).
-        parts = (x.a, alg.delta * x.b, x.b)
-        L = math.lcm(*(v.den for v in parts)) * tower._D
-        A, DB, B = ([[c * (L // (v.den * tower._D)) for c in row] for row in tower._num_matrix(v)]
-                    for v in parts)
-        mat = [ra + rdb for ra, rdb in zip(A, DB)] + [rb + ra for rb, ra in zip(B, A)]
-        return [Fraction(c, L ** (2 * n - k)) for k, c in enumerate(_poly.charpoly(mat, 1))]
+        return alg.base_charpoly(x)
     if ground == "E":
         ub = alg.unitary_base
         if ub is None:
             raise UnsupportedCase("charpoly over E needs a unitary tensor algebra")
-        n = tower.n
+        n = alg.base_pm.n
         E = ub.E
-        A = tower.mult_matrix(x.a)
-        B = tower.mult_matrix(x.b)
-        mat = [
-            [E.element(A[i][j], B[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        return _poly.charpoly(mat, E.one())
+        N = alg._num_matrix(x)
+        mat = [[E.element(N[i][j], N[n + i][j]) for j in range(n)] for i in range(n)]
+        s = x.den * alg._D
+        return [_normal(EtaleElement, E, c.num, c.den * s ** (n - k))
+                for k, c in enumerate(_poly.charpoly(mat, E.one()))]
     raise ValueError(f"unknown ground {ground!r}")
 
 
 def norm_to_ground(x):
     """Norm from the etale algebra all the way down to the base field."""
     return x.algebra.base_pm.norm_to_base(x.norm())
-
-
-def trace_to_ground(x):
-    """Trace from the etale algebra down to the base field."""
-    return x.algebra.base_pm.trace_to_base(x.trace())
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +304,7 @@ class UnitaryBaseData:
 
     def embed(self, e, algebra):
         """Embed an element of E into a derived tensor algebra."""
-        tower = algebra.base_pm
-        return EtaleElement(
-            algebra,
-            tower.element(e.a.as_fraction()),
-            tower.element(e.b.as_fraction()),
-        )
+        return algebra.element(e.a.as_fraction(), e.b.as_fraction())
 
     # -- tame structure of E (uniformizer, residue field, valuation) -----------
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import Degenerate, NonSymmetric
 from .localfield import hilbert_symbol, square_class, trivial_tower
-from .etale import trace_to_ground
 
 
 class QuadraticSpace:
@@ -163,13 +162,6 @@ def isomorphic(a, b):
 # trace forms
 # ---------------------------------------------------------------------------
 
-def _etale_basis(algebra):
-    """The ground-field basis of F_i: tower monomials times (1, rt)."""
-    out = [algebra.element(w) for w in algebra.base_pm._basis_elements()]
-    out += [algebra.element(0, w) for w in algebra.base_pm._basis_elements()]
-    return out
-
-
 def _assemble(ground, index_blocks, x_d=None):
     blocks = []
     if x_d is not None:
@@ -193,11 +185,11 @@ def gram_block(algebra, coeff):
     coefficient is tau-fixed."""
     if coeff.tau() != coeff:
         raise NonSymmetric("form coefficient is not tau-fixed")
-    basis = _etale_basis(algebra)
+    basis = list(algebra._basis_elements())
     rows = []
     for w1 in basis:
         t1 = w1.tau()
-        rows.append([trace_to_ground(t1 * w2 * coeff) for w2 in basis])
+        rows.append([algebra.trace_to_base(t1 * w2 * coeff) for w2 in basis])
     return rows
 
 

@@ -98,58 +98,6 @@ def _reduce_mod(x, m):
         raise ZeroValuation(f"{x} is not integral modulo {m}") from None
 
 
-class RingOps:
-    """The operators that FieldElement and EtaleElement share.
-
-    A subclass supplies ``_co`` (coercion of the other operand, None when
-    it does not apply), ``__add__``, ``__neg__``, ``__mul__``, ``_one`` and
-    ``inverse``.
-    """
-
-    __slots__ = ()
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (self ** -n).inverse()
-        result = self._one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base
-        return result
-
-
 @dataclass(frozen=True)
 class BaseField:
     """The ground local field: Q_p (kind 'p-adic') or R (kind 'real')."""
@@ -406,7 +354,76 @@ class ResidueElement:
 # towers and their elements
 # ---------------------------------------------------------------------------
 
-class ExtensionTower:
+def _sparse_table(rows, den):
+    """(table, D): rows[i][j], the integer numerators over den of the product
+    of basis monomials i and j, as the sparse pairs (k, c) of its nonzero
+    numerators over D, the common factor of den and the entries divided out."""
+    g = math.gcd(den, *(c for row in rows for w in row for c in w))
+    table = tuple(tuple(tuple((k, c // g) for k, c in enumerate(w) if c) for w in row)
+                  for row in rows)
+    return table, den // g
+
+
+class IntegerStructure:
+    """A ring with a basis of n monomials over the base field, multiplied
+    through integer structure constants: ``_table[i][j]`` is the product of
+    monomials i and j, as the sparse pairs (k, c) of its nonzero numerators
+    over the one denominator ``_D``.  Its elements are FlatElements.  A
+    subclass builds ``n``, ``_table``, ``_D`` and ``_fingerprint`` once,
+    none of which ever change, and supplies ``element`` and ``_invert``.
+    """
+
+    def zero(self):
+        return self.element(0)
+
+    def one(self):
+        return self.element(1)
+
+    def _basis_elements(self):
+        cls = type(self.one())
+        for k in range(self.n):
+            yield cls(self, tuple(int(i == k) for i in range(self.n)), 1)
+
+    def _num_matrix(self, x):
+        """The integer matrix of y -> x*y on the flat basis, over x.den * D."""
+        m = [[0] * self.n for _ in range(self.n)]
+        for xi, row in zip(x.num, self._table):
+            if not xi:
+                continue
+            for j, prod in enumerate(row):
+                for k, s in prod:
+                    m[k][j] += xi * s
+        return m
+
+    def mult_matrix(self, x):
+        """Matrix of y -> x*y on the flat basis, over Q."""
+        d = x.den * self._D
+        return [[Fraction(c, d) if c else _Q0 for c in row] for row in self._num_matrix(x)]
+
+    def trace_to_base(self, x):
+        """The trace of y -> x*y over the base field, as an exact Fraction."""
+        tr = 0
+        for xi, row in zip(x.num, self._table):
+            if xi:
+                tr += xi * sum(s for j, prod in enumerate(row) for k, s in prod if k == j)
+        return Fraction(tr, x.den * self._D)
+
+    def base_charpoly(self, x):
+        """The characteristic polynomial of y -> x*y over the base field,
+        constant term first, as Fractions.  The matrix of x is N / s with N
+        an integer matrix and s = x.den * D, so it is s^(-n) * chi_N(s*T)."""
+        s = x.den * self._D
+        n = self.n
+        return [Fraction(c, s ** (n - k)) for k, c in enumerate(_poly.charpoly(self._num_matrix(x), 1))]
+
+    def __eq__(self, other):
+        return isinstance(other, IntegerStructure) and self._fingerprint == other._fingerprint
+
+    def __hash__(self):
+        return hash(self._fingerprint)
+
+
+class ExtensionTower(IntegerStructure):
     """A finite extension of the base field, as unramified + Eisenstein step.
 
     Use :func:`make_extension`; the constructor assumes validated input.
@@ -485,18 +502,9 @@ class ExtensionTower:
                     w = step(w, 1, u_wrap, 1)
                 v = step(v, f, pi_wrap, d)
             rows.append(row)
-        g = math.gcd(d ** (e - 1), *(c for row in rows for w in row for c in w))
-        table = tuple(tuple(tuple((k, c // g) for k, c in enumerate(w) if c) for w in row)
-                      for row in rows)
-        return table, d ** (e - 1) // g
+        return _sparse_table(rows, d ** (e - 1))
 
     # -- construction of elements ------------------------------------------
-
-    def zero(self):
-        return self.element(0)
-
-    def one(self):
-        return self.element(1)
 
     def element(self, x):
         """Coerce an int, Fraction, or same-tower element."""
@@ -544,43 +552,11 @@ class ExtensionTower:
 
     # -- ring plumbing -------------------------------------------------------
 
-    def _basis_elements(self):
-        for k in range(self.n):
-            yield FieldElement(self, tuple(int(i == k) for i in range(self.n)), 1)
-
-    def _num_matrix(self, x):
-        """The integer matrix of y -> x*y on the flat basis, over x.den * D."""
-        m = [[0] * self.n for _ in range(self.n)]
-        for xi, row in zip(x.num, self._table):
-            if not xi:
-                continue
-            for j, prod in enumerate(row):
-                for k, s in prod:
-                    m[k][j] += xi * s
-        return m
-
-    def mult_matrix(self, x):
-        """Matrix of y -> x*y on the flat basis (index b*f + a), over Q."""
-        d = x.den * self._D
-        return [[Fraction(c, d) if c else _Q0 for c in row] for row in self._num_matrix(x)]
-
     def norm_to_base(self, x):
-        """Norm down to the base field, as an exact Fraction.  The matrix
-        of x is N / s with N an integer matrix and s = x.den * D, so the
-        norm is det(N) / s^n = (-1)^n * c_0 / s^n, where c_0 is the
-        constant term of the characteristic polynomial of N."""
-        n = self.n
-        if n == 1:
-            return Fraction(x.num[0], x.den)
-        c0 = _poly.charpoly(self._num_matrix(x), 1)[0]
-        return Fraction(-c0 if n % 2 else c0, (x.den * self._D) ** n)
-
-    def trace_to_base(self, x):
-        tr = 0
-        for xi, row in zip(x.num, self._table):
-            if xi:
-                tr += xi * sum(s for j, prod in enumerate(row) for k, s in prod if k == j)
-        return Fraction(tr, x.den * self._D)
+        """Norm down to the base field, as an exact Fraction: (-1)^n times
+        the constant term of the characteristic polynomial of x."""
+        c0 = self.base_charpoly(x)[0]
+        return -c0 if self.n % 2 else c0
 
     def _invert(self, x):
         """1/x on integers alone, by Cayley-Hamilton.  With N / s the matrix
@@ -601,7 +577,7 @@ class ExtensionTower:
             v[0] += c
         c0 = cp[0]
         s = x.den * self._D if c0 < 0 else -x.den * self._D
-        return _normal(self, [c * s for c in v], abs(c0))
+        return _normal(FieldElement, self, [c * s for c in v], abs(c0))
 
     # -- canonical data ------------------------------------------------------
 
@@ -628,63 +604,40 @@ class ExtensionTower:
     def is_trivial(self):
         return self.n == 1
 
-    def __eq__(self, other):
-        return isinstance(other, ExtensionTower) and self._fingerprint == other._fingerprint
-
-    def __hash__(self):
-        return hash(self._fingerprint)
-
     def __repr__(self):
         if self.n == 1:
             return repr(self.base)
         return f"{self.base}[f={self.f},e={self.e}]"
 
 
-def _normal(tower, num, den):
-    """The element num / den (den > 0) in normal form: gcd(den, *num) = 1."""
+def _normal(cls, ring, num, den):
+    """The element num / den (den > 0) of ring, of class cls, in normal
+    form: gcd(den, *num) = 1."""
     g = math.gcd(den, *num)
     if g != 1:
-        return FieldElement(tower, tuple(c // g for c in num), den // g)
-    return FieldElement(tower, tuple(num), den)
+        return cls(ring, tuple(c // g for c in num), den // g)
+    return cls(ring, tuple(num), den)
 
 
-class FieldElement(RingOps):
-    """An element of a tower, with exact rational coordinates.
+class FlatElement:
+    """An element of an IntegerStructure: a tower (FieldElement) or a
+    quadratic etale algebra over one (EtaleElement).
 
-    ``num`` holds n integer numerators (index k = b*f + a, the monomial
-    u^a pi^b) over the one positive denominator ``den``, in normal form:
-    gcd(den, *num) = 1, and zero is ((0,)*n, 1).  Equal elements therefore
-    have equal (num, den).  ``coords`` is a read-only view of the
-    coordinates as Fractions.
+    ``num`` holds the n integer numerators of its coordinates on the ring's
+    monomial basis over the one positive denominator ``den``, in normal
+    form: gcd(den, *num) = 1, and zero is ((0,)*n, 1).  Equal elements
+    therefore have equal (num, den).  Both element types are added,
+    multiplied, compared and hashed by the code below; a subclass supplies
+    ``_co``, the coercion of the other operand (None when it does not
+    apply).
     """
 
-    __slots__ = ("tower", "num", "den")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, tower, num, den):
-        self.tower = tower
+    def __init__(self, ring, num, den):
+        self.ring = ring
         self.num = num
         self.den = den
-
-    @property
-    def coords(self):
-        d = self.den
-        return tuple(Fraction(c, d) for c in self.num)
-
-    # -- coercion ------------------------------------------------------------
-
-    def _co(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower is not self.tower and other.tower._fingerprint != self.tower._fingerprint:
-                raise ValueError("elements of different towers")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.tower.element(other)
-        return None
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _one(self):
-        return self.tower.one()
 
     def __add__(self, other):
         o = self._co(other)
@@ -692,19 +645,20 @@ class FieldElement(RingOps):
             return NotImplemented
         a, b = self.den, o.den
         if a == b:
-            return _normal(self.tower, [x + y for x, y in zip(self.num, o.num)], a)
+            return _normal(type(self), self.ring, [x + y for x, y in zip(self.num, o.num)], a)
         g = math.gcd(a, b)
         ma, mb = b // g, a // g
-        return _normal(self.tower, [x * ma + y * mb for x, y in zip(self.num, o.num)], a * ma)
+        return _normal(type(self), self.ring,
+                       [x * ma + y * mb for x, y in zip(self.num, o.num)], a * ma)
 
     def __neg__(self):
-        return FieldElement(self.tower, tuple(-c for c in self.num), self.den)
+        return type(self)(self.ring, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        t = self.tower
+        t = self.ring
         out = [0] * t.n
         for xi, row in zip(self.num, t._table):
             if not xi:
@@ -714,10 +668,10 @@ class FieldElement(RingOps):
                     c = xi * yj
                     for k, s in prod:
                         out[k] += c * s
-        return _normal(t, out, self.den * o.den * t._D)
+        return _normal(type(self), t, out, self.den * o.den * t._D)
 
     def inverse(self):
-        return self.tower._invert(self)
+        return self.ring._invert(self)
 
     def __eq__(self, other):
         o = self._co(other)
@@ -729,7 +683,77 @@ class FieldElement(RingOps):
         return any(self.num)
 
     def __hash__(self):
-        return hash((self.tower._fingerprint, self.num, self.den))
+        return hash((self.ring._fingerprint, self.num, self.den))
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __truediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return (self ** -n).inverse()
+        result = self.ring.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            base = base * base
+        return result
+
+
+class FieldElement(FlatElement):
+    """An element of a tower, with exact rational coordinates: n = e*f
+    numerators, index k = b*f + a for the monomial u^a pi^b.  ``coords``
+    is a read-only view of the coordinates as Fractions.
+    """
+
+    __slots__ = ()
+
+    tower = FlatElement.ring        # the slot ``ring`` under this name
+    # bound here as well as inherited: perfbench/layers.py times
+    # FieldElement.__mul__ in this class's own namespace, apart from the
+    # etale products
+    __mul__ = FlatElement.__mul__
+
+    @property
+    def coords(self):
+        d = self.den
+        return tuple(Fraction(c, d) for c in self.num)
+
+    def _co(self, other):
+        if isinstance(other, FieldElement):
+            if other.tower is not self.tower and other.tower._fingerprint != self.tower._fingerprint:
+                raise ValueError("elements of different towers")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.tower.element(other)
+        return None
 
     # -- p-adic structure ------------------------------------------------------
 

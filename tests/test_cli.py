@@ -117,6 +117,39 @@ class TestValidate:
         assert code == 3 and out == ""
         assert capsys.readouterr().err == f"parse error: $.towers.K0: bad tower: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_deeply_nested_json_exits_three(self, tmp_path, capsys, command):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200000)
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == "parse error: $: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("kind", ["p-adic", "real"])
+    @pytest.mark.parametrize("precision", ["x", 64.5])
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_precision_of_the_wrong_type_exits_three(self, tmp_path, capsys,
+                                                     command, precision, kind):
+        doc = json.loads(SAMPLE.read_text())
+        doc["base"] = dict(doc["base"], kind=kind, precision=precision)
+        path = tmp_path / "precision.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: $.base: field 'precision' has the wrong type\n")
+
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_null_precision_is_the_default(self, tmp_path, command):
+        doc = json.loads(SAMPLE.read_text())
+        outputs = []
+        for precision in (64, None):
+            doc["base"]["precision"] = precision
+            path = tmp_path / "precision.json"
+            path.write_text(json.dumps(doc))
+            outputs.append(run_cli([command, str(path)]))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
         doc = json.loads(SAMPLE.read_text())
         doc["group"]["case"] = "foo"

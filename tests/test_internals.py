@@ -324,3 +324,32 @@ def test_tensor_with_wrong_extension_rejected(rng):
     g = GroupDescriptor("unitary", 1, base, E=ub1, eta=ub1.E.element(1))
     rep = validate_param(p, g, "endoscopic")
     assert any(code == "ext-mismatch" for code, _ in rep.violations)
+
+
+def test_layer_timing_wrappers_install_on_their_targets():
+    """perfbench/layers.py wraps every function and method it names where
+    it is defined: a renamed or merely inherited target fails here.  The
+    wrapped compute gives the same value, and uninstall restores it."""
+    import importlib.util
+    from endofactor import factor
+    from endofactor.document import load_document
+    from endofactor.localfield import ExtensionTower, FieldElement
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  root / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    doc = load_document((root / "sample-instance.json").read_text())
+    want, _ = factor.compute_delta(doc.y, doc.x, doc.group, doc.endoscopic)
+    originals = (FieldElement.__dict__["__mul__"], ExtensionTower.__dict__["norm_to_base"])
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+        with tracer.pass_():
+            got, _ = factor.compute_delta(doc.y, doc.x, doc.group, doc.endoscopic)
+    finally:
+        tracer.uninstall()
+    assert (got.angle, got.render()) == (want.angle, want.render())
+    assert tracer.passes[0]["factor.compute_delta"][0] == 1
+    assert (FieldElement.__dict__["__mul__"], ExtensionTower.__dict__["norm_to_base"]) == originals

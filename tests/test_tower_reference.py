@@ -1,4 +1,4 @@
-"""The tower product against a slow reference.
+"""The tower and etale products against slow references.
 
 A tower element is one flat vector of integer numerators over one common
 denominator, multiplied through the tower's integer structure constants.
@@ -7,6 +7,14 @@ u-coordinates, multiplied as polynomials in u and pi, with u^f reduced by
 the unramified polynomial and pi^e by the Eisenstein one after every
 product.  Both must give the same exact coordinates, and every result
 must be in normal form.
+
+An element a + b*rt of a quadratic etale algebra is one flat vector too:
+the numerators of a, then those of b, multiplied through the algebra's own
+structure constants.  Its references are the pair formulas in tower
+arithmetic: (a, b)(c, d) = (ac + delta*bd, ad + bc), the inverse
+(a, -b) / (a^2 - delta*b^2), and the characteristic polynomials of the
+block matrix [[A, delta*B], [B, A]] over F and of the matrix A + B*rt
+over E, where A and B are the tower matrices of a and b.
 """
 
 import math
@@ -14,9 +22,17 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor.document import parse_tower_literal
-from endofactor.etale import quadratic_field
-from endofactor.localfield import BaseField, _vp, make_extension, trivial_tower, valuation
+from endofactor import _poly
+from endofactor.document import parse_etale_literal, parse_tower_literal
+from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field, split_algebra
+from endofactor.localfield import (
+    BaseField,
+    FieldElement,
+    _vp,
+    make_extension,
+    trivial_tower,
+    valuation,
+)
 from test_poly_reference import gauss_det, gauss_solve
 
 P = 5
@@ -80,7 +96,7 @@ def _ref_residue(tower, x):
 
 def _assert_normal(x):
     """den > 0, gcd(den, *num) = 1, and zero is ((0,)*n, 1)."""
-    n = x.tower.n
+    n = x.ring.n
     assert len(x.num) == n and all(isinstance(c, int) for c in x.num + (x.den,))
     assert x.den > 0 and math.gcd(x.den, *x.num) == 1
     if not any(x.num):
@@ -182,3 +198,101 @@ def test_kernel_builds_no_fraction(monkeypatch):
     valuation(x)
     x.inverse()
     assert built == []
+
+
+# --- etale algebras -----------------------------------------------------------
+
+def _ref_etale_mul(alg, x, y):
+    a, b, c, d = x.a, x.b, y.a, y.b
+    return (a * c + alg.delta * (b * d), a * d + b * c)
+
+
+def _ref_etale_norm(alg, x):
+    return x.a * x.a - alg.delta * (x.b * x.b)
+
+
+def _ref_etale_inverse(alg, x):
+    ninv = _ref_etale_norm(alg, x).inverse()
+    return (x.a * ninv, -x.b * ninv)
+
+
+def _ref_charpoly_f(alg, x):
+    """The Fraction block matrix [[A, delta*B], [B, A]] and its charpoly."""
+    tower = alg.base_pm
+    A, DB, B = (tower.mult_matrix(v) for v in (x.a, alg.delta * x.b, x.b))
+    mat = [ra + rdb for ra, rdb in zip(A, DB)] + [rb + ra for rb, ra in zip(B, A)]
+    return _poly.charpoly(mat, Fraction(1))
+
+
+def _ref_charpoly_e(alg, x):
+    """The matrix A + B*rt with entries in E, and its charpoly."""
+    tower, E = alg.base_pm, alg.unitary_base.E
+    A, B = tower.mult_matrix(x.a), tower.mult_matrix(x.b)
+    n = tower.n
+    return _poly.charpoly([[E.element(A[i][j], B[i][j]) for j in range(n)] for i in range(n)],
+                          E.one())
+
+
+def _algebras():
+    q5 = BaseField("p-adic", P)
+    unramified, ramified = UnitaryBaseData(q5, 2), UnitaryBaseData(q5, 5 * Fraction(3, 4))
+    out = [("E-unramified", unramified.E), ("E-ramified", ramified.E)]
+    for f, e in SHAPES:
+        tower = make_extension(q5, f, _eis(f, e))
+        pi = tower.pi()
+        out += [(f"{tower!r}-field-unit", quadratic_field(tower, tower.unit_nonsquare() * Fraction(4, 9))),
+                (f"{tower!r}-field-pi", quadratic_field(tower, pi * Fraction(2, 3) + pi * pi)),
+                (f"{tower!r}-split", split_algebra(tower)),
+                (f"{tower!r}-tensor-unramified", unramified.algebra_over(tower)),
+                (f"{tower!r}-tensor-ramified", ramified.algebra_over(tower))]
+    return out
+
+
+ALGEBRAS = _algebras()
+
+
+@pytest.mark.parametrize("alg", [a for _, a in ALGEBRAS], ids=[name for name, _ in ALGEBRAS])
+def test_etale_kernel_matches_pair_formulas(alg, rng):
+    tower = alg.base_pm
+    for _ in range(6):
+        x = alg.element(_random_element(rng, tower), _random_element(rng, tower))
+        y = alg.element(_random_element(rng, tower), _random_element(rng, tower))
+        assert alg.element(x.a, x.b) == x and parse_etale_literal(repr(x), alg) == x
+        xy = x * y
+        assert (xy.a, xy.b) == _ref_etale_mul(alg, x, y)
+        assert ((x + y).a, (x + y).b) == (x.a + y.a, x.b + y.b)
+        assert ((-x).a, (-x).b) == (-x.a, -x.b)
+        assert x.norm() == _ref_etale_norm(alg, x)
+        for z in (xy, x + y, x - x, -x, x.tau(), x * 0, x * Fraction(3, 7)):
+            _assert_normal(z)
+        if x.norm():
+            inv = x.inverse()
+            _assert_normal(inv)
+            assert (inv.a, inv.b) == _ref_etale_inverse(alg, x)
+        assert charpoly_over(x, "F") == _ref_charpoly_f(alg, x)
+        if alg.unitary_base is not None:
+            assert charpoly_over(x, "E") == _ref_charpoly_e(alg, x)
+
+
+def test_etale_product_makes_no_tower_product(monkeypatch):
+    """One etale product and one sum run on the algebra's own structure
+    constants: not one tower product is taken."""
+    tower = make_extension(BaseField("p-adic", P), 2, _eis(2, 2))
+    alg = quadratic_field(tower, tower.pi() * Fraction(2, 3))
+    x = alg.element(tower.from_coords([[Fraction(3, 25), 7], [Fraction(-4, 9), 1]]),
+                    tower.from_coords([[2, Fraction(5, 3)], [0, Fraction(-1, 10)]]))
+    y = alg.element(tower.from_coords([[1, 2], [3, 4]]), tower.from_coords([[Fraction(1, 2)]]))
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting)
+    tower.one() * tower.one()
+    assert len(calls) == 1
+    calls.clear()
+    x * y
+    x + y
+    assert calls == []
