@@ -15,18 +15,30 @@ over the declared generators: ``pi`` and ``u`` for a tower, additionally
 ``s`` for the square root carried by an etale algebra or by E.  An exponent
 may not exceed MAX_LITERAL_EXPONENT in absolute value, and nor may the
 product of nested exponents such as ``(x^8)^8``.  The serializer emits
-literals this grammar parses back, so documents round-trip.
+literals this grammar parses back, so documents round-trip.  A literal in
+exactly the serializer's shape is read straight into the ring's integer
+numerators, with no ring product; any other text goes to the evaluator,
+which gives the same values and is the only source of error messages.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
-from .etale import UnitaryBaseData, quadratic_field, split_algebra
-from .localfield import MAX_TOWER_DEGREE, BaseField, make_extension, trivial_tower
+from .etale import EtaleElement, UnitaryBaseData, quadratic_field, split_algebra
+from .localfield import (
+    MAX_TOWER_DEGREE,
+    BaseField,
+    FieldElement,
+    make_extension,
+    trivial_tower,
+)
 from .params import (
     CASES,
     EndoscopicDatum,
@@ -46,6 +58,23 @@ from .params import (
 # most 0.4 s, and to -128 in up to 1.1 s (p = 199 and 401, Python 3.11, a
 # 2-vCPU Xeon); the serializer only writes exponents below the tower degree.
 MAX_LITERAL_EXPONENT = 64
+# The longest literal and the most indices a document may have, each
+# checked before anything it bounds is read.  The generated corpora, the
+# golden documents and the sample have literals of at most 600 characters
+# and at most 3 indices.
+MAX_LITERAL_LENGTH = 4096
+MAX_INDICES = 64
+
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+# One term of a literal in the shape the serializer writes (see
+# FieldElement.__repr__ and EtaleElement.__repr__), matched against
+# "*" + term: an optional rational, then u^a, pi^b and s in that order,
+# each part after a "*".
+_TERM = re.compile(r"(?:\*(-?[0-9]+)(?:/([1-9][0-9]*))?)?(\*u(?:\^([0-9]+))?)?"
+                   r"(\*pi(?:\^([0-9]+))?)?(\*s)?")
 
 
 def _tokenize(text, where):
@@ -60,16 +89,16 @@ def _tokenize(text, where):
             tokens.append((ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append((("num", int(text[i:j])), i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+            while j < len(text) and text[j] in _NAME_CHARS:
                 j += 1
             tokens.append((("name", text[i:j]), i))
             i = j
@@ -175,23 +204,68 @@ class _LiteralParser:
         self._fail("expected a value")
 
 
+def _read_literal(text, f, e, etale, where):
+    """The normal-form (num, den) of a literal in exactly the serializer's
+    shape, on the monomials u^a*pi^b (k = b*f + a) of a tower of degrees f
+    and e, followed for an etale algebra by the n = e*f monomials times s;
+    None for any other text.  A literal over MAX_LITERAL_LENGTH characters
+    raises ParseError."""
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ParseError(f"literal of {len(text)} characters exceeds the limit "
+                         f"{MAX_LITERAL_LENGTH}", where)
+    n = f * e
+    terms = []
+    try:
+        for term in text.split(" + "):
+            m = _TERM.fullmatch("*" + term)
+            if m is None:
+                return None
+            c, d, u, a, pi, b, s = m.groups()
+            a = (int(a) if a else 1) if u else 0
+            b = (int(b) if b else 1) if pi else 0
+            if (u and not 1 <= a < f) or (pi and not 1 <= b < e) or (s and not etale):
+                return None
+            terms.append((int(c) if c else 1, int(d) if d else 1, (n if s else 0) + b * f + a))
+    except ValueError:      # a number past the interpreter's digit limit
+        return None
+    den = math.lcm(*(d for _, d, _ in terms))
+    num = [0] * (2 * n if etale else n)
+    for c, d, k in terms:
+        num[k] += c * (den // d)
+    g = math.gcd(den, *num)
+    return tuple(c // g for c in num), den // g
+
+
 def parse_tower_literal(text, tower, where="literal"):
-    return _parse_literal(text, tower, tower.element, {}, where)
+    return _parse_literal(text, tower, tower, where)
 
 
 def parse_etale_literal(text, algebra, where="literal"):
-    return _parse_literal(text, algebra.base_pm, algebra.element, {"s": algebra.rt()}, where)
+    return _parse_literal(text, algebra, algebra.base_pm, where)
 
 
-def _parse_literal(text, tower, element, env, where):
-    """Evaluate a literal over env and the generators pi and u of tower,
-    which element lifts into the ring of the value."""
+def _parse_literal(text, ring, tower, where):
+    """The element of ring (tower, or an etale algebra over it) a literal
+    names: read directly when it has the serializer's shape, else
+    evaluated."""
+    etale = ring is not tower
+    read = _read_literal(text, tower.f, tower.e, etale, where)
+    if read is not None:
+        return (EtaleElement if etale else FieldElement)(ring, *read)
+    return _evaluate_literal(text, ring, tower, where)
+
+
+def _evaluate_literal(text, ring, tower, where):
+    """Evaluate a literal over the generators pi and u of tower, and s for
+    an etale algebra ring; the grammar's one evaluator and the source of
+    every error message."""
+    env = {"s": ring.rt()} if ring is not tower else {}
     if not tower.base.is_real:
-        env["pi"] = element(tower.pi())
+        env["pi"] = ring.element(tower.pi())
     if tower.f >= 2:
-        env["u"] = element(tower.ugen())
+        env["u"] = ring.element(tower.ugen())
     try:
-        return _LiteralParser(text, env, element, where).parse()
+        return _LiteralParser(text, env, ring.element, where).parse()
     except ParseError:
         raise
     except Exception as exc:
@@ -242,8 +316,13 @@ def load_document(text, *, precision=None):
                          f"line {exc.lineno}, column {exc.colno}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", "$") from None
+    except ValueError:      # the only other one: an integer past the digit limit
+        raise ParseError("invalid JSON: an integer has too many digits", "$") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object", "$")
+    if isinstance(doc.get("indices"), list) and len(doc["indices"]) > MAX_INDICES:
+        raise ParseError(f"{len(doc['indices'])} indices exceed the limit {MAX_INDICES}",
+                         "$.indices")
     base_spec = _need(doc, "base", "$")
     kind = _need(base_spec, "kind", "$.base", str)
     try:
@@ -262,23 +341,27 @@ def load_document(text, *, precision=None):
     if not isinstance(tower_specs, dict):
         raise ParseError("field 'towers' has the wrong type", "$.towers")
     towers = {}
-    helpers = {1: F}    # the unramified tower of degree f, for the eis literals
+    helpers = {1: F}    # the unramified tower of degree f, for evaluated eis literals
     for name, spec in tower_specs.items():
         where = f"$.towers.{name}"
         f = _need(spec, "f", where, int)
         eis_lits = _need(spec, "eis", where, list)
+        fu = max(f, 1)      # the eis literals are u-vectors of this length
         # bounds the degree of the unramified helper below and of the tower
-        degree = max(f, 1) * max(len(eis_lits) - 1, 1)
+        degree = fu * max(len(eis_lits) - 1, 1)
         if degree > MAX_TOWER_DEGREE:
             raise ParseError(f"tower degree {degree} exceeds the limit {MAX_TOWER_DEGREE}", where)
         try:
-            helper = helpers.get(max(f, 1))
-            if helper is None:
-                helper = helpers[f] = make_extension(base, f, [-(base.p if not base.is_real else 1), 1])
             coeffs = []
             for k, lit in enumerate(eis_lits):
-                val = parse_tower_literal(str(lit), helper, f"{where}.eis[{k}]")
-                coeffs.append([Fraction(c, val.den) for c in val.num])
+                lit, at = str(lit), f"{where}.eis[{k}]"
+                read = _read_literal(lit, fu, 1, False, at)
+                if read is None:    # evaluated over the unramified tower of degree fu
+                    if fu not in helpers:
+                        helpers[fu] = make_extension(base, fu, [-(base.p if not base.is_real else 1), 1])
+                    val = _evaluate_literal(lit, helpers[fu], helpers[fu], at)
+                    read = val.num, val.den
+                coeffs.append([Fraction(c, read[1]) for c in read[0]])
             towers[name] = make_extension(base, f, coeffs)
         except ParseError:
             raise

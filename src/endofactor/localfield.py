@@ -835,12 +835,13 @@ def make_extension(base, f, eis):
     if f < 1:
         raise ValueError("unramified degree must be >= 1")
     e = len(eis) - 1
-    if e < 1:
-        raise NotEisenstein("defining polynomial must have degree >= 1")
-    if p == 2 and e * f > 1:
+    # before the degree check, so f >= 2 over Q_2 fails alike for any eis
+    if p == 2 and max(e, 1) * f > 1:
         raise DyadicRamifiedUnsupported(
             "extensions with residue characteristic 2 are not supported"
         )
+    if e < 1:
+        raise NotEisenstein("defining polynomial must have degree >= 1")
     unram = canonical_unramified_poly(p, f)
     eis_uvecs = tuple(_norm_uvec(c, f) for c in eis)
     if eis_uvecs[-1] != tuple([_Q1] + [_Q0] * (f - 1)):
@@ -1047,19 +1048,25 @@ class _ResidueRing:
             return x[0]
         return x[0] + self.mods[0] * x[1]
 
-    def elements(self):
+    def decode(self, k):
         if self.kind == "z":
-            for a in range(self.mods[0]):
+            return (k,)
+        return (k % self.mods[0], k // self.mods[0])
+
+    def elements(self, half=False):
+        """Every element; with half, a set holding x or -x for every x."""
+        if self.kind == "z":
+            for a in range(self.mods[0] // 2 + 1 if half else self.mods[0]):
                 yield (a,)
         else:
-            for b in range(self.mods[1]):
+            for b in range(self.mods[1] // 2 + 1 if half else self.mods[1]):
                 for a in range(self.mods[0]):
                     yield (a, b)
 
     def squares(self):
         if self._squares is None:
             flags = bytearray(self.size)
-            for x in self.elements():
+            for x in self.elements(half=True):      # x and -x have one square
                 flags[self.encode(self.mul(x, x))] = 1
             self._squares = flags
         return self._squares
@@ -1094,8 +1101,8 @@ def brute_force_norm_oracle(c, ext, depth):
     squares = ring.squares()
     cbar = ring.reduce(c_n)
     dbar = ring.reduce(delta_n)
-    for b in ring.elements():
-        t = ring.add(cbar, ring.mul(dbar, ring.mul(b, b)))
-        if squares[ring.encode(t)]:
+    # c + delta*s over the squares s (their flags, so no square is stored)
+    for k in itertools.compress(range(ring.size), squares):
+        if squares[ring.encode(ring.add(cbar, ring.mul(dbar, ring.decode(k))))]:
             return 1
     return -1

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from endofactor.cli import main
-from endofactor.document import dump_document
+from endofactor.document import MAX_INDICES, MAX_LITERAL_LENGTH, dump_document
 from endofactor.localfield import MAX_ORACLE_RING, MAX_PRIME, MAX_TOWER_DEGREE
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample-instance.json"
@@ -116,6 +116,59 @@ class TestValidate:
         code, out = run_cli([command, str(path)])
         assert code == 3 and out == ""
         assert capsys.readouterr().err == f"parse error: $.towers.K0: bad tower: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_dyadic_unramified_tower_without_eisenstein_degree_exits_three(
+            self, tmp_path, capsys, command):
+        """Read without a helper tower, a one-coefficient eis over Q_2 with
+        f = 2 still reports the dyadic base, not the degree."""
+        doc = json.loads(SAMPLE.read_text())
+        doc["base"] = {"kind": "p-adic", "p": 2}
+        doc["towers"]["K0"] = {"f": 2, "eis": ["1"]}
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: $.towers.K0: bad tower: extensions with residue "
+            "characteristic 2 are not supported\n")
+
+    @pytest.mark.parametrize("literal, message", [
+        ("٣", "unexpected character '٣' at column 1"),
+        ("3²", "unexpected character '²' at column 2"),
+        ("0" * MAX_LITERAL_LENGTH + "3",
+         f"literal of {MAX_LITERAL_LENGTH + 1} characters exceeds the limit {MAX_LITERAL_LENGTH}")],
+        ids=["arabic-indic-digit", "superscript", "too-long"])
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_bad_literal_exits_three(self, tmp_path, capsys, command, literal, message):
+        doc = json.loads(SAMPLE.read_text())
+        doc["indices"][0]["y"] = literal
+        path = tmp_path / "literal.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == f"parse error: $.indices[0].y: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_too_many_indices_exits_three(self, tmp_path, capsys, command):
+        doc = json.loads(SAMPLE.read_text())
+        doc["indices"] = doc["indices"] * (MAX_INDICES + 1)
+        path = tmp_path / "indices.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"parse error: $.indices: {MAX_INDICES + 1} indices exceed the limit {MAX_INDICES}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_integer_past_the_digit_limit_exits_three(self, tmp_path, capsys, command):
+        doc = json.loads(SAMPLE.read_text())
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc).replace('"p": 5', '"p": 5' + "0" * 5000))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: $: invalid JSON: an integer has too many digits\n")
 
     @pytest.mark.parametrize("command", ["validate", "compute", "check"])
     def test_deeply_nested_json_exits_three(self, tmp_path, capsys, command):

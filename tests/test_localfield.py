@@ -85,6 +85,8 @@ class TestMakeExtension:
             make_extension(Q2, 1, [-2, 0, 1])
         with pytest.raises(DyadicRamifiedUnsupported):
             make_extension(Q2, 2, [-2, 1])
+        with pytest.raises(DyadicRamifiedUnsupported):
+            make_extension(Q2, 2, [1])              # f = 2 fails before the degree
         assert make_extension(Q2, 1, [-2, 1]).n == 1
 
     def test_real_trivial_only(self):
@@ -220,6 +222,20 @@ class TestNormTest:
         assert norm_test(F5.element(2), k) == -1
 
 
+def _every_element_oracle(c, ext, depth):
+    """The brute-force oracle's search over every b of O/pi^N, testing
+    c + delta*b*b, where the oracle itself scans the squares."""
+    tower = ext.base_pm
+    pi = tower.pi()
+    c_n = c * pi ** (-2 * (valuation(c) // 2))
+    delta_n = ext.delta * pi ** (-2 * (valuation(ext.delta) // 2))
+    ring = _ResidueRing(tower, valuation(c_n) + depth)
+    squares = ring.squares()
+    cbar, dbar = ring.reduce(c_n), ring.reduce(delta_n)
+    return 1 if any(squares[ring.encode(ring.add(cbar, ring.mul(dbar, ring.mul(b, b))))]
+                    for b in ring.elements()) else -1
+
+
 class TestOracle:
     def test_examples(self):
         k = quadratic_field(F5, F5.element(5))
@@ -242,6 +258,32 @@ class TestOracle:
         k = quadratic_field(F5, F5.element(5))
         with pytest.raises(UnsupportedCase, match=r"has 5\^1000000000 elements"):
             brute_force_norm_oracle(F5.element(2), k, 10 ** 9)
+
+    @pytest.mark.parametrize("p, f, eis", [(2, 1, [-1, 1]), (3, 1, [-1, 1]), (7, 1, [-1, 1]),
+                                           (3, 2, [-1, 1]), (3, 1, [-1, 0, 1]),
+                                           (7, 1, [-1, 0, 1])],
+                             ids=["z-2", "z-3", "z-7", "u-3", "pi-3", "pi-7"])
+    def test_squares_scan_against_every_element(self, p, f, eis):
+        """The squares of O/pi^N, built from half the ring, are those of
+        every element.  The oracle scans c + delta*s over them; the scan of
+        c + delta*b*b over every b gives the same verdict, for every pair of
+        square classes at the two smallest depths."""
+        tower = make_extension(BaseField("p-adic", p), f, [c * p if k == 0 else c
+                                                          for k, c in enumerate(eis)])
+        ring = _ResidueRing(tower, 3)
+        assert [ring.decode(ring.encode(x)) for x in ring.elements()] == list(ring.elements())
+        flags = bytearray(ring.size)
+        for x in ring.elements():
+            flags[ring.encode(ring.mul(x, x))] = 1
+        assert ring.squares() == flags
+        reps = tower.square_class_reps()
+        for delta in reps[1:]:
+            ext = quadratic_field(tower, delta)
+            for c in reps:
+                least = valuation(tower.element(4)) + valuation(delta) % 2 + 1
+                for depth in (least, least + 1):
+                    assert (brute_force_norm_oracle(c, ext, depth)
+                            == _every_element_oracle(c, ext, depth) == norm_test(c, ext))
 
     def test_matches_formula_on_ramified_tower(self):
         t = make_extension(BaseField("p-adic", 3), 1, [-3, 0, 1])
