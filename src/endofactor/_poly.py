@@ -2,12 +2,12 @@
 
 Polynomials are plain lists of coefficients, constant term first, trailing
 zeros stripped.  Coefficients may be Fractions or any of the package's
-element types; everything here only uses ``+ - *`` (and ``/`` where a field
-is documented), so one implementation serves Q, towers, and etale algebras.
+element types; everything here only uses ``+ - *``, so one implementation
+serves Q, towers, and etale algebras.
 ``charpoly`` needs only a commutative ring, so it also runs on the integer
 matrices of the tower kernel; ``is_squarefree`` works over Z when the
-coefficients are Fractions, and ``pgcd`` over E is the one path left that
-needs a field.
+coefficients are Fractions and over Z[sqrt(D)] when they lie in a quadratic
+field E, so no routine here needs a field.
 """
 
 from fractions import Fraction
@@ -49,59 +49,17 @@ def peval(p, x, zero):
     return acc
 
 
-def pmonic(p):
-    """Divide by the leading coefficient (field coefficients)."""
-    if not p:
-        raise ValueError("zero polynomial")
-    lead = p[-1]
-    return [c / lead for c in p]
-
-
-def pdivmod(p, q):
-    """Euclidean division over field coefficients."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    pairs = []
-    lead = q[-1]
-    while len(rem) >= len(q):
-        if not rem[-1]:
-            rem.pop()
-            continue
-        k = len(rem) - len(q)
-        c = rem[-1] / lead
-        pairs.append((k, c))
-        for j in range(len(q)):
-            rem[k + j] = rem[k + j] - c * q[j]
-        rem.pop()
-    if not pairs:
-        return [], trim(rem)
-    zero = lead - lead
-    out = [zero] * (1 + max(k for k, _ in pairs))
-    for k, c in pairs:
-        out[k] = out[k] + c
-    return trim(out), trim(rem)
-
-
-def pgcd(p, q):
-    """Monic gcd over field coefficients."""
-    a, b = trim(list(p)), trim(list(q))
-    while b:
-        _, r = pdivmod(a, b)
-        a, b = b, r
-    return pmonic(a) if a else a
-
-
 def is_squarefree(p):
     """No repeated factor: gcd(p, p') has degree <= 0.
 
     Rational p is scaled to a primitive integer polynomial and run through
     the primitive remainder sequence of (p, p'); by Gauss's lemma its last
-    nonzero term has the degree of the gcd over Q.  Other coefficients go
-    through ``pgcd``.
+    nonzero term has the degree of the gcd over Q.  Coefficients in a
+    quadratic field E = F(rt), rt^2 = delta = n/d, go through the same
+    sequence over Z[s], s = d*rt, s^2 = n*d (see ``_pair_squarefree``).
     """
     if not all(isinstance(c, (int, Fraction)) for c in p):
-        return degree(pgcd(p, pderiv(p))) <= 0
+        return _pair_squarefree(p)
     den = lcm(*(c.denominator for c in p))
     a = _primitive([c.numerator * (den // c.denominator) for c in p])
     b = _primitive(pderiv(a))
@@ -129,6 +87,50 @@ def _int_prem(a, b):
         for j, v in enumerate(b):
             rem[k + j] -= c * v
         rem = trim(rem)
+    return rem
+
+
+def _pair_squarefree(p):
+    """``is_squarefree`` for coefficients in a quadratic field E over the
+    trivial tower.  A coefficient (x + y*rt)/c is scaled by the lcm L of
+    the c and by d to the integer pair (x*d*L/c, y*L/c), standing for
+    X + Y*s; the pseudo-remainder sequence of (p, p') over Z[s] differs
+    from the Euclidean one over E by nonzero factors at each step, so its
+    last nonzero term has the degree of the gcd.  delta is a non-square, so
+    X + Y*s is zero only when X = Y = 0."""
+    delta = p[0].algebra.delta
+    d, D = delta.den, delta.num[0] * delta.den
+    den = lcm(*(c.den for c in p))
+    a = _primitive_pairs([(c.num[0] * d * (den // c.den), c.num[1] * (den // c.den)) for c in p])
+    b = _primitive_pairs([(k * x, k * y) for k, (x, y) in enumerate(a)][1:])
+    while b:
+        a, b = b, _primitive_pairs(_pair_prem(a, b, D))
+    return degree(a) <= 0
+
+
+def _primitive_pairs(coeffs):
+    """Integer pairs divided by the gcd of all their entries."""
+    content = gcd(*(v for pair in coeffs for v in pair))
+    return [(x // content, y // content) for x, y in coeffs] if content > 1 else coeffs
+
+
+def _pair_prem(a, b, D):
+    """The remainder of k*a by b for some nonzero k in Z[s], s^2 = D, on
+    integer pairs (x, y) = x + y*s (b nonzero)."""
+    rem = list(a)
+    l0, l1 = b[-1]
+    while len(rem) >= len(b):
+        c0, c1 = rem[-1]
+        g = gcd(l0, l1, c0, c1)
+        s0, s1, c0, c1 = l0 // g, l1 // g, c0 // g, c1 // g
+        k = len(rem) - len(b)
+        # rem * (s0 + s1*s) - (c0 + c1*s) * T^k * b; the top term cancels
+        rem = [(x * s0 + D * y * s1, x * s1 + y * s0) for x, y in rem[:-1]]
+        for j, (x, y) in enumerate(b[:-1]):
+            u, v = rem[k + j]
+            rem[k + j] = (u - c0 * x - D * c1 * y, v - c0 * y - c1 * x)
+        while rem and rem[-1] == (0, 0):
+            rem.pop()
     return rem
 
 

@@ -374,7 +374,7 @@ def load_document(text, *, precision=None):
         delta_lit = _need(doc["extension"], "delta", where)
         delta = parse_tower_literal(str(delta_lit), F, f"{where}.delta")
         try:
-            ub = UnitaryBaseData(base, delta.as_fraction())
+            ub = UnitaryBaseData(base, delta.as_fraction(), F)
         except Exception as exc:
             raise ParseError(f"bad extension: {exc}", where) from None
 
@@ -411,10 +411,13 @@ def load_document(text, *, precision=None):
         if ub is None:
             raise ParseError("characters need $.extension", f"$.endoscopic.{key}")
         where = f"$.endoscopic.{key}"
-        angle = _need(spec, "angle_pi", where)
+        angle = str(_need(spec, "angle_pi", where))
         try:
-            angle = Fraction(str(angle))
-        except ValueError:
+            # an exponent form like '1e10000000' would expand to a huge integer
+            if "e" in angle.lower():
+                raise ValueError(angle)
+            angle = Fraction(angle)
+        except (ValueError, ZeroDivisionError):
             raise ParseError("angle_pi must be a rational like '1/4'", where) from None
         return TameCharacter(ub, angle, _need(spec, "unit_exponent", where, int))
     endo = EndoscopicDatum(

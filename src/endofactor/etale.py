@@ -280,13 +280,14 @@ class UnitaryBaseData:
     """A quadratic field extension E of the base, plus the derived tensor
     algebras F_pm (x) E with their split/field determination."""
 
-    def __init__(self, base, delta_e):
+    def __init__(self, base, delta_e, F=None):
+        """F is the trivial tower of base, built here when not given."""
         if base.is_real:
             raise UnsupportedCase("unitary cases over R are not supported")
         if base.p == 2:
             raise UnsupportedCase("unitary cases over a dyadic base are not supported")
         self.base = base
-        self.F = trivial_tower(base)
+        self.F = trivial_tower(base) if F is None else F
         delta_e = self.F.element(delta_e)
         self.E = quadratic_field(self.F, delta_e)
         self.fingerprint = ("E", base.p, delta_e.num, delta_e.den)

@@ -11,6 +11,7 @@ from endofactor.document import MAX_INDICES, MAX_LITERAL_LENGTH, dump_document
 from endofactor.localfield import MAX_ORACLE_RING, MAX_PRIME, MAX_TOWER_DEGREE
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample-instance.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args):
@@ -202,6 +203,33 @@ class TestValidate:
             path.write_text(json.dumps(doc))
             outputs.append(run_cli([command, str(path)]))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize("angle", ["1/0", "1e10000000", "1E-3"],
+                             ids=["zero-denominator", "huge-exponent", "exponent"])
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_bad_angle_exits_three(self, tmp_path, capsys, command, angle):
+        """A zero denominator and an exponent form are parse errors, found
+        without expanding the exponent."""
+        doc = json.loads((GOLDEN / "large-prime-unitary.json").read_text())
+        doc["endoscopic"]["mu_plus"]["angle_pi"] = angle
+        path = tmp_path / "angle.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out = run_cli([command, str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: $.endoscopic.mu_plus: angle_pi must be a rational like '1/4'\n")
+
+    @pytest.mark.parametrize("angle", ["0.5", " 1/2 ", "-1.5", "5/2", 0.5])
+    def test_decimal_and_fraction_angles_parse(self, tmp_path, angle):
+        doc = json.loads((GOLDEN / "large-prime-unitary.json").read_text())
+        path = tmp_path / "angle.json"
+        path.write_text(json.dumps(doc))
+        want = run_cli(["compute", str(path)])
+        doc["endoscopic"]["mu_plus"]["angle_pi"] = angle
+        path.write_text(json.dumps(doc))
+        assert run_cli(["compute", str(path)]) == want and want[0] == 0
 
     def test_unknown_case_reports_the_group_step(self, tmp_path, capsys):
         doc = json.loads(SAMPLE.read_text())

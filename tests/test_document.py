@@ -353,3 +353,21 @@ def test_quartic_document_is_read_without_ring_products(monkeypatch, name):
     monkeypatch.setattr(document, "make_extension", counted_build)
     load_document(text)
     assert counts == {"products": 0, "towers": len(json.loads(text)["towers"])}
+
+
+def test_unitary_document_builds_the_trivial_tower_once(monkeypatch):
+    """E is built over the document's own F: loading a unitary document
+    builds F and the document's towers, and no second trivial tower."""
+    text = (GOLDEN / "large-prime-unitary.json").read_text()
+    built = []
+    build = localfield.make_extension
+
+    def counted(*args):
+        built.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(localfield, "make_extension", counted)
+    monkeypatch.setattr(document, "make_extension", counted)
+    doc = load_document(text)
+    assert len(built) == 1 + len(json.loads(text)["towers"])
+    assert doc.group.E.F.is_trivial and doc.group.E.F.base == doc.base

@@ -21,7 +21,7 @@ from endofactor.localfield import (
     trivial_tower,
 )
 from endofactor.params import TameCharacter
-from test_poly_reference import gauss_det, gauss_solve
+from test_poly_reference import gauss_det, gauss_solve, pdivmod, pgcd
 
 F = Fraction
 
@@ -38,9 +38,9 @@ def _padd(p, q):
 
 class TestPolyOps:
     def test_divmod(self):
-        q, r = _poly.pdivmod(fpoly(-1, 0, 1), fpoly(-1, 1))     # (T^2-1)/(T-1)
+        q, r = pdivmod(fpoly(-1, 0, 1), fpoly(-1, 1))     # (T^2-1)/(T-1)
         assert q == fpoly(1, 1) and r == []
-        q, r = _poly.pdivmod(fpoly(1, 0, 1), fpoly(-1, 1))
+        q, r = pdivmod(fpoly(1, 0, 1), fpoly(-1, 1))
         assert q == fpoly(1, 1) and r == fpoly(2)
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
@@ -51,14 +51,14 @@ class TestPolyOps:
         b = _poly.trim([F(c) for c in b])
         if not b:
             return
-        q, r = _poly.pdivmod(a, b)
+        q, r = pdivmod(a, b)
         assert _padd(_poly.pmul(q, b), r) == a
         assert _poly.degree(r) < _poly.degree(b)
 
     def test_gcd(self):
         a = _poly.pmul(fpoly(-1, 1), fpoly(-2, 1))
         b = _poly.pmul(fpoly(-1, 1), fpoly(-3, 1))
-        assert _poly.pgcd(a, b) == fpoly(-1, 1)
+        assert pgcd(a, b) == fpoly(-1, 1)
 
     def test_squarefree(self):
         assert _poly.is_squarefree(fpoly(-2, 1))
@@ -109,6 +109,27 @@ def _order(rf, e):
     while acc != rf.one:
         acc, k = acc * e, k + 1
     return k
+
+
+def _count_field_products(monkeypatch):
+    """A list that receives the number of multiplications of every F_q
+    product and power: one per ``_mul``, and per ``_pow`` the squarings and
+    products that square-and-multiply spends on the exponent (an inverse is
+    the power q - 2, counted as such)."""
+    calls = []
+    mul, power = ResidueField._mul, ResidueField._pow
+
+    def counted_mul(self, a, b):
+        calls.append(1)
+        return mul(self, a, b)
+
+    def counted_pow(self, a, n):
+        calls.append(abs(n).bit_length() + bin(abs(n)).count("1"))
+        return power(self, a, n)
+
+    monkeypatch.setattr(ResidueField, "_mul", counted_mul)
+    monkeypatch.setattr(ResidueField, "_pow", counted_pow)
+    return calls
 
 
 class TestResidueFields:
@@ -193,6 +214,26 @@ class TestResidueFields:
             want = next(e for e in rf.elements() if e and _order(rf, e) == rf.q - 1)
             assert rf.multiplicative_generator() == want
 
+    @pytest.mark.parametrize("p", SMALL_PRIMES + [101, 151, 199, 10007, 99991])
+    def test_closed_forms_against_the_list_polynomials(self, p, rng):
+        """The f = 1 and f = 2 products and powers (the canonical modulus
+        and x^2 - dbar) agree with the list-polynomial ``_fp_mulmod`` and
+        ``_fp_powmod`` that f >= 3 uses; an inverse is the power q - 2."""
+        for rf in _residue_fields(p):
+            mod, f = list(rf.modulus), rf.f
+
+            def generic(poly):
+                return tuple(poly + [0] * (f - len(poly)))
+
+            elems = [rf.element([rng.randrange(p) for _ in range(f)]).rep for _ in range(60)]
+            for a, b in zip(elems, elems[1:] + [rf.one.rep, (0,) * f]):
+                assert rf._mul(a, b) == generic(localfield._fp_mulmod(list(a), list(b), mod, p))
+                for n in (0, 1, 2, p, rf.q - 2, rf.q - 1, rng.randrange(3 * rf.q)):
+                    assert rf._pow(a, n) == generic(localfield._fp_powmod(list(a), n, mod, p))
+                inv = localfield._fp_powmod(list(a), rf.q - 2, mod, p)
+                n = rng.randrange(1, rf.q)
+                assert rf._pow(a, -n) == generic(localfield._fp_powmod(inv, n, mod, p))
+
     def test_dlog_costs_two_square_roots_of_q(self, monkeypatch):
         """About 2*ceil(sqrt(q)) multiplications in F_q at p = 10007, where a
         table of powers would take q - 1 = 100140048."""
@@ -212,7 +253,7 @@ class TestResidueFields:
         x = rf.element([1234, 5678])
         k = rf.dlog(x)
         assert rf.multiplicative_generator() ** k == x
-        assert len(calls) <= budget
+        assert 0 < len(calls) <= budget
 
     @pytest.mark.parametrize("p", [p for p in SMALL_PRIMES if p < 30])
     def test_subgroup_dlog_against_the_full_one(self, p):
@@ -260,21 +301,14 @@ class TestResidueFields:
         assert not ub.ramified
         mu = TameCharacter(ub, Fraction(1, 2), (p - 1) * 1234)
         log_q = (p * p).bit_length()
-        calls = []
-        mul = localfield._fp_mulmod
-
-        def counted(*args):
-            calls.append(1)
-            return mul(*args)
-
-        monkeypatch.setattr(localfield, "_fp_mulmod", counted)
+        calls = _count_field_products(monkeypatch)
         assert mu.restricts_to_sgn_power(1)
-        assert len(calls) <= 2 * 2 * (math.isqrt(p - 1) + 1) + 16 * log_q
+        assert 0 < sum(calls) <= 2 * 2 * (math.isqrt(p - 1) + 1) + 16 * log_q
         calls.clear()
         assert mu.restricts_to_sgn_power(1) and not calls
         x = ub.E.element(1234, 5678)
         angle = mu.angle(x)
-        assert len(calls) <= 2 * (math.isqrt(p + 1) + 1) + 6 * log_q
+        assert 0 < sum(calls) <= 2 * (math.isqrt(p + 1) + 1) + 6 * log_q
         monkeypatch.undo()
         v, u = ub.tame_coordinates(x)
         m = ub.residue_field().dlog(u)

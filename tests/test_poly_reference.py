@@ -6,9 +6,10 @@ by the integers 1..n) and a Hessenberg reduction by similarity over a field.
 The Gauss eliminations below are the references for the tower norm, the
 tower inverse and the Gram determinant, which all go through ``charpoly``.
 
-``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z by
-a primitive remainder sequence.  The reference is the Euclidean gcd of p and
-p' over Q, which ``_poly.pgcd`` still computes for coefficients in E.
+``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z and
+E-coefficient ones over Z[sqrt(D)] by remainder sequences divided by their
+integer content.  The reference is the Euclidean gcd of p and p' over Q or
+E, ``pgcd`` below.
 """
 
 import random
@@ -36,6 +37,50 @@ def mat_mul(a, b):
             row.append(t)
         out.append(row)
     return out
+
+
+
+def pmonic(p):
+    """Divide by the leading coefficient (field coefficients)."""
+    if not p:
+        raise ValueError("zero polynomial")
+    lead = p[-1]
+    return [c / lead for c in p]
+
+
+def pdivmod(p, q):
+    """Euclidean division over field coefficients."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    pairs = []
+    lead = q[-1]
+    while len(rem) >= len(q):
+        if not rem[-1]:
+            rem.pop()
+            continue
+        k = len(rem) - len(q)
+        c = rem[-1] / lead
+        pairs.append((k, c))
+        for j in range(len(q)):
+            rem[k + j] = rem[k + j] - c * q[j]
+        rem.pop()
+    if not pairs:
+        return [], _poly.trim(rem)
+    zero = lead - lead
+    out = [zero] * (1 + max(k for k, _ in pairs))
+    for k, c in pairs:
+        out[k] = out[k] + c
+    return _poly.trim(out), _poly.trim(rem)
+
+
+def pgcd(p, q):
+    """Monic gcd over field coefficients."""
+    a, b = _poly.trim(list(p)), _poly.trim(list(q))
+    while b:
+        _, r = pdivmod(a, b)
+        a, b = b, r
+    return pmonic(a) if a else a
 
 
 def gauss_solve(mat, rhs):
@@ -288,7 +333,7 @@ def test_degree_eight_matrices_of_quartic_tower(rng, checked_charpoly):
 # --- squarefree ---
 
 def _reference_squarefree(p):
-    return _poly.degree(_poly.pgcd(p, _poly.pderiv(p))) <= 0
+    return _poly.degree(pgcd(p, _poly.pderiv(p))) <= 0
 
 
 def _random_poly(rng, deg):
@@ -296,8 +341,8 @@ def _random_poly(rng, deg):
     return [_random_fraction(rng) for _ in range(deg)] + [lead]
 
 
-def _product(factors):
-    out = [F(1)]
+def _product(factors, one=F(1)):
+    out = [one]
     for fac in factors:
         out = _poly.pmul(out, fac)
     return out
@@ -360,3 +405,30 @@ def test_squarefree_e_coefficients():
     other = [E.element(F(1, 2), -1), E.one()]
     assert _poly.is_squarefree(_poly.pmul(lin, other))
     assert not _poly.is_squarefree(_poly.pmul(_poly.pmul(lin, other), lin))
+
+
+def _random_e_poly(rng, E, deg):
+    lead = E.element(F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)), rng.choice([0, F(1, 2), -1]))
+    return [E.element(_random_fraction(rng), _random_fraction(rng)) for _ in range(deg)] + [lead]
+
+
+@pytest.mark.parametrize("delta_e", [2, 3, F(-7, 4), F(15, 4), F(2, 9)])
+def test_squarefree_over_e_against_the_euclidean_gcd(rng, delta_e):
+    """The remainder sequence over Z[sqrt(D)] gives the verdict of Euclid
+    over E, deltas with a denominator and conjugate roots included."""
+    E = UnitaryBaseData(BaseField("p-adic", 3), delta_e).E
+    T = [E.zero(), E.one()]
+    _assert_squarefree_matches([E.element(F(2, 3), 1)], True)
+    _assert_squarefree_matches(T, True)
+    _assert_squarefree_matches(_poly.pmul(T, T), False)
+    rt = E.rt()
+    # (T - rt)(T + rt) = T^2 - delta: squarefree over E
+    _assert_squarefree_matches(_poly.pmul([-rt, E.one()], [rt, E.one()]), True)
+    for _ in range(8):
+        factors = [_random_e_poly(rng, E, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        p = _product(factors, E.one())
+        _assert_squarefree_matches(p)
+        lin = _random_e_poly(rng, E, 1)
+        _assert_squarefree_matches(_product(factors + [lin, lin], E.one()), False)
+        _assert_squarefree_matches([c * E.element(F(-6, 35), F(1, 7)) for c in p],
+                                   _poly.is_squarefree(p))
