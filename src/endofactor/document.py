@@ -291,7 +291,8 @@ def _need(obj, key, where, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}", where)
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int, but are no numbers
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"field {key!r} has the wrong type", where)
     return value
 
@@ -374,7 +375,7 @@ def load_document(text, *, precision=None):
         delta_lit = _need(doc["extension"], "delta", where)
         delta = parse_tower_literal(str(delta_lit), F, f"{where}.delta")
         try:
-            ub = UnitaryBaseData(base, delta.as_fraction(), F)
+            ub = UnitaryBaseData(base, delta.as_fraction())
         except Exception as exc:
             raise ParseError(f"bad extension: {exc}", where) from None
 

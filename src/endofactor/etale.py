@@ -57,8 +57,7 @@ from .localfield import (
 class QuadraticEtale(IntegerStructure):
     """F_pm[rt]/(rt^2 - delta); a quadratic field or the split algebra."""
 
-    def __init__(self, base_pm, delta, *, split_root=None, unitary_base=None,
-                 _checked=False):
+    def __init__(self, base_pm, delta, *, split_root=None, unitary_base=None):
         if not isinstance(delta, FieldElement):
             delta = base_pm.element(delta)
         if not delta:
@@ -68,8 +67,6 @@ class QuadraticEtale(IntegerStructure):
         self.split_root = split_root
         self.unitary_base = unitary_base
         self.is_field = not is_square(delta)
-        if _checked and not self.is_field:
-            raise UnsupportedCase("delta is a square; use split_algebra instead")
         self._fingerprint = ("etale", base_pm._fingerprint, delta.num, delta.den,
                              None if unitary_base is None else unitary_base.fingerprint)
         self.n, self._table, self._D = 2 * base_pm.n, *self._structure_constants()
@@ -139,7 +136,10 @@ class QuadraticEtale(IntegerStructure):
 
 def quadratic_field(base_pm, delta):
     """The quadratic field extension F_pm(sqrt(delta)); delta non-square."""
-    return QuadraticEtale(base_pm, delta, _checked=True)
+    alg = QuadraticEtale(base_pm, delta)
+    if not alg.is_field:
+        raise UnsupportedCase("delta is a square; use split_algebra instead")
+    return alg
 
 
 def split_algebra(base_pm):
@@ -280,14 +280,13 @@ class UnitaryBaseData:
     """A quadratic field extension E of the base, plus the derived tensor
     algebras F_pm (x) E with their split/field determination."""
 
-    def __init__(self, base, delta_e, F=None):
-        """F is the trivial tower of base, built here when not given."""
+    def __init__(self, base, delta_e):
         if base.is_real:
             raise UnsupportedCase("unitary cases over R are not supported")
         if base.p == 2:
             raise UnsupportedCase("unitary cases over a dyadic base are not supported")
         self.base = base
-        self.F = trivial_tower(base) if F is None else F
+        self.F = trivial_tower(base)
         delta_e = self.F.element(delta_e)
         self.E = quadratic_field(self.F, delta_e)
         self.fingerprint = ("E", base.p, delta_e.num, delta_e.den)
@@ -370,7 +369,7 @@ class UnitaryBaseData:
         element, so no reference to E."""
         res = self.residue_field()
         out = []
-        for t in (self.base.p, self.F.residue.multiplicative_generator().rep[0]):
+        for t in (self.base.p, self.F.residue.multiplicative_generator()[0]):
             v, u = self.tame_coordinates(self.E.embed_ground(t))
             m = res.prime_field_log(u, self.residue_generator)
             out.append((v, Fraction(m, res.q - 1), self.sgn(t)))

@@ -26,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _poly
 from .errors import (
@@ -121,6 +122,11 @@ class BaseField:
     def is_real(self):
         return self.kind == "real"
 
+    @cached_property
+    def trivial_tower(self):
+        """The field itself, as a tower, built once."""
+        return make_extension(self, 1, [-1 if self.is_real else -self.p, 1])
+
     def __repr__(self):
         return "R" if self.is_real else f"Q_{self.p}"
 
@@ -209,7 +215,8 @@ def canonical_unramified_poly(p, f):
 
 
 class ResidueField:
-    """F_q = F_p[x]/(modulus), elements as coefficient tuples of length f.
+    """F_q = F_p[x]/(modulus).  An element is the plain tuple of its f
+    coefficients in [0, p), constant first; ``one`` is (1, 0, ..., 0).
 
     For f = 1 and f = 2 (F_p, and E's residue field or the canonical F_p^2)
     products and powers are closed formulas on ints; f >= 3 goes through the
@@ -220,15 +227,11 @@ class ResidueField:
         self.f = f
         self.q = p ** f
         self.modulus = tuple(c % p for c in modulus)
+        self.one = (1,) + (0,) * (f - 1)
 
     def element(self, coeffs):
         c = [x % self.p for x in coeffs]
-        c = c[: self.f] + [0] * (self.f - len(c))
-        return ResidueElement(self, tuple(c))
-
-    @property
-    def one(self):
-        return self.element([1])
+        return tuple(c[: self.f] + [0] * (self.f - len(c)))
 
     def _mul(self, a, b):
         p = self.p
@@ -267,33 +270,25 @@ class ResidueField:
         return tuple(out + [0] * (self.f - len(out)))
 
     def decode(self, n):
-        c = []
-        for _ in range(self.f):
-            n, r = divmod(n, self.p)
-            c.append(r)
-        return self.element(c)
-
-    def elements(self):
-        for n in range(self.q):
-            yield self.decode(n)
+        """The element whose coefficients are the base-p digits of n."""
+        return tuple(n // self.p ** i % self.p for i in range(self.f))
 
     def is_square(self, elem):
-        if not any(elem.rep):
+        if not any(elem):
             raise ZeroValuation("squareness of zero in the residue field")
         if self.p == 2:
             return True  # every element of a finite field of char 2
-        return self._pow(elem.rep, (self.q - 1) // 2) == self.one.rep
+        return self._pow(elem, (self.q - 1) // 2) == self.one
 
     def multiplicative_generator(self):
         """Smallest-encoded generator of the cyclic group F_q^x.  For f >= 2
         the scan starts at encoding p: the encodings below it are the
         constants, which lie in F_p^x and cannot generate."""
         order = self.q - 1
-        one = self.one.rep
         cofactors = [order // ell for ell in _prime_factors(order)]
         for n in range(1 if self.f == 1 else self.p, self.q):
             g = self.decode(n)
-            if all(self._pow(g.rep, k) != one for k in cofactors):
+            if all(self._pow(g, k) != self.one for k in cofactors):
                 return g
         raise RuntimeError("no generator found")  # unreachable
 
@@ -306,22 +301,22 @@ class ResidueField:
         giant-step (Shanks 1971): it is i*m + j where elem^s * h^(-i*m) =
         h^j, m = ceil(sqrt(r)) and i, j < m.  At most 2m multiplications
         after three powers."""
-        if not elem:
+        if not any(elem):
             raise ZeroValuation("discrete log of zero")
         r = self.q - 1 if r is None else r
         s, rest = divmod(self.q - 1, r)
         if rest:
             raise ValueError(f"{r} does not divide q - 1 = {self.q - 1}")
         g = self.multiplicative_generator() if g is None else g
-        h = self._pow(g.rep, s)
+        h = self._pow(g, s)
         m = math.isqrt(r - 1) + 1
         baby = {}
-        acc = self.one.rep
+        acc = self.one
         for j in range(m):
             baby[acc] = j
             acc = self._mul(acc, h)
         giant = self._pow(h, -m % r)
-        acc = self._pow(elem.rep, s)
+        acc = self._pow(elem, s)
         for i in range(m):
             j = baby.get(acc)
             if j is not None:
@@ -333,11 +328,11 @@ class ResidueField:
         """``dlog(elem, g=g)`` for elem in F_p^x, the subgroup of order
         p - 1, which h = g^s generates for s = (q - 1)/(p - 1): s times the
         index of elem against h in F_p, about 2*sqrt(p) multiplications."""
-        if any(elem.rep[1:]):
+        if any(elem[1:]):
             raise ValueError(f"{elem} does not lie in F_{self.p}")
         s = (self.q - 1) // (self.p - 1)
         fp = ResidueField(self.p, 1, (0, 1))
-        return s * fp.dlog(fp.element(elem.rep), g=fp.element((g ** s).rep))
+        return s * fp.dlog(elem[:1], g=self._pow(g, s)[:1])
 
     def first_nonsquare(self):
         for n in range(1, self.q):
@@ -357,26 +352,6 @@ class ResidueField:
 
     def __repr__(self):
         return f"F_{self.q}"
-
-
-@dataclass(frozen=True)
-class ResidueElement:
-    """An element of a residue field, with its canonical representative."""
-
-    field: ResidueField
-    rep: tuple
-
-    def __mul__(self, other):
-        return ResidueElement(self.field, self.field._mul(self.rep, other.rep))
-
-    def __pow__(self, n):
-        return ResidueElement(self.field, self.field._pow(self.rep, n))
-
-    def __bool__(self):
-        return any(self.rep)
-
-    def __repr__(self):
-        return f"{self.field}({list(self.rep)})"
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +591,7 @@ class ExtensionTower(IntegerStructure):
             raise UnsupportedCase("no unit non-square over R")
         if self.base.p == 2:
             return self.element(5)
-        ns = self.residue.first_nonsquare()
-        return self.from_coords([list(ns.rep)])
+        return self.from_coords([list(self.residue.first_nonsquare())])
 
     def square_class_reps(self):
         """The canonical representatives of F^x / F^x2 for this tower."""
@@ -796,7 +770,8 @@ class FieldElement(FlatElement):
         return valuation(self)
 
     def residue(self):
-        """Image in the residue field (requires valuation >= 0)."""
+        """Image in the residue field, as its coefficient tuple (requires
+        valuation >= 0)."""
         t = self.tower
         if t.base.is_real:
             raise UnsupportedCase("no residue field over R")
@@ -804,11 +779,11 @@ class FieldElement(FlatElement):
         if v < 0:
             raise ZeroValuation("residue of a non-integral element")
         if v > 0:
-            return t.residue.element([0])
+            return (0,) * t.f
         # every coordinate of a unit is p-integral, so den is prime to p
         p = t.base.p
         inv = pow(self.den, -1, p)
-        return ResidueElement(t.residue, tuple(c * inv % p for c in self.num[:t.f]))
+        return tuple(c * inv % p for c in self.num[:t.f])
 
     def unit_split(self):
         """(v, x * pi^(-v)) with v = v(x); exact."""
@@ -900,10 +875,8 @@ def _norm_uvec(c, f):
 
 
 def trivial_tower(base):
-    """The base field itself, as a tower."""
-    if base.is_real:
-        return make_extension(base, 1, [-1, 1])
-    return make_extension(base, 1, [-base.p, 1])
+    """The base field itself, as a tower: the one ``base`` builds once."""
+    return base.trivial_tower
 
 
 def valuation(a):
@@ -1005,8 +978,13 @@ def norm_test(c, ext):
 class _ResidueRing:
     """O/pi^N for the e*f <= 2 tower shapes, on plain integers.
 
-    Elements are int tuples; the canonical encoding indexes a bytearray of
-    squares, so the oracle scan is a linear pass with O(1) membership.
+    Elements are int tuples.  Over Q_p it is Z/p^N, one coordinate.  The
+    two shapes of degree 2 are one pair ring x0 + x1*w with w^2 = -c1*w - c0:
+    w = u, the modulus x^2 + c1*x + c0 of the unramified step, with both
+    coordinates mod p^N; or w = pi, the Eisenstein polynomial x^2 + c1*x +
+    c0, with x0 mod p^ceil(N/2) and x1 mod p^floor(N/2).  The canonical
+    encoding indexes a bytearray of squares, so the oracle scan is a linear
+    pass with O(1) membership.
     """
 
     def __init__(self, tower, N):
@@ -1021,24 +999,15 @@ class _ResidueRing:
         if f * N >= MAX_ORACLE_RING.bit_length() or p ** (f * N) > MAX_ORACLE_RING:
             raise UnsupportedCase(f"oracle residue ring O/pi^{N} has {p}^{f * N} elements, "
                                   f"more than the limit {MAX_ORACLE_RING}")
-        if e == 1 and f == 1:
-            self.kind = "z"
+        self.pair = e * f == 2
+        if not self.pair:
             self.mods = (p ** N,)
         elif e == 1:
-            self.kind = "u"
             self.mods = (p ** N, p ** N)
-            m = tower.unram_poly
-            self.m0 = m[0] % self.mods[0]
-            self.m1 = m[1] % self.mods[0]
+            self.c0, self.c1 = (c % p ** N for c in tower.unram_poly[:2])
         else:
-            self.kind = "pi"
-            m0 = (N + 1) // 2
-            m1 = N // 2
-            self.mods = (p ** m0, p ** m1)
-            a0 = tower.eis[0][0]
-            a1 = tower.eis[1][0]
-            self.a0 = _reduce_mod(a0, self.mods[0])
-            self.a1 = _reduce_mod(a1, self.mods[0])
+            self.mods = (p ** ((N + 1) // 2), p ** (N // 2))
+            self.c0, self.c1 = (_reduce_mod(c[0], self.mods[0]) for c in tower.eis[:2])
         self.size = p ** (f * N)
         self._squares = None
 
@@ -1050,41 +1019,33 @@ class _ResidueRing:
         return tuple(c * pow(x.den, -1, m) % m for c, m in zip(x.num, self.mods))
 
     def mul(self, x, y):
-        if self.kind == "z":
+        if not self.pair:
             return ((x[0] * y[0]) % self.mods[0],)
-        if self.kind == "u":
-            M = self.mods[0]
-            # u^2 = -m1*u - m0
-            cross = x[1] * y[1]
-            return (
-                (x[0] * y[0] - self.m0 * cross) % M,
-                (x[0] * y[1] + x[1] * y[0] - self.m1 * cross) % M,
-            )
         M0, M1 = self.mods
         cross = x[1] * y[1]
         return (
-            (x[0] * y[0] - self.a0 * cross) % M0,
-            (x[0] * y[1] + x[1] * y[0] - self.a1 * cross) % M1,
+            (x[0] * y[0] - self.c0 * cross) % M0,
+            (x[0] * y[1] + x[1] * y[0] - self.c1 * cross) % M1,
         )
 
     def add(self, x, y):
-        if self.kind == "z":
+        if not self.pair:
             return ((x[0] + y[0]) % self.mods[0],)
         return ((x[0] + y[0]) % self.mods[0], (x[1] + y[1]) % self.mods[1])
 
     def encode(self, x):
-        if self.kind == "z":
+        if not self.pair:
             return x[0]
         return x[0] + self.mods[0] * x[1]
 
     def decode(self, k):
-        if self.kind == "z":
+        if not self.pair:
             return (k,)
         return (k % self.mods[0], k // self.mods[0])
 
     def elements(self, half=False):
         """Every element; with half, a set holding x or -x for every x."""
-        if self.kind == "z":
+        if not self.pair:
             for a in range(self.mods[0] // 2 + 1 if half else self.mods[0]):
                 yield (a,)
         else:

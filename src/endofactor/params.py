@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import _poly
 from .errors import IndexMismatch, UnsupportedCase
@@ -102,7 +101,7 @@ class GroupDescriptor:
     def info(self):
         return case_info(self.case)
 
-    @cached_property
+    @property
     def F(self):
         return trivial_tower(self.base)
 
@@ -137,8 +136,9 @@ class TameCharacter:
         if isinstance(x, (int, Fraction, FieldElement)):
             x = self.E.E.embed_ground(x if not isinstance(x, FieldElement) else x.as_fraction())
         v, u = self.E.tame_coordinates(x)
-        n = u.field.q - 1
-        m = u.field.dlog(u, n // math.gcd(self.unit_exponent, n), self.E.residue_generator)
+        rf = self.E.residue_field()
+        n = rf.q - 1
+        m = rf.dlog(u, n // math.gcd(self.unit_exponent, n), self.E.residue_generator)
         return self._angle(v, Fraction(m, n))
 
     def restricts_to_sgn_power(self, k):

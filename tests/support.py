@@ -6,6 +6,7 @@ generation retries until the regularity gate passes.
 """
 
 from fractions import Fraction
+import math
 import random
 
 from endofactor import forms
@@ -145,19 +146,56 @@ def solve_matching(rng, z, algebra):
 # per-case instance generation
 # ---------------------------------------------------------------------------
 
+def _unit_exponents(E, angle_pi, k):
+    """(first, step): the unit exponents e in range(q - 1) for which the
+    character of angle ``angle_pi`` and exponent e restricts to sgn^k are
+    those congruent to first mod step; None when there are none.
+
+    Each sgn probe (v, m/(q - 1), sgn) of ``restricts_to_sgn_power`` asks
+    for v*angle_pi + e*m/(q - 1) = want mod 1, the linear congruence
+    e*m = (want - v*angle_pi)*(q - 1) mod q - 1; the two are solved and
+    joined by the Chinese remainder theorem."""
+    n = E.residue_field().q - 1
+    first, step = 0, 1
+    for v, unit_angle, sgn in E.sgn_probes:
+        want = Fraction(1, 2) if sgn ** (k % 2) == -1 else Fraction(0)
+        target = (want - v * angle_pi) % 1 * n
+        m = int(unit_angle * n)
+        g = math.gcd(m, n)
+        if target.denominator != 1 or target.numerator % g:
+            return None
+        mod = n // g
+        x = target.numerator // g * pow(m // g, -1, mod) % mod
+        # e = first mod step and e = x mod mod
+        h = math.gcd(step, mod)
+        if (x - first) % h:
+            return None
+        t = (x - first) // h * pow(step // h, -1, mod // h) % (mod // h)
+        first, step = first + step * t, step * mod // h
+    return first, step
+
+
 def _mu_character(rng, E, k):
-    """A tame character of E^x whose restriction to F^x is sgn^k."""
-    q = E.residue_field().q
-    candidates = []
+    """A tame character of E^x whose restriction to F^x is sgn^k.
+
+    Drawn uniformly from the list a scan would make: for the first den in
+    1, 2, 3, 4 that has any, every angle num/den (num < den) on the
+    uniformizer with every fitting unit exponent in range(q - 1), in the
+    order (num, exponent).  The exponents are solved for, not scanned, and
+    the draw is one ``rng.choice`` of an index into that list, as a choice
+    from the list itself would make."""
+    n = E.residue_field().q - 1
     for den in (1, 2, 3, 4):
-        for num in range(den):
-            for exp in range(q - 1):
-                mu = TameCharacter(E, Fraction(num, den), exp)
-                if mu.restricts_to_sgn_power(k):
-                    candidates.append(mu)
-        if candidates:
+        classes = [(num, sol) for num in range(den)
+                   if (sol := _unit_exponents(E, Fraction(num, den), k)) is not None]
+        total = sum(n // step for _, (_, step) in classes)
+        if total:
             break
-    return rng.choice(candidates)
+    i = rng.choice(range(total))
+    for num, (first, step) in classes:
+        if i < n // step:
+            return TameCharacter(E, Fraction(num, den), first + i * step)
+        i -= n // step
 
 
 def _disc_of_side(param, side):

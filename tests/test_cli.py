@@ -193,6 +193,33 @@ class TestValidate:
         assert capsys.readouterr().err == (
             "parse error: $.base: field 'precision' has the wrong type\n")
 
+    @pytest.mark.parametrize("keys, where", [
+        (("base", "p"), "$.base"),
+        (("base", "precision"), "$.base"),
+        (("towers", "K0", "f"), "$.towers.K0"),
+        (("group", "d"), "$.group"),
+        (("endoscopic", "d_minus"), "$.endoscopic"),
+        (("endoscopic", "d_plus"), "$.endoscopic"),
+        (("endoscopic", "mu_plus", "unit_exponent"), "$.endoscopic.mu_plus"),
+    ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("command", ["validate", "compute", "check"])
+    def test_boolean_integer_field_exits_three(self, tmp_path, capsys, command, value,
+                                               keys, where):
+        """JSON true and false are no integers, although Python's bool is a
+        subclass of int: in place of an integer they are the wrong type."""
+        doc = json.loads((GOLDEN / "large-prime-unitary.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli([command, str(path)])
+        assert code == 3 and out == ""
+        assert capsys.readouterr().err == (
+            f"parse error: {where}: field '{keys[-1]}' has the wrong type\n")
+
     @pytest.mark.parametrize("command", ["validate", "compute", "check"])
     def test_null_precision_is_the_default(self, tmp_path, command):
         doc = json.loads(SAMPLE.read_text())

@@ -280,6 +280,18 @@ def _perfbench_corpus():
     return corpus
 
 
+def test_default_seed_corpora_match_the_pinned_digests():
+    """The benchmark's three default-seed corpora regenerate to the full
+    digests pinned in perfbench/digests.json, so a change to a repr or to a
+    draw of the generator fails here rather than refusing a benchmark run."""
+    corpus = _perfbench_corpus()
+    pinned = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert sorted(pinned["workloads"]) == sorted(corpus.WORKLOADS)
+    for workload, want in pinned["workloads"].items():
+        texts = corpus.generate(workload, pinned["seed"])
+        assert (len(texts), corpus.digest(texts)) == (want["documents"], want["sha256"]), workload
+
+
 def test_seed_one_corpus_literals_are_read_directly(monkeypatch):
     """Every literal of the benchmark's seed-1 corpora, the eis literals
     included, is read without the evaluator, to the evaluator's value."""

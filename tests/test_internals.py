@@ -107,7 +107,7 @@ def _residue_fields(p):
 def _order(rf, e):
     acc, k = e, 1
     while acc != rf.one:
-        acc, k = acc * e, k + 1
+        acc, k = rf._mul(acc, e), k + 1
     return k
 
 
@@ -141,10 +141,10 @@ class TestResidueFields:
                 # the generator search only terminates on a genuine field
                 g = rf.multiplicative_generator()
                 seen = set()
-                acc = rf.one.rep
+                acc = rf.one
                 for _ in range(rf.q - 1):
                     seen.add(acc)
-                    acc = rf._mul(acc, g.rep)
+                    acc = rf._mul(acc, g)
                 assert len(seen) == rf.q - 1
 
     def test_canonical_poly_matches_full_scan(self):
@@ -170,14 +170,14 @@ class TestResidueFields:
 
     def test_square_counting(self):
         rf = ResidueField(5, 2, canonical_unramified_poly(5, 2))
-        squares = sum(1 for e in rf.elements() if e and rf.is_square(e))
+        squares = sum(1 for e in map(rf.decode, range(rf.q)) if any(e) and rf.is_square(e))
         assert squares == (rf.q - 1) // 2
 
     def test_dlog(self):
         rf = ResidueField(7, 1, (0, 1))
         g = rf.multiplicative_generator()
         for k in range(6):
-            assert rf.dlog(g ** k) == k
+            assert rf.dlog(rf._pow(g, k)) == k
         with pytest.raises(ZeroValuation):
             rf.dlog(rf.element([0]))
 
@@ -191,18 +191,18 @@ class TestResidueFields:
             acc = rf.one
             for k in range(rf.q - 1):
                 assert rf.dlog(acc) == k
-                acc = acc * g
+                acc = rf._mul(acc, g)
             assert acc == rf.one
 
     def test_dlog_against_sympy(self):
         ntheory = pytest.importorskip("sympy.ntheory")
         for p in ntheory.primerange(3, 50):
             rf = trivial_tower(BaseField("p-adic", p)).residue
-            g = rf.multiplicative_generator().rep[0]
+            g = rf.multiplicative_generator()[0]
             for a in range(1, p):
                 assert rf.dlog(rf.element([a])) == ntheory.discrete_log(p, a, g)
         rf = trivial_tower(BaseField("p-adic", 10007)).residue
-        g = rf.multiplicative_generator().rep[0]
+        g = rf.multiplicative_generator()[0]
         for a in (2, 3, 5000, 10006):
             assert rf.dlog(rf.element([a])) == ntheory.discrete_log(10007, a, g)
 
@@ -211,7 +211,8 @@ class TestResidueFields:
         """The scan from encoding p picks what a scan from 1 by element
         orders picks: the constants below p never generate."""
         for rf in _residue_fields(p)[1:]:
-            want = next(e for e in rf.elements() if e and _order(rf, e) == rf.q - 1)
+            want = next(e for e in map(rf.decode, range(rf.q))
+                        if any(e) and _order(rf, e) == rf.q - 1)
             assert rf.multiplicative_generator() == want
 
     @pytest.mark.parametrize("p", SMALL_PRIMES + [101, 151, 199, 10007, 99991])
@@ -225,8 +226,8 @@ class TestResidueFields:
             def generic(poly):
                 return tuple(poly + [0] * (f - len(poly)))
 
-            elems = [rf.element([rng.randrange(p) for _ in range(f)]).rep for _ in range(60)]
-            for a, b in zip(elems, elems[1:] + [rf.one.rep, (0,) * f]):
+            elems = [rf.element([rng.randrange(p) for _ in range(f)]) for _ in range(60)]
+            for a, b in zip(elems, elems[1:] + [rf.one, (0,) * f]):
                 assert rf._mul(a, b) == generic(localfield._fp_mulmod(list(a), list(b), mod, p))
                 for n in (0, 1, 2, p, rf.q - 2, rf.q - 1, rng.randrange(3 * rf.q)):
                     assert rf._pow(a, n) == generic(localfield._fp_powmod(list(a), n, mod, p))
@@ -252,7 +253,7 @@ class TestResidueFields:
         monkeypatch.setattr(ResidueField, "_mul", counted)
         x = rf.element([1234, 5678])
         k = rf.dlog(x)
-        assert rf.multiplicative_generator() ** k == x
+        assert rf._pow(rf.multiplicative_generator(), k) == x
         assert 0 < len(calls) <= budget
 
     @pytest.mark.parametrize("p", [p for p in SMALL_PRIMES if p < 30])
@@ -263,13 +264,13 @@ class TestResidueFields:
             n = rf.q - 1
             divisors = [r for r in range(1, n + 1) if n % r == 0]
             g = rf.multiplicative_generator()
-            for x in itertools.islice(rf.elements(), 1, None):
+            for x in map(rf.decode, range(1, rf.q)):
                 full = rf.dlog(x, g=g)
                 assert all(rf.dlog(x, r, g) == full % r for r in divisors)
-            other = g ** next(k for k in range(n, 0, -1) if math.gcd(k, n) == 1)
+            other = rf._pow(g, next(k for k in range(n, 0, -1) if math.gcd(k, n) == 1))
             x = rf.element([1, 1])
             m = rf.dlog(x, g=other)
-            assert other ** m == x and m < n
+            assert rf._pow(other, m) == x and m < n
             assert [rf.dlog(x, r) for r in divisors] == [rf.dlog(x) % r for r in divisors]
             if n > 2:
                 with pytest.raises(ValueError):
@@ -328,7 +329,7 @@ class TestResidueFields:
         ntheory = pytest.importorskip("sympy.ntheory")
         for p in ntheory.primerange(3, 500):
             residue = trivial_tower(BaseField("p-adic", p)).residue
-            assert residue.multiplicative_generator().rep[0] == ntheory.primitive_root(p)
+            assert residue.multiplicative_generator()[0] == ntheory.primitive_root(p)
 
 
 def test_package_has_no_assert():

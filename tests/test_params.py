@@ -160,7 +160,7 @@ class TestTameCharacter:
         ub = UnitaryBaseData(BaseField("p-adic", p), delta)
         assert all(type(v) is int and type(a) is Fraction and type(s) is int
                    for v, a, s in ub.sgn_probes)
-        probes = (p, ub.F.residue.multiplicative_generator().rep[0])
+        probes = (p, ub.F.residue.multiplicative_generator()[0])
         for num in range(4):
             for exp in range(ub.residue_field().q - 1):
                 mu = TameCharacter(ub, Fraction(num, 4), exp)
@@ -176,6 +176,43 @@ class TestTameCharacter:
         mu = _mu_character(random.Random(0), ub, 1)
         assert mu.restricts_to_sgn_power(1)
         assert not mu.restricts_to_sgn_power(0) or ub.sgn(5) == 1
+
+    @pytest.mark.parametrize("p, delta", [(3, 2), (3, 3), (5, 2), (5, 5), (5, 10),
+                                          (7, 3), (7, 21), (11, 2), (11, 11)])
+    def test_character_draw_matches_the_scan(self, p, delta):
+        """The solved unit exponents are those a scan of every exponent
+        finds, in its order, so one rng state draws the same character and
+        leaves the same state, for every k parity on ramified and
+        unramified E."""
+        import random
+        from support import _mu_character
+        ub = UnitaryBaseData(BaseField("p-adic", p), delta)
+        n = ub.residue_field().q - 1
+        for k in (0, 1, 2, 3):
+            for den in (1, 2, 3, 4):
+                candidates = [mu for num in range(den) for exp in range(n)
+                              if (mu := TameCharacter(ub, Fraction(num, den), exp))
+                              .restricts_to_sgn_power(k)]
+                if candidates:
+                    break
+            for seed in range(8):
+                drawn, scanned = random.Random(seed), random.Random(seed)
+                assert _mu_character(drawn, ub, k) == scanned.choice(candidates)
+                assert drawn.random() == scanned.random()
+
+    def test_unitary_instance_at_a_large_prime(self):
+        """Drawing the characters costs no scan of the q - 1 exponents:
+        seed 0 draws a ramified E at p = 10007 and seed 1 an unramified
+        one, where q - 1 = 10007^2 - 1."""
+        import random
+        import time
+        from support import make_instance
+        for seed, ramified in ((0, True), (1, False)):
+            start = time.perf_counter()
+            inst = make_instance(random.Random(seed), "unitary", p=10007)
+            assert time.perf_counter() - start < 10
+            assert inst.g.E.ramified == ramified
+            assert inst.e.mu_minus.restricts_to_sgn_power(inst.e.d_plus)
 
 
 def _tiny_param(case="symplectic"):
