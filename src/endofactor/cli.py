@@ -99,7 +99,7 @@ def cmd_check(args, out):
 
 def cmd_oracle(args, out):
     try:
-        base = BaseField("p-adic", args.p, precision=args.precision or 64)
+        base = BaseField("p-adic", args.p, precision=args.precision)
     except ValueError as exc:
         raise ParseError(str(exc), "arguments") from None
     F = trivial_tower(base)
@@ -160,7 +160,7 @@ def build_parser():
     p.add_argument("--depth", type=int, default=None,
                    help="search depth (default: just past v(4*delta))")
     common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, precision=64)     # no document to fall back on
     return parser
 
 

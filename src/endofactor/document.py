@@ -301,8 +301,10 @@ def _opt(obj, key, default=None):
     return obj.get(key, default) if isinstance(obj, dict) else default
 
 
-def _precision(base_spec):
-    """The declared precision; 64 when it is absent or null."""
+def _precision(base_spec, override):
+    """The override, else the declared precision; 64 when both are absent or null."""
+    if override is not None:
+        return override
     if _opt(base_spec, "precision") is None:
         return 64
     return _need(base_spec, "precision", "$.base", int)
@@ -328,10 +330,10 @@ def load_document(text, *, precision=None):
     kind = _need(base_spec, "kind", "$.base", str)
     try:
         if kind == "real":
-            base = BaseField("real", precision=precision or _precision(base_spec))
+            base = BaseField("real", precision=_precision(base_spec, precision))
         elif kind == "p-adic":
             base = BaseField("p-adic", _need(base_spec, "p", "$.base", int),
-                             precision=precision or _precision(base_spec))
+                             precision=_precision(base_spec, precision))
         else:
             raise ParseError(f"unknown base kind {kind!r}", "$.base.kind")
     except ValueError as exc:

@@ -49,6 +49,9 @@ _Q1 = Fraction(1)
 MAX_PRIME = 10 ** 5
 # The most elements of the oracle's O/pi^N; its squares take a byte each.
 MAX_ORACLE_RING = 10 ** 7
+# The oracle walks a row of O/pi^N (all of Z/p^N) in pieces of at most this
+# many elements, so its lists of ints stay small next to the squares.
+ORACLE_PIECE = 4096
 # The largest tower degree e*f a document may declare.  A one-index
 # symplectic compute at p = 3 takes 0.01-0.12 s at degree 6 and 0.03-0.54 s
 # at degree 8 (2-vCPU Xeon).
@@ -976,88 +979,75 @@ def norm_test(c, ext):
 # ---------------------------------------------------------------------------
 
 class _ResidueRing:
-    """O/pi^N for the e*f <= 2 tower shapes, on plain integers.
+    """O/pi^N of a p-adic tower, on plain integers.
 
-    Elements are int tuples.  Over Q_p it is Z/p^N, one coordinate.  The
-    two shapes of degree 2 are one pair ring x0 + x1*w with w^2 = -c1*w - c0:
-    w = u, the modulus x^2 + c1*x + c0 of the unramified step, with both
-    coordinates mod p^N; or w = pi, the Eisenstein polynomial x^2 + c1*x +
-    c0, with x0 mod p^ceil(N/2) and x1 mod p^floor(N/2).  The canonical
-    encoding indexes a bytearray of squares, so the oracle scan is a linear
-    pass with O(1) membership.
+    The valuation is the minimum over the flat coordinates x_k, k = b*f + a,
+    of e*v_p(x_k) + b, so O/pi^N is the product of the Z/p^ceil((N - b)/e),
+    p^(f*N) elements in all.  Elements are int tuples, encoded in mixed
+    radix with coordinate 0 the fastest; the encoding indexes a bytearray of
+    squares, so the oracle scan is a linear pass with O(1) membership.
+    Monomial 0 is 1, so an element is a row r (coordinate 0 zero) plus an
+    integer a, and the squares and the scan walk each row along a.
     """
 
     def __init__(self, tower, N):
-        self.tower = tower
-        self.N = N
-        p = tower.base.p
-        self.p = p
-        e, f = tower.e, tower.f
-        if e * f > 2:
-            raise UnsupportedCase("oracle supports towers with e*f <= 2 only")
+        p, f = tower.base.p, tower.f
         # |O/pi^N| = p^(f*N); since p >= 2, a long exponent is over the limit
         if f * N >= MAX_ORACLE_RING.bit_length() or p ** (f * N) > MAX_ORACLE_RING:
             raise UnsupportedCase(f"oracle residue ring O/pi^{N} has {p}^{f * N} elements, "
                                   f"more than the limit {MAX_ORACLE_RING}")
-        self.pair = e * f == 2
-        if not self.pair:
-            self.mods = (p ** N,)
-        elif e == 1:
-            self.mods = (p ** N, p ** N)
-            self.c0, self.c1 = (c % p ** N for c in tower.unram_poly[:2])
-        else:
-            self.mods = (p ** ((N + 1) // 2), p ** (N // 2))
-            self.c0, self.c1 = (_reduce_mod(c[0], self.mods[0]) for c in tower.eis[:2])
+        self.tower = tower
+        self.mods = tuple(p ** -((k // f - N) // tower.e) for k in range(tower.n))
+        self.weights = tuple(itertools.accumulate(self.mods[:-1], operator.mul, initial=1))
         self.size = p ** (f * N)
         self._squares = None
 
     def reduce(self, x):
-        """A tower element of valuation >= 0, whose den is therefore prime
-        to p, reduced."""
-        if x.den % self.p == 0:
+        """A tower element of valuation >= 0 (so its den is prime to p), reduced."""
+        if x.den % self.tower.base.p == 0:
             raise ZeroValuation(f"{x} is not integral")
-        return tuple(c * pow(x.den, -1, m) % m for c, m in zip(x.num, self.mods))
+        inv = pow(x.den, -1, self.mods[0])      # the largest modulus; the others divide it
+        return tuple(c * inv % m for c, m in zip(x.num, self.mods))
 
-    def mul(self, x, y):
-        if not self.pair:
-            return ((x[0] * y[0]) % self.mods[0],)
-        M0, M1 = self.mods
-        cross = x[1] * y[1]
-        return (
-            (x[0] * y[0] - self.c0 * cross) % M0,
-            (x[0] * y[1] + x[1] * y[0] - self.c1 * cross) % M1,
-        )
-
-    def add(self, x, y):
-        if not self.pair:
-            return ((x[0] + y[0]) % self.mods[0],)
-        return ((x[0] + y[0]) % self.mods[0], (x[1] + y[1]) % self.mods[1])
+    def matrix(self, x):
+        """The rows of the matrix of y -> x*y, x of valuation >= 0: the tower's
+        own table over x.den * D, with D prime to p since make_extension only
+        accepts p-integral Eisenstein coefficients."""
+        inv = pow(x.den * self.tower._D, -1, self.mods[0])
+        return [[c * inv % m for c in row] for row, m in zip(self.tower._num_matrix(x), self.mods)]
 
     def encode(self, x):
-        if not self.pair:
-            return x[0]
-        return x[0] + self.mods[0] * x[1]
+        return sum(map(operator.mul, x, self.weights))
 
-    def decode(self, k):
-        if not self.pair:
-            return (k,)
-        return (k % self.mods[0], k // self.mods[0])
+    def rows(self):
+        """The elements with coordinate 0 zero, in the order of their
+        encodings, which step by mods[0]."""
+        for rest in itertools.product(*map(range, reversed(self.mods[1:]))):
+            yield (0,) + rest[::-1]
 
-    def elements(self, half=False):
-        """Every element; with half, a set holding x or -x for every x."""
-        if not self.pair:
-            for a in range(self.mods[0] // 2 + 1 if half else self.mods[0]):
-                yield (a,)
-        else:
-            for b in range(self.mods[1] // 2 + 1 if half else self.mods[1]):
-                for a in range(self.mods[0]):
-                    yield (a, b)
+    def pieces(self, a_range):
+        """a_range in consecutive ranges of at most ORACLE_PIECE values."""
+        return (a_range[i:i + ORACLE_PIECE] for i in range(0, len(a_range), ORACLE_PIECE))
+
+    def along(self, col0, v, s, alist):
+        """The encodings of v + a*s for a in alist, coordinate 0 being given
+        already reduced as the list col0."""
+        for b, t, m, w in zip(v[1:], s[1:], self.mods[1:], self.weights[1:]):
+            col0 = list(map(operator.add, col0, [(b + a * t) % m * w for a in alist]))
+        return col0
 
     def squares(self):
         if self._squares is None:
             flags = bytearray(self.size)
-            for x in self.elements(half=True):      # x and -x have one square
-                flags[self.encode(self.mul(x, x))] = 1
+            m0 = self.mods[0]
+            half = range(m0 // 2 + 1)       # r + a and -r - a have one square
+            for r in self.rows():
+                # (r + a)^2 = r^2 + 2a*r + a^2, and r has coordinate 0 zero
+                r2 = self.reduce(FieldElement(self.tower, r, 1) ** 2)
+                for part in self.pieces(half):
+                    col0 = [(r2[0] + a * a) % m0 for a in part]
+                    for k in self.along(col0, r2, [2 * c for c in r], part):
+                        flags[k] = 1
             self._squares = flags
         return self._squares
 
@@ -1090,9 +1080,16 @@ def brute_force_norm_oracle(c, ext, depth):
         tower._oracle_rings[N] = ring
     squares = ring.squares()
     cbar = ring.reduce(c_n)
-    dbar = ring.reduce(delta_n)
-    # c + delta*s over the squares s (their flags, so no square is stored)
-    for k in itertools.compress(range(ring.size), squares):
-        if squares[ring.encode(ring.add(cbar, ring.mul(dbar, ring.decode(k))))]:
-            return 1
+    dmat = ring.matrix(delta_n)
+    dbar = [row[0] for row in dmat]         # delta times monomial 0, which is 1
+    m0 = ring.mods[0]
+    # c + delta*s over the squares s = r + a of each row r (their flags, so
+    # no square is stored): the target c + delta*r moves by delta along a
+    for start, r in zip(range(0, ring.size, m0), ring.rows()):
+        t = [sum(map(operator.mul, row, r), x) for x, row in zip(cbar, dmat)]
+        for part in ring.pieces(range(m0)):
+            alist = list(itertools.compress(part, squares[start + part.start:start + part.stop]))
+            col0 = [(t[0] + a * dbar[0]) % m0 for a in alist]
+            if any(map(squares.__getitem__, ring.along(col0, t, dbar, alist))):
+                return 1
     return -1

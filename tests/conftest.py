@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the instance generators check their draws with assert; rewritten, these
+# checks also run under python -O
+pytest.register_assert_rewrite("support")
 
 
 @pytest.fixture

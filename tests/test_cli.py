@@ -231,6 +231,18 @@ class TestValidate:
             outputs.append(run_cli([command, str(path)]))
         assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
+    @pytest.mark.parametrize("command", ["validate", "compute", "check", "oracle"])
+    def test_precision_override_below_eight_exits_three(self, capsys, command):
+        """--precision 0 is an override like 7 or -1, not an absent one."""
+        args = ["oracle", "5", "5", "2"] if command == "oracle" else [command, str(SAMPLE)]
+        errors = []
+        for precision in ("0", "7", "-1"):
+            code, out = run_cli(args + ["--precision", precision])
+            assert code == 3 and out == ""
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].endswith(": precision must be at least 8\n")
+
     @pytest.mark.parametrize("angle", ["1/0", "1e10000000", "1E-3"],
                              ids=["zero-denominator", "huge-exponent", "exponent"])
     @pytest.mark.parametrize("command", ["validate", "compute", "check"])

@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,9 @@ from endofactor.errors import (
 from endofactor.localfield import (
     MAX_ORACLE_RING,
     MAX_PRIME,
+    ORACLE_PIECE,
     BaseField,
+    FieldElement,
     _ResidueRing,
     _reduce_mod,
     brute_force_norm_oracle,
@@ -30,6 +34,7 @@ from endofactor.etale import quadratic_field, split_algebra
 
 Q5 = BaseField("p-adic", 5)
 Q2 = BaseField("p-adic", 2)
+Q3 = BaseField("p-adic", 3)
 RR = BaseField("real")
 F5 = trivial_tower(Q5)
 
@@ -222,18 +227,32 @@ class TestNormTest:
         assert norm_test(F5.element(2), k) == -1
 
 
+def _every_elements(ring):
+    """Every element of the ring, as int tuples."""
+    return itertools.product(*map(range, ring.mods))
+
+
+def _every_square(ring):
+    """The flags of the squares of every element, squared in the tower."""
+    flags = bytearray(ring.size)
+    for x in _every_elements(ring):
+        b = FieldElement(ring.tower, x, 1)
+        flags[ring.encode(ring.reduce(b * b))] = 1
+    return flags
+
+
 def _every_element_oracle(c, ext, depth):
     """The brute-force oracle's search over every b of O/pi^N, testing
-    c + delta*b*b, where the oracle itself scans the squares."""
+    c + delta*b*b in the tower's own arithmetic, where the oracle itself
+    scans the squares along the rows of the ring."""
     tower = ext.base_pm
     pi = tower.pi()
     c_n = c * pi ** (-2 * (valuation(c) // 2))
     delta_n = ext.delta * pi ** (-2 * (valuation(ext.delta) // 2))
     ring = _ResidueRing(tower, valuation(c_n) + depth)
     squares = ring.squares()
-    cbar, dbar = ring.reduce(c_n), ring.reduce(delta_n)
-    return 1 if any(squares[ring.encode(ring.add(cbar, ring.mul(dbar, ring.mul(b, b))))]
-                    for b in ring.elements()) else -1
+    return 1 if any(squares[ring.encode(ring.reduce(c_n + delta_n * b * b))]
+                    for b in (FieldElement(tower, x, 1) for x in _every_elements(ring))) else -1
 
 
 class TestOracle:
@@ -259,29 +278,28 @@ class TestOracle:
         with pytest.raises(UnsupportedCase, match=r"has 5\^1000000000 elements"):
             brute_force_norm_oracle(F5.element(2), k, 10 ** 9)
 
-    @pytest.mark.parametrize("p, f, eis", [(2, 1, [-1, 1]), (3, 1, [-1, 1]), (7, 1, [-1, 1]),
-                                           (3, 2, [-1, 1]), (3, 1, [-1, 0, 1]),
-                                           (7, 1, [-1, 0, 1])],
-                             ids=["z-2", "z-3", "z-7", "u-3", "pi-3", "pi-7"])
-    def test_squares_scan_against_every_element(self, p, f, eis):
-        """The squares of O/pi^N, built from half the ring, are those of
-        every element.  The oracle scans c + delta*s over them; the scan of
-        c + delta*b*b over every b gives the same verdict, for every pair of
-        square classes at the two smallest depths."""
+    @pytest.mark.parametrize("p, f, eis, depths", [
+        (2, 1, [-1, 1], 2), (3, 1, [-1, 1], 2), (7, 1, [-1, 1], 2), (3, 2, [-1, 1], 2),
+        (3, 1, [-1, 0, 1], 2), (7, 1, [-1, 0, 1], 2), (3, 3, [-1, 1], 1),
+        (3, 1, [-1, 0, 0, 1], 2), (3, 2, [-1, 0, 1], 2),
+    ], ids=["z-2", "z-3", "z-7", "u-3", "pi-3", "pi-7", "f3-3", "e3-3", "f2e2-3"])
+    def test_squares_scan_against_every_element(self, p, f, eis, depths):
+        """The squares of O/pi^N, built along the rows of half the ring, are
+        those of every element.  The oracle scans c + delta*s over them; the
+        scan of c + delta*b*b over every b gives the same verdict, for every
+        pair of square classes at the smallest depths (one for f = 3, whose
+        O/pi^4 has 3^12 elements)."""
         tower = make_extension(BaseField("p-adic", p), f, [c * p if k == 0 else c
                                                           for k, c in enumerate(eis)])
         ring = _ResidueRing(tower, 3)
-        assert [ring.decode(ring.encode(x)) for x in ring.elements()] == list(ring.elements())
-        flags = bytearray(ring.size)
-        for x in ring.elements():
-            flags[ring.encode(ring.mul(x, x))] = 1
-        assert ring.squares() == flags
+        assert sorted(map(ring.encode, _every_elements(ring))) == list(range(ring.size))
+        assert ring.squares() == _every_square(ring)
         reps = tower.square_class_reps()
         for delta in reps[1:]:
             ext = quadratic_field(tower, delta)
             for c in reps:
                 least = valuation(tower.element(4)) + valuation(delta) % 2 + 1
-                for depth in (least, least + 1):
+                for depth in range(least, least + depths):
                     assert (brute_force_norm_oracle(c, ext, depth)
                             == _every_element_oracle(c, ext, depth) == norm_test(c, ext))
 
@@ -293,6 +311,41 @@ class TestOracle:
             for c in reps:
                 depth = (valuation(d) % 2) + 1
                 assert brute_force_norm_oracle(c, k, depth) == norm_test(c, k)
+
+    def test_rows_longer_than_a_piece(self):
+        """Over Q_3 at N = 9 and 10 a row is the whole ring, 3^9 or 3^10
+        elements, walked in pieces of ORACLE_PIECE."""
+        tower = make_extension(Q3, 1, [-3, 1])
+        ring = _ResidueRing(tower, 9)
+        assert ring.mods == (3 ** 9,) and ring.mods[0] > 4 * ORACLE_PIECE
+        assert ring.squares() == _every_square(ring)
+        reps = tower.square_class_reps()
+        for delta in reps[1:]:
+            ext = quadratic_field(tower, delta)
+            for c in reps:
+                assert brute_force_norm_oracle(c, ext, 9) == norm_test(c, ext)
+
+    def test_agrees_with_norm_test_on_towers_of_degree_3_to_6(self):
+        """Every square-class pair at the least depth, on seven towers whose
+        rings have at most 3^9 elements; the last one's table is over D = 6,
+        prime to p."""
+        t0 = time.perf_counter()
+        checked = 0
+        for p, f, eis in [(3, 3, [-3, 1]), (3, 1, [-3, 0, 0, 1]), (3, 2, [[0, -3], 0, 1]),
+                          (3, 1, [-3, 0, 0, 0, 1]), (3, 3, [-3, 0, 1]),
+                          (3, 1, [-3, 0, 0, 0, 0, 0, 1]),
+                          (5, 1, [Fraction(-5, 3), Fraction(5, 2), 0, 1])]:
+            tower = make_extension(BaseField("p-adic", p), f, eis)
+            reps = tower.square_class_reps()
+            for delta in reps[1:]:
+                ext = quadratic_field(tower, delta)
+                for c in reps:
+                    depth = valuation(delta) % 2 + 1
+                    assert brute_force_norm_oracle(c, ext, depth) == norm_test(c, ext)
+                    checked += 1
+            assert max(r.size for r in tower._oracle_rings.values()) <= 3 ** 9
+        assert checked == 84
+        assert time.perf_counter() - t0 < 10
 
 
 def test_reduce_mod_needs_an_integral_value():

@@ -10,11 +10,13 @@ from endofactor.errors import UnsupportedCase
 from endofactor.etale import charpoly_over, quadratic_field
 from endofactor.factor import compute_delta
 from endofactor.localfield import (
+    MAX_ORACLE_RING,
     BaseField,
     brute_force_norm_oracle,
     hilbert_symbol,
     is_square,
     make_extension,
+    norm_test,
     square_class,
     valuation,
 )
@@ -105,9 +107,19 @@ def test_norms_are_hilbert_positive(quartic, rng):
 
 
 def test_oracle_rejects_large_towers(quartic):
+    """At depth 3 the oracle's O/pi^N, N <= 4, has at most 5^8 elements,
+    and its verdicts are the norm test's; at depth 6, O/pi^6 has 5^12 and
+    is refused."""
+    reps = quartic.square_class_reps()
+    for delta in reps[1:]:
+        k = quadratic_field(quartic, delta)
+        for c in reps:
+            assert brute_force_norm_oracle(c, k, 3) == norm_test(c, k)
     k = quadratic_field(quartic, quartic.pi())
-    with pytest.raises(UnsupportedCase):
-        brute_force_norm_oracle(quartic.element(2), k, 3)
+    with pytest.raises(UnsupportedCase) as info:
+        brute_force_norm_oracle(quartic.element(2), k, 6)
+    assert str(info.value) == ("oracle residue ring O/pi^6 has 5^12 elements, "
+                               f"more than the limit {MAX_ORACLE_RING}")
 
 
 def test_degree_eight_charpoly(quartic, rng):
