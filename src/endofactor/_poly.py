@@ -2,16 +2,25 @@
 
 Polynomials are plain lists of coefficients, constant term first, trailing
 zeros stripped.  Coefficients may be Fractions or any of the package's
-element types; everything here only uses ``+ - *``, so one implementation
-serves Q, towers, and etale algebras.
-``charpoly`` needs only a commutative ring, so it also runs on the integer
-matrices of the tower kernel; ``is_squarefree`` works over Z when the
+element types; ``pmul``, ``pderiv`` and ``charpoly`` only use ``+ - *``, so
+one implementation serves Q, towers, and etale algebras, and ``charpoly``
+also runs on the integer matrices of the tower kernel.
+``peval`` evaluates at an element of a tower or etale algebra on that ring's
+integer matrix of the element, and ``peval_scalar`` at 0, 1 and -1 by
+coefficient sums alone.  ``is_squarefree`` works over Z when the
 coefficients are Fractions and over Z[sqrt(D)] when they lie in a quadratic
-field E, so no routine here needs a field.
+field E, after a certificate modulo a prime near 2^61, so no routine here
+needs a field.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
+
+# Primes l = 3 (mod 4) from 2^61 - 1 down, in a fixed order.  The squarefree
+# certificate works mod the first over Q, and over E mod the first in which
+# D is a nonzero square, where D^((l+1)/4) is a root of it.
+_PRIMES = tuple(2 ** 61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
 
 
 def trim(coeffs):
@@ -42,30 +51,107 @@ def pderiv(p):
 
 
 def peval(p, x, zero):
-    """Horner evaluation; ``zero`` fixes the target ring when p is empty."""
-    acc = zero
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p(x) for an element x of a tower or etale algebra; ``zero`` when p is
+    empty.  The coefficients are ints, Fractions or elements that x
+    coerces.
+
+    One Horner pass on integer vectors: the ring's integer matrix N of
+    y -> x*y is over s = x.den * D, and with the coefficients over one
+    denominator L, c_j = C_j / L, the vectors W_m = C_m and
+    W_j = N*W_(j+1) + s^(m-j) * C_j give p(x) = W_0 / (s^m * L).
+    """
+    if not p:
+        return zero
+    coeffs = []
+    for c in p:
+        if isinstance(c, (int, Fraction)):
+            coeffs.append(((c.numerator,), c.denominator))
+        else:
+            o = x._co(c)
+            if o is None:
+                raise TypeError(f"cannot evaluate a coefficient {c!r} at {x!r}")
+            coeffs.append((o.num, o.den))
+    ring = x.ring
+    L = lcm(*(d for _, d in coeffs))
+    mat = ring._num_matrix(x)
+    s = x.den * ring._D
+    num, d = coeffs[-1]
+    acc = [c * (L // d) for c in num] + [0] * (ring.n - len(num))
+    scale = 1
+    for num, d in reversed(coeffs[:-1]):
+        scale *= s
+        acc = [sum(map(operator.mul, row, acc)) for row in mat]
+        k = scale * (L // d)
+        for i, c in enumerate(num):
+            if c:
+                acc[i] += k * c
+    den = scale * L
+    g = gcd(den, *acc)
+    return type(x)(ring, tuple(c // g for c in acc), den // g)
+
+
+def peval_scalar(p, t, zero):
+    """p(t) at t = 0, 1 or -1, with no products: p[0], the sum of the
+    coefficients, or the sum of the even-degree ones minus that of the
+    odd-degree ones.  The sums start from ``zero``, which fixes the ring of
+    the value."""
+    if t == 0:
+        return zero + p[0] if p else zero
+    if t == 1:
+        return sum(p, zero)
+    if t == -1:
+        return sum(p[::2], zero) - sum(p[1::2], zero)
+    raise ValueError(f"no coefficient-sum evaluation at {t!r}")
 
 
 def is_squarefree(p):
     """No repeated factor: gcd(p, p') has degree <= 0.
 
-    Rational p is scaled to a primitive integer polynomial and run through
-    the primitive remainder sequence of (p, p'); by Gauss's lemma its last
-    nonzero term has the degree of the gcd over Q.  Coefficients in a
-    quadratic field E = F(rt), rt^2 = delta = n/d, go through the same
-    sequence over Z[s], s = d*rt, s^2 = n*d (see ``_pair_squarefree``).
+    Rational p is scaled to a primitive integer polynomial a.  When the
+    prime l = 2^61 - 1 does not divide lc(a) and the images of a and a'
+    are coprime over F_l, Res(a, a') is nonzero mod l, so p is squarefree.
+    Otherwise a goes through the primitive remainder sequence of (a, a');
+    by Gauss's lemma its last nonzero term has the degree of the gcd over
+    Q, and this sequence gives every False.  Coefficients in a quadratic
+    field E = F(rt), rt^2 = delta = n/d, go through the same two steps over
+    Z[s], s = d*rt, s^2 = n*d (see ``_pair_squarefree``).
     """
     if not all(isinstance(c, (int, Fraction)) for c in p):
         return _pair_squarefree(p)
     den = lcm(*(c.denominator for c in p))
     a = _primitive([c.numerator * (den // c.denominator) for c in p])
+    ell = _PRIMES[0]
+    if _coprime_to_derivative_mod([c % ell for c in a], ell):
+        return True
     b = _primitive(pderiv(a))
     while b:
         a, b = b, _primitive(_int_prem(a, b))
     return degree(a) <= 0
+
+
+def _coprime_to_derivative_mod(a, ell):
+    """True when the coefficients a, reduced mod the prime ell, have a
+    nonzero top one and a is coprime to a' over F_ell: Euclid on residues.
+    With a the image of an integer polynomial of the same degree below
+    ell, that certifies the integer one squarefree; False decides
+    nothing."""
+    if not a or not a[-1]:
+        return False
+    b = [k * c % ell for k, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        rem = list(a)
+        inv = pow(b[-1], -1, ell)
+        while len(rem) >= len(b):
+            c = rem.pop() * inv % ell
+            k = len(rem) - len(b) + 1
+            for j in range(len(b) - 1):
+                rem[k + j] = (rem[k + j] - c * b[j]) % ell
+            while rem and not rem[-1]:
+                rem.pop()
+        a, b = b, rem
+    return len(a) == 1
 
 
 def _primitive(coeffs):
@@ -94,14 +180,22 @@ def _pair_squarefree(p):
     """``is_squarefree`` for coefficients in a quadratic field E over the
     trivial tower.  A coefficient (x + y*rt)/c is scaled by the lcm L of
     the c and by d to the integer pair (x*d*L/c, y*L/c), standing for
-    X + Y*s; the pseudo-remainder sequence of (p, p') over Z[s] differs
-    from the Euclidean one over E by nonzero factors at each step, so its
-    last nonzero term has the degree of the gcd.  delta is a non-square, so
-    X + Y*s is zero only when X = Y = 0."""
+    X + Y*s.  For the first listed prime l in which D = n*d is a nonzero
+    square, s -> r = D^((l+1)/4) is a ring map Z[s] -> F_l, so the image
+    of the pairs certifies squarefreeness as a rational polynomial's does.
+    Otherwise the pseudo-remainder sequence of (p, p') over Z[s] decides:
+    it differs from the Euclidean one over E by nonzero factors at each
+    step, so its last nonzero term has the degree of the gcd.  delta is a
+    non-square, so X + Y*s is zero only when X = Y = 0."""
     delta = p[0].algebra.delta
     d, D = delta.den, delta.num[0] * delta.den
     den = lcm(*(c.den for c in p))
     a = _primitive_pairs([(c.num[0] * d * (den // c.den), c.num[1] * (den // c.den)) for c in p])
+    ell = next((ell for ell in _PRIMES if pow(D, (ell - 1) // 2, ell) == 1), None)
+    if ell is not None:
+        r = pow(D, (ell + 1) // 4, ell)
+        if _coprime_to_derivative_mod([(x + y * r) % ell for x, y in a], ell):
+            return True
     b = _primitive_pairs([(k * x, k * y) for k, (x, y) in enumerate(a)][1:])
     while b:
         a, b = b, _primitive_pairs(_pair_prem(a, b, D))

@@ -110,8 +110,8 @@ class CharPolyPack:
         return self.scalar(0)
 
     def at(self, poly, point):
-        """Evaluate at a ground scalar (Fraction)."""
-        return _poly.peval(poly, self.scalar(point), self.zero())
+        """Evaluate at the ground scalar 0, 1 or -1."""
+        return _poly.peval_scalar(poly, point, self.zero())
 
     def in_algebra(self, poly, value):
         """Evaluate at an element of one of the index algebras."""

@@ -723,13 +723,14 @@ class FlatElement:
             return NotImplemented
         if n < 0:
             return (self ** -n).inverse()
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base
+        if not n:
+            return self.ring.one()
+        # left to right from the top set bit: x^5 is ((x^2)^2)*x, 3 products
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
 

@@ -459,11 +459,10 @@ def is_regular_charpoly(poly, g):
     characteristic polynomials: P is squarefree, and the formulary's
     denominators at T = 1, -1 stay away from zero.  Where a case has an
     eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree."""
-    scalar = ground_scalar(g)
-    zero = scalar(0)
+    zero = ground_scalar(g)(0)
     return (_poly.is_squarefree(poly)
-            and _poly.peval(poly, scalar(1), zero) != zero
-            and _poly.peval(poly, scalar(-1), zero) != zero)
+            and _poly.peval_scalar(poly, 1, zero) != zero
+            and _poly.peval_scalar(poly, -1, zero) != zero)
 
 
 def check_regularity(param, g, role="endoscopic"):

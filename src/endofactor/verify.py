@@ -153,7 +153,7 @@ def li_identity_1(data, i, j):
     qj = data.Q_j[j]
     nj = _poly.degree(pj)
     lhs = _poly.peval(pj, yv, alg.zero())
-    pj_m1 = _poly.peval(pj, Fraction(-1), Fraction(0))
+    pj_m1 = _poly.peval_scalar(pj, -1, Fraction(0))
     rhs = (alg.one() - xi) ** (-nj) * pj_m1 * _poly.peval(qj, xi, alg.zero())
     return lhs == rhs
 
@@ -169,7 +169,7 @@ def li_identity_2(data, i):
     p_y = _poly.pmul(data.pack.P, [Fraction(-1), Fraction(1)])
     dp_y = _poly.pderiv(p_y)
     lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(dp_y, yv, alg.zero())
-    p_y_m1 = _poly.peval(p_y, Fraction(-1), Fraction(0))
+    p_y_m1 = _poly.peval_scalar(p_y, -1, Fraction(0))
     rhs = -1 * p_y_m1 * _poly.peval(data.dQ_X, xi, alg.zero())
     return lhs == rhs
 

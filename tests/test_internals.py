@@ -68,7 +68,9 @@ class TestPolyOps:
     def test_derivative_and_eval(self):
         p = fpoly(1, -3, 0, 2)      # 1 - 3T + 2T^3
         assert _poly.pderiv(p) == fpoly(-3, 0, 6)
-        assert _poly.peval(p, F(2), F(0)) == 1 - 6 + 16
+        two = trivial_tower(BaseField("p-adic", 5)).element(2)
+        assert _poly.peval(p, two, two - two) == 1 - 6 + 16
+        assert [_poly.peval_scalar(p, t, F(0)) for t in (0, 1, -1)] == [1, 0, 2]
 
 
 class TestMatrixOps:

@@ -24,6 +24,7 @@ from endofactor.params import (
     validate_group,
     validate_param,
 )
+from test_poly_reference import horner
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
@@ -306,9 +307,9 @@ def _regular_with_adjoined_line(poly, g):
     aug = _poly.pmul(poly, [-one, one]) if dline else poly
     if not _poly.is_squarefree(aug):
         return False
-    if _poly.peval(poly, minus_one, zero) == zero:
+    if horner(poly, minus_one, zero) == zero:
         return False
-    if not dline and _poly.peval(poly, one, zero) == zero:
+    if not dline and horner(poly, one, zero) == zero:
         return False
     return True
 

@@ -7,20 +7,28 @@ The Gauss eliminations below are the references for the tower norm, the
 tower inverse and the Gram determinant, which all go through ``charpoly``.
 
 ``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z and
-E-coefficient ones over Z[sqrt(D)] by remainder sequences divided by their
-integer content.  The reference is the Euclidean gcd of p and p' over Q or
-E, ``pgcd`` below.
+E-coefficient ones over Z[sqrt(D)]: a certificate modulo a prime near 2^61
+first, then remainder sequences divided by their integer content.  The
+reference is the Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and
+the certificate is also checked against the remainder sequence alone.
+
+``_poly.peval`` evaluates on the integer matrix of the point and
+``_poly.peval_scalar`` by coefficient sums; the reference for both is
+Horner's rule element by element, ``horner`` below.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
-from endofactor import _poly, factor
-from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field
+from endofactor import _poly, factor, verify
+from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field, split_algebra
 from endofactor.localfield import BaseField, make_extension
+from endofactor.params import CASES
 
 F = Fraction
 
@@ -81,6 +89,15 @@ def pgcd(p, q):
         _, r = pdivmod(a, b)
         a, b = b, r
     return pmonic(a) if a else a
+
+
+def horner(p, x, zero):
+    """p(x) by Horner's rule, element by element: one product by x and one
+    coerced sum per coefficient; ``zero`` fixes the ring when p is empty."""
+    acc = zero
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def gauss_solve(mat, rhs):
@@ -432,3 +449,242 @@ def test_squarefree_over_e_against_the_euclidean_gcd(rng, delta_e):
         _assert_squarefree_matches(_product(factors + [lin, lin], E.one()), False)
         _assert_squarefree_matches([c * E.element(F(-6, 35), F(1, 7)) for c in p],
                                    _poly.is_squarefree(p))
+
+
+# --- the modular certificate against the remainder sequence ---
+
+def _certified(p):
+    """(is_squarefree(p), [(l, outcome)] of the certificates it tried)."""
+    seen = []
+    real = _poly._coprime_to_derivative_mod
+
+    def spy(a, ell):
+        seen.append((ell, real(a, ell)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_poly, "_coprime_to_derivative_mod", spy)
+        return _poly.is_squarefree(p), seen
+
+
+def _sequence_verdict(p):
+    """is_squarefree(p) with every certificate refused: the remainder
+    sequence alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_poly, "_coprime_to_derivative_mod", lambda a, ell: False)
+        return _poly.is_squarefree(p)
+
+
+def _assert_certificate_sound(p):
+    """The verdict is the sequence's, the certificate only ever says True
+    and a False verdict comes from the sequence.  Returns the attempts."""
+    verdict, seen = _certified(p)
+    assert verdict == _sequence_verdict(p) == _reference_squarefree(p)
+    assert len(seen) <= 1
+    if not verdict:
+        assert [ok for _, ok in seen] in ([], [False])
+    return seen
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first 13 prime bases, exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_certificate_primes():
+    assert _poly._PRIMES[0] == 2 ** 61 - 1
+    assert list(_poly._PRIMES) == sorted(_poly._PRIMES, reverse=True)
+    assert all(ell % 4 == 3 and _is_prime(ell) for ell in _poly._PRIMES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificate_agrees_with_the_sequence_on_instances(case):
+    """Every P, P_minus and P_plus of a few draws is certified squarefree,
+    over Q in the five F cases and over E in the two unitary ones; with a
+    factor forced to repeat, the certificate falls through and the
+    sequence says False."""
+    rng = random.Random(7)
+    certified = 0
+    for p in (3, 5, 7):
+        inst = support.make_instance(rng, case, p=p)
+        pack = factor.build_charpoly_pack(inst.y, inst.g)
+        for poly in (pack.P, pack.P_minus, pack.P_plus):
+            seen = _assert_certificate_sound(poly)
+            certified += [ok for _, ok in seen] == [True]
+        first = charpoly_over(inst.y.entries[0].value, pack.ground)
+        _assert_certificate_sound(_poly.pmul(pack.P, first))
+        assert not _poly.is_squarefree(_poly.pmul(pack.P, first))
+    assert certified == 9
+
+
+def test_certificate_falls_through_when_ell_divides_the_lead():
+    ell = _poly._PRIMES[0]
+    T = [F(0), F(1)]
+    # ell*T^2 + T + 1: squarefree, but of degree 1 mod ell
+    assert _certified([F(1), F(1), F(ell)]) == (True, [(ell, False)])
+    # (ell*T + 1)^2 is primitive with lead ell^2
+    square = _poly.pmul([F(1), F(ell)], [F(1), F(ell)])
+    assert _certified(square) == (False, [(ell, False)])
+    assert _certified(_poly.pmul(square, T)) == (False, [(ell, False)])
+
+
+def test_certificate_falls_through_on_a_discriminant_divisible_by_ell():
+    """T^2 - l is squarefree, but T^2 mod l is not: the sequence decides."""
+    ell = _poly._PRIMES[0]
+    assert _certified([F(-ell), F(0), F(1)]) == (True, [(ell, False)])
+    assert _certified([F(-ell, 3), F(0), F(1, 3)]) == (True, [(ell, False)])
+
+
+def test_certificate_empty_and_constant_polynomials():
+    ell = _poly._PRIMES[0]
+    assert _certified([]) == (True, [(ell, False)])
+    assert _certified([F(7, 3)]) == (True, [(ell, True)])
+    assert _certified([F(0), F(5)]) == (True, [(ell, True)])
+    E = UnitaryBaseData(BaseField("p-adic", 3), 2).E
+    verdict, seen = _certified([E.element(F(2, 3), 1)])
+    assert verdict and all(ok for _, ok in seen)
+
+
+def _delta_nonsquare_mod(count):
+    """The least integer D > 1, a non-square in Q_3, that is a non-square
+    mod the first ``count`` listed primes and, when count < len(_PRIMES),
+    a square mod the next one."""
+    primes = _poly._PRIMES
+    for D in range(2, 10 ** 6):
+        if D % 3 != 2 and D % 9 not in (3, 6):
+            continue
+        legendre = [pow(D, (ell - 1) // 2, ell) for ell in primes]
+        if all(v == ell - 1 for v, ell in zip(legendre[:count], primes)) and (
+                count == len(primes) or legendre[count] == 1):
+            return D
+    raise AssertionError("no such D below 10^6")
+
+
+@pytest.mark.parametrize("count", [2, len(_poly._PRIMES)])
+def test_certificate_over_e_where_nd_is_a_non_square_mod_the_first_primes(rng, count):
+    """delta = D with D a non-square mod the first ``count`` primes: the
+    certificate runs mod the next prime, or not at all when there is none,
+    and the verdicts stay the sequence's."""
+    D = _delta_nonsquare_mod(count)
+    E = UnitaryBaseData(BaseField("p-adic", 3), D).E
+    rt = E.rt()
+    p = _poly.pmul([-rt, E.one()], [rt + 1, E.one()])
+    want = [(_poly._PRIMES[count], True)] if count < len(_poly._PRIMES) else []
+    assert _certified(p) == (True, want)
+    for _ in range(6):
+        q = _product([_random_e_poly(rng, E, rng.randint(1, 3)) for _ in range(2)], E.one())
+        seen = _assert_certificate_sound(q)
+        assert [ell for ell, _ in seen] == [ell for ell, _ in want]
+        lin = _random_e_poly(rng, E, 1)
+        assert _certified(_product([q, lin, lin], E.one()))[0] is False
+
+
+# --- evaluation against Horner's rule ---
+
+_Q3 = BaseField("p-adic", 3)
+_UNITARY = (UnitaryBaseData(_Q3, 2), UnitaryBaseData(_Q3, 3))
+
+
+def _evaluation_rings():
+    """(ring, sources of element coefficients): towers (1,1), (2,1), (1,2)
+    and (2,2) over Q_3, and over each a quadratic field, the split algebra
+    and the tensor algebras with an unramified and a ramified E."""
+    out = []
+    for f, e in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        tower = make_extension(_Q3, f, [-3, 1] if e == 1 else [-3, 0, 1])
+        out.append((tower, (tower,)))
+        for alg in (quadratic_field(tower, tower.unit_nonsquare()), split_algebra(tower)):
+            out.append((alg, (tower, alg)))
+        for ub in _UNITARY:
+            alg = ub.algebra_over(tower)
+            out.append((alg, (ub.E, alg)))
+    return out
+
+
+EVAL_RINGS = _evaluation_rings()
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+
+def _elements(ring):
+    """Elements of a tower or of a quadratic algebra over one."""
+    tower = getattr(ring, "base_pm", ring)
+    parts = st.lists(_RATIONALS, min_size=tower.n, max_size=tower.n).map(tower._from_fractions)
+    return parts if ring is tower else st.builds(ring.element, parts, parts)
+
+
+def _same(got, want):
+    return type(got) is type(want) and got == want and (
+        not hasattr(want, "num") or (got.num, got.den) == (want.num, want.den))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_peval_matches_horner(data):
+    """Int, Fraction, tower, algebra and E coefficients; the empty and the
+    constant polynomials."""
+    ring, sources = data.draw(st.sampled_from(EVAL_RINGS))
+    x = data.draw(_elements(ring))
+    coefficient = st.one_of(st.integers(-30, 30), _RATIONALS, *map(_elements, sources))
+    p = data.draw(st.lists(coefficient, max_size=7))
+    assert _same(_poly.peval(p, x, ring.zero()), horner(p, x, ring.zero()))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_peval_scalar_matches_horner(data):
+    """Fraction and E coefficients at 0, 1 and -1."""
+    E = data.draw(st.sampled_from([None] + [ub.E for ub in _UNITARY]))
+    coefficient = _RATIONALS if E is None else _elements(E)
+    zero = F(0) if E is None else E.zero()
+    p = data.draw(st.lists(coefficient, max_size=7))
+    for t in (0, 1, -1):
+        assert _same(_poly.peval_scalar(p, t, zero), horner(p, zero + t, zero))
+    with pytest.raises(ValueError):
+        _poly.peval_scalar(p, 2, zero)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_every_evaluation_of_compute_and_check_matches_horner(case, monkeypatch):
+    """Each evaluation that compute_delta and run_suite make, at an element
+    or at a scalar, on draws of every case."""
+    fast, fast_scalar = _poly.peval, _poly.peval_scalar
+    at_elements, at_scalars = [], []
+
+    def checked(p, x, zero):
+        out = fast(p, x, zero)
+        assert _same(out, horner(p, x, zero))
+        at_elements.append(x)
+        return out
+
+    def checked_scalar(p, t, zero):
+        out = fast_scalar(p, t, zero)
+        assert _same(out, horner(p, zero + t, zero))
+        at_scalars.append(t)
+        return out
+
+    monkeypatch.setattr(_poly, "peval", checked)
+    monkeypatch.setattr(_poly, "peval_scalar", checked_scalar)
+    rng = random.Random(11)
+    for p in (3, 5, 7):
+        inst = support.make_instance(rng, case, p=p)
+        factor.compute_delta(*inst.astuple())
+        assert all(ok for _, ok in verify.run_suite(*inst.astuple()))
+    assert at_elements and at_scalars

@@ -25,6 +25,7 @@ import pytest
 from endofactor import _poly
 from endofactor.document import parse_etale_literal, parse_tower_literal
 from endofactor.etale import UnitaryBaseData, charpoly_over, quadratic_field, split_algebra
+from endofactor.errors import ZeroValuation
 from endofactor.localfield import (
     BaseField,
     FieldElement,
@@ -174,6 +175,42 @@ def test_equal_elements_have_equal_keys(tower, rng):
     z = alg.element(x, half)
     w = alg.element(x * x.inverse() * x, tower.from_coords([[Fraction(2, 4)]]))
     assert z == w and hash(z) == hash(w)
+
+
+def _pow_rings():
+    tower = make_extension(BaseField("p-adic", P), 2, _eis(2, 2))
+    return [tower, quadratic_field(tower, tower.pi() * Fraction(2, 3))]
+
+
+@pytest.mark.parametrize("ring", _pow_rings(), ids=["tower", "etale"])
+def test_powers_match_repeated_products(ring, rng, monkeypatch):
+    """x**k is k products of x, or of 1/x for k < 0, and x**0 is one;
+    x**k for k >= 1 takes one squaring per bit below the top set bit and
+    one more product per further set bit; 0**-1 has no value."""
+    tower = getattr(ring, "base_pm", ring)
+    x = _random_element(rng, tower)
+    if ring is not tower:
+        x = ring.element(x, _random_element(rng, tower))
+    assert x ** 0 == ring.one()
+    for base, ks in ((x, range(10)), (x.inverse(), range(0, -7, -1))):
+        ref = ring.one()
+        for k in ks:
+            assert x ** k == ref
+            _assert_normal(x ** k)
+            ref = ref * base
+    with pytest.raises(ZeroValuation):
+        ring.zero() ** -1
+    products = []
+    mul = type(x).__mul__
+
+    def counting(self, other):
+        products.append(k)
+        return mul(self, other)
+
+    monkeypatch.setattr(type(x), "__mul__", counting)
+    for k in range(1, 10):
+        x ** k
+    assert [products.count(k) for k in range(1, 10)] == [0, 1, 2, 2, 3, 3, 4, 3, 4]
 
 
 def test_kernel_builds_no_fraction(monkeypatch):
