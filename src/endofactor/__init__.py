@@ -11,78 +11,48 @@ characteristic polynomials), ``forms`` (quadratic-form invariants),
 ``params`` (descriptors, endoscopic data, validation, matching),
 ``factor`` (the formulary engine), ``verify`` (the identity chain), and
 ``cli``/``document`` (the JSON batch interface).
+
+The names of ``__all__`` resolve on first use: ``import endofactor`` loads
+no submodule, and reading ``endofactor.compute_delta`` (or running
+``from endofactor import *``) imports the submodules that hold the names
+asked for.
 """
 
-from .errors import EndofactorError
-from .localfield import (
-    BaseField,
-    ExtensionTower,
-    FieldElement,
-    brute_force_norm_oracle,
-    hilbert_symbol,
-    is_square,
-    make_extension,
-    norm_test,
-    square_class,
-    trivial_tower,
-    valuation,
-)
-from .etale import (
-    EtaleElement,
-    QuadraticEtale,
-    UnitaryBaseData,
-    charpoly_over,
-    quadratic_field,
-    split_algebra,
-    tau,
-)
-from .forms import (
-    FormInvariants,
-    QuadraticSpace,
-    invariants,
-    isomorphic,
-    symmetrize_twisted,
-    trace_form_gram,
-)
-from .params import (
-    EndoscopicDatum,
-    GroupDescriptor,
-    IndexEntry,
-    RegularParam,
-    TameCharacter,
-    check_regularity,
-    match_stable_classes,
-    stable_class_of,
-    validate_endoscopic,
-    validate_group,
-    validate_param,
-)
-from .factor import (
-    CharPolyPack,
-    FactorTrace,
-    UnitCircleValue,
-    build_charpoly_pack,
-    compute_C,
-    compute_delta,
-    eval_character,
-    special_case_indicator,
-    swapped_delta,
-)
-from .verify import (
-    LieParam,
-    cayley,
-    cayley_inv,
-    check_Aij_is_norm,
-    check_Bi_Ci_consistency,
-    check_cD_square_class,
-    delta_I_lie,
-    eta_from_nu,
-    li_identity_1,
-    li_identity_2,
-    make_lie_param,
-)
-from .document import InstanceDocument, dump_document, load_document
+import sys
+
+# Each public name, under the submodule that defines it.
+_EXPORTS = {
+    "errors": "EndofactorError",
+    "localfield": "BaseField ExtensionTower FieldElement brute_force_norm_oracle "
+                  "hilbert_symbol is_square make_extension norm_test square_class "
+                  "trivial_tower valuation",
+    "etale": "EtaleElement QuadraticEtale UnitaryBaseData charpoly_over "
+             "quadratic_field split_algebra tau",
+    "forms": "FormInvariants QuadraticSpace invariants isomorphic "
+             "symmetrize_twisted trace_form_gram",
+    "params": "EndoscopicDatum GroupDescriptor IndexEntry RegularParam TameCharacter "
+              "check_regularity match_stable_classes stable_class_of "
+              "validate_endoscopic validate_group validate_param",
+    "factor": "CharPolyPack FactorTrace UnitCircleValue build_charpoly_pack compute_C "
+              "compute_delta eval_character special_case_indicator swapped_delta",
+    "verify": "LieParam cayley cayley_inv check_Aij_is_norm check_Bi_Ci_consistency "
+              "check_cD_square_class delta_I_lie eta_from_nu li_identity_1 "
+              "li_identity_2 make_lie_param",
+    "document": "InstanceDocument dump_document load_document",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    """A public name not read before: import its submodule and return it."""
+    home = name if name in _EXPORTS else _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own machinery, so that -X importtime reports it
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    return module if home == name else getattr(module, name)

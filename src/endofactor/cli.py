@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from . import verify
 from .document import load_document, parse_tower_literal
 from .errors import (
     ArithmeticFailure,
@@ -80,6 +79,7 @@ def cmd_compute(args, out):
 
 
 def cmd_check(args, out):
+    from . import verify
     doc = load_document(_read(args.document), precision=args.precision)
     validate_package(doc.y, doc.x, doc.group, doc.endoscopic)
     results = verify.run_suite(doc.y, doc.x, doc.group, doc.endoscopic)

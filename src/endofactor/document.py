@@ -21,13 +21,9 @@ numerators, with no ring product; any other text goes to the evaluator,
 which gives the same values and is the only source of error messages.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import re
-import string
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
@@ -65,8 +61,8 @@ MAX_LITERAL_EXPONENT = 64
 MAX_LITERAL_LENGTH = 4096
 MAX_INDICES = 64
 
-_DIGITS = frozenset(string.digits)
-_NAME_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
 # One term of a literal in the shape the serializer writes (see
@@ -276,15 +272,15 @@ def _evaluate_literal(text, ring, tower, where):
 # documents
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InstanceDocument:
     """A parsed instance: the base field and the four computation inputs."""
 
-    base: BaseField
-    group: GroupDescriptor
-    endoscopic: EndoscopicDatum
-    y: RegularParam
-    x: RegularParam
+    def __init__(self, base, group, endoscopic, y, x):
+        self.base = base
+        self.group = group
+        self.endoscopic = endoscopic
+        self.y = y
+        self.x = x
 
 
 def _need(obj, key, where, kind=None):

@@ -26,8 +26,6 @@ and no p-adic square root is ever needed: whether the tensor splits is
 decided by an exact square test.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from fractions import Fraction

@@ -8,13 +8,10 @@ unit circle.  A full trace of every intermediate is kept so a run can be
 audited line by line.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from . import _poly, forms
+from . import _poly
 from .errors import (
     DivisionByZero,
     MatchFailure,
@@ -29,6 +26,7 @@ from .params import (
     IndexEntry,
     RegularParam,
     TameCharacter,
+    charpoly_ends,
     charpoly_product,
     ground_scalar,
     is_regular_charpoly,
@@ -40,14 +38,27 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
 class UnitCircleValue:
-    """An exact point e^(2*pi*i*angle) with a rational angle mod 1."""
+    """An exact point e^(2*pi*i*angle) with a rational angle mod 1.
 
-    angle: Fraction
+    Read-only, and equal and hashed by its angle."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle", Fraction(self.angle) % 1)
+    def __init__(self, angle):
+        vars(self)["angle"] = Fraction(angle) % 1
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, UnitCircleValue):
+            return NotImplemented
+        return self.angle == other.angle
+
+    def __hash__(self):
+        return hash(self.angle)
 
     @classmethod
     def one(cls):
@@ -90,21 +101,24 @@ class UnitCircleValue:
         return self.render()
 
 
-@dataclass
 class CharPolyPack:
     """P, its side factors, and its derivative, over the case's ground.
 
     Coefficients are Fractions for ground "F" and elements of E for
     ground "E"; all lists are constant-term first.  ``scalar`` maps a
     base-field scalar into the ground ring (``params.ground_scalar``).
+    ``P_at`` holds P(1) and P(-1), evaluated once: regularity, the
+    formulary's poles and the prefactors all read them there.
     """
 
-    ground: str
-    P: list
-    P_minus: list
-    P_plus: list
-    dP: list
-    scalar: object
+    def __init__(self, ground, P, P_minus, P_plus, dP, scalar):
+        self.ground = ground
+        self.P = P
+        self.P_minus = P_minus
+        self.P_plus = P_plus
+        self.dP = dP
+        self.scalar = scalar
+        self.P_at = charpoly_ends(P, scalar(0))
 
     def zero(self):
         return self.scalar(0)
@@ -134,7 +148,7 @@ def build_charpoly_pack(y, g):
     )
 
 
-class Formula(NamedTuple):
+class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor")):
     """One row of the formulary.  For a field index i on the minus side,
 
         C = scalar * lead * coef * P'(y) * P(point)^power
@@ -145,13 +159,7 @@ class Formula(NamedTuple):
     c or 1/x; ``pole`` is (point, power) and ``y_factor`` is (plus, minus).
     """
 
-    label: str
-    scalar: int
-    lead: str
-    coef: str
-    pole: tuple
-    offset: int
-    y_factor: tuple
+    __slots__ = ()
 
 
 FORMULAS = {
@@ -207,7 +215,7 @@ def compute_C(name, pack, y, x, g):
             lead = g.E.embed(lead, yv.algebra)
         coef = xe.c if row.coef == "c" else xe.value ** (-1)
         c = (row.scalar * lead * coef * pack.in_algebra(pack.dP, yv)
-             * pack.at(pack.P, point) ** power * yv ** ((row.offset - g.d) // 2)
+             * pack.P_at[point] ** power * yv ** ((row.offset - g.d) // 2)
              * (1 + yv) ** plus * (yv - 1) ** minus)
     except ZeroValuation as exc:
         raise DivisionByZero(f"index {name!r}: {exc}") from None
@@ -217,14 +225,14 @@ def compute_C(name, pack, y, x, g):
     return c, base_value
 
 
-@dataclass
 class FactorTrace:
     """Everything compute_delta did, in deterministic printable form."""
 
-    case: str
-    index_lines: list = field(default_factory=list)
-    prefactor_lines: list = field(default_factory=list)
-    total: UnitCircleValue = None
+    def __init__(self, case, index_lines=None, prefactor_lines=None, total=None):
+        self.case = case
+        self.index_lines = [] if index_lines is None else index_lines
+        self.prefactor_lines = [] if prefactor_lines is None else prefactor_lines
+        self.total = total
 
     def lines(self):
         out = [f"case: {self.case}"]
@@ -272,7 +280,7 @@ def validation_steps(y, x, g, e):
                ValidationFailure(f"sides have dimensions {dims}, "
                                  f"datum says ({e.d_minus}, {e.d_plus})"))
     pack = build_charpoly_pack(y, g)
-    if not is_regular_charpoly(pack.P, g):
+    if not is_regular_charpoly(pack.P, g, pack.P_at):
         yield (["regularity: not suitably regular"],
                ValidationFailure("parameters are not suitably regular"))
         return pack
@@ -324,7 +332,7 @@ def compute_delta(y, x, g, e):
 def _apply_prefactors(total, pack, y, x, g, e, trace):
     if g.case == "twisted_gl_odd":
         arg = (g.eta.as_fraction() * x.x_D.as_fraction()
-               * pack.at(pack.P, 1) * pack.at(pack.P_minus, -1))
+               * pack.P_at[1] * pack.at(pack.P_minus, -1))
         value = eval_character(e.chi, g.F.element(arg))
         trace.prefactor_lines.append(
             f"prefactor chi(eta*x_D*P(1)*P_minus(-1)) at {arg}: {value.render()}"
@@ -407,6 +415,7 @@ def special_case_indicator(y, x, g, e):
         raise ValidationFailure("d_plus = 1 forces an empty plus side")
     if any(en.c is None for en in y.entries):
         raise ValidationFailure("endoscopic-side form coefficients are required")
+    from . import forms
     q_twisted = forms.symmetrize_twisted(x)
     q_minus = forms.trace_form_gram(y, side="-")
     return UnitCircleValue.from_sign(1 if forms.isomorphic(q_twisted, q_minus) else -1)

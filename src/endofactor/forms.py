@@ -9,10 +9,6 @@ the signature replaces (det, Hasse).  Dimension 0 is allowed and carries
 discriminant 1 by convention.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .errors import Degenerate, NonSymmetric
 from .localfield import hilbert_symbol, square_class, trivial_tower
 
@@ -43,7 +39,6 @@ class QuadraticSpace:
         return f"QuadraticSpace(dim={self.dim} over {self.field!r})"
 
 
-@dataclass
 class FormInvariants:
     """Classifying data: (dim, det class, Hasse) p-adically, signature over R.
 
@@ -51,11 +46,12 @@ class FormInvariants:
     odd dimension.
     """
 
-    dim: int
-    det: object = None          # canonical square-class representative
-    disc: object = None
-    hasse: int = None
-    signature: tuple = None
+    def __init__(self, dim, det=None, disc=None, hasse=None, signature=None):
+        self.dim = dim
+        self.det = det              # canonical square-class representative
+        self.disc = disc
+        self.hasse = hasse
+        self.signature = signature
 
     def same_class(self, other):
         if self.dim != other.dim:

@@ -19,12 +19,9 @@ Q_2 itself (trivial tower only; proper dyadic extensions are rejected),
 and R (trivial tower only).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -102,24 +99,39 @@ def _reduce_mod(x, m):
         raise ZeroValuation(f"{x} is not integral modulo {m}") from None
 
 
-@dataclass(frozen=True)
 class BaseField:
-    """The ground local field: Q_p (kind 'p-adic') or R (kind 'real')."""
+    """The ground local field: Q_p (kind 'p-adic') or R (kind 'real').
 
-    kind: str
-    p: int = 0
-    precision: int = 64
+    Read-only, and equal and hashed by (kind, p, precision)."""
 
-    def __post_init__(self):
-        if self.kind not in ("p-adic", "real"):
-            raise ValueError(f"unknown base field kind {self.kind!r}")
-        if self.kind == "p-adic":
-            if self.p > MAX_PRIME:
-                raise ValueError(f"p = {self.p} exceeds the largest supported prime {MAX_PRIME}")
-            if _prime_factors(self.p) != [self.p]:
-                raise ValueError(f"p = {self.p} is not prime")
-        if self.precision < 8:
+    def __init__(self, kind, p=0, precision=64):
+        if kind not in ("p-adic", "real"):
+            raise ValueError(f"unknown base field kind {kind!r}")
+        if kind == "p-adic":
+            if p > MAX_PRIME:
+                raise ValueError(f"p = {p} exceeds the largest supported prime {MAX_PRIME}")
+            if _prime_factors(p) != [p]:
+                raise ValueError(f"p = {p} is not prime")
+        if precision < 8:
             raise ValueError("precision must be at least 8")
+        vars(self).update(kind=kind, p=p, precision=precision)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return self.kind, self.p, self.precision
+
+    def __eq__(self, other):
+        if not isinstance(other, BaseField):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_real(self):

@@ -7,15 +7,12 @@ report-style: every rule violation is collected with a stable code instead
 of raising, so front ends can print complete diagnoses.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _poly
 from .errors import IndexMismatch, UnsupportedCase
-from .etale import EtaleElement, UnitaryBaseData, charpoly_over
+from .etale import EtaleElement, charpoly_over
 from .localfield import FieldElement, is_square, trivial_tower
 
 # The independent facts of each case; every dimension and parity rule
@@ -55,12 +52,12 @@ def case_info(case):
         raise UnsupportedCase(f"unknown group case {case!r}") from None
 
 
-@dataclass
 class ValidationReport:
     """Outcome of a validation pass; empty violations means valid."""
 
-    subject: str
-    violations: list = field(default_factory=list)
+    def __init__(self, subject, violations=None):
+        self.subject = subject
+        self.violations = [] if violations is None else violations
 
     def add(self, code, message):
         self.violations.append((code, message))
@@ -78,7 +75,6 @@ class ValidationReport:
         return "\n".join(self.lines())
 
 
-@dataclass
 class GroupDescriptor:
     """The ambient (twisted) group, by its discrete invariants.
 
@@ -89,13 +85,14 @@ class GroupDescriptor:
     norms for the unitary cases (in F^x for odd d, tau-odd for even d).
     """
 
-    case: str
-    d: int
-    base: object                      # BaseField
-    delta: FieldElement = None
-    E: UnitaryBaseData = None
-    nu: object = None                 # FieldElement or EtaleElement of E
-    eta: object = None
+    def __init__(self, case, d, base, delta=None, E=None, nu=None, eta=None):
+        self.case = case
+        self.d = d
+        self.base = base        # BaseField
+        self.delta = delta      # FieldElement
+        self.E = E              # UnitaryBaseData
+        self.nu = nu            # FieldElement or EtaleElement of E
+        self.eta = eta
 
     @property
     def info(self):
@@ -106,7 +103,6 @@ class GroupDescriptor:
         return trivial_tower(self.base)
 
 
-@dataclass
 class TameCharacter:
     """A character of E^x trivial on the 1-units.
 
@@ -116,15 +112,20 @@ class TameCharacter:
     residue with logarithm m depends only on m modulo r = (q - 1)/gcd(k,
     q - 1), so a value costs a logarithm in the subgroup of order r: about
     2*sqrt(p + 1) multiplications for k divisible by p - 1 over an
-    unramified E.
+    unramified E.  Characters are equal when E, the angle and the exponent
+    are.
     """
 
-    E: UnitaryBaseData
-    angle_pi: Fraction
-    unit_exponent: int
+    def __init__(self, E, angle_pi, unit_exponent):
+        self.E = E              # UnitaryBaseData
+        self.angle_pi = Fraction(angle_pi) % 1
+        self.unit_exponent = unit_exponent
 
-    def __post_init__(self):
-        object.__setattr__(self, "angle_pi", Fraction(self.angle_pi) % 1)
+    def __eq__(self, other):
+        if not isinstance(other, TameCharacter):
+            return NotImplemented
+        return ((self.E, self.angle_pi, self.unit_exponent)
+                == (other.E, other.angle_pi, other.unit_exponent))
 
     def _angle(self, v, unit_angle):
         """The angle at valuation v and unit angle m/(q - 1), where m is
@@ -150,7 +151,6 @@ class TameCharacter:
         return True
 
 
-@dataclass
 class EndoscopicDatum:
     """The determining invariants of an elliptic endoscopic datum.
 
@@ -160,38 +160,37 @@ class EndoscopicDatum:
     factor.
     """
 
-    d_minus: int
-    d_plus: int
-    delta_minus: FieldElement = None
-    delta_plus: FieldElement = None
-    chi: FieldElement = None
-    mu_minus: TameCharacter = None
-    mu_plus: TameCharacter = None
-    cocycle_class: str = "trivial"
+    def __init__(self, d_minus, d_plus, delta_minus=None, delta_plus=None, chi=None,
+                 mu_minus=None, mu_plus=None, cocycle_class="trivial"):
+        self.d_minus = d_minus
+        self.d_plus = d_plus
+        self.delta_minus = delta_minus      # FieldElement
+        self.delta_plus = delta_plus        # FieldElement
+        self.chi = chi                      # FieldElement
+        self.mu_minus = mu_minus            # TameCharacter
+        self.mu_plus = mu_plus              # TameCharacter
+        self.cocycle_class = cocycle_class
 
 
-@dataclass
 class IndexEntry:
     """One index: the tower F_pm sits inside the algebra; ``value`` is y_i
     on the endoscopic side and x_i on the group side; ``c`` is the optional
     form coefficient."""
 
-    name: str
-    side: str
-    algebra: object
-    value: EtaleElement
-    c: EtaleElement = None
+    def __init__(self, name, side, algebra, value, c=None):
+        self.name = name
+        self.side = side
+        self.algebra = algebra
+        self.value = value      # EtaleElement
+        self.c = c              # EtaleElement
 
 
-@dataclass
 class RegularParam:
     """A class-parameter pack: indexed data plus the optional x_D line."""
 
-    entries: tuple
-    x_D: FieldElement = None
-
-    def __post_init__(self):
-        self.entries = tuple(self.entries)
+    def __init__(self, entries, x_D=None):
+        self.entries = tuple(entries)
+        self.x_D = x_D          # FieldElement
 
     def side(self, s):
         return [en for en in self.entries if en.side == s]
@@ -454,15 +453,21 @@ def charpoly_product(values, g):
     return poly
 
 
-def is_regular_charpoly(poly, g):
+def charpoly_ends(poly, zero):
+    """{1: P(1), -1: P(-1)}, in the ring of ``zero``."""
+    return {t: _poly.peval_scalar(poly, t, zero) for t in (1, -1)}
+
+
+def is_regular_charpoly(poly, g, ends=None):
     """The conservative sufficient condition on the product P of the
     characteristic polynomials: P is squarefree, and the formulary's
     denominators at T = 1, -1 stay away from zero.  Where a case has an
-    eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree."""
+    eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree.
+    ``ends`` is charpoly_ends of P, when the caller has evaluated it."""
     zero = ground_scalar(g)(0)
-    return (_poly.is_squarefree(poly)
-            and _poly.peval_scalar(poly, 1, zero) != zero
-            and _poly.peval_scalar(poly, -1, zero) != zero)
+    if not _poly.is_squarefree(poly):
+        return False
+    return all(v != zero for v in (ends or charpoly_ends(poly, zero)).values())
 
 
 def check_regularity(param, g, role="endoscopic"):

@@ -15,10 +15,7 @@ any tau-fixed c_i works for the identities (default 1), and c_D comes from
 determinant bookkeeping of the index trace forms.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _poly, factor, forms
@@ -51,7 +48,6 @@ def cayley_inv(x):
     return (one + x) * den.inverse()
 
 
-@dataclass
 class LieParam:
     """The Lie-side data for an odd twisted instance.
 
@@ -64,18 +60,19 @@ class LieParam:
     against the engine read.
     """
 
-    y: object
-    x: object
-    g: object
-    eta: object                 # base-field element, -nu
-    c: dict                     # name -> tau-fixed auxiliary in F_pm^x
-    c_D: object                 # base-field element from determinant bookkeeping
-    X: dict
-    P_j: dict
-    Q_j: dict
-    Q_X: list
-    dQ_X: list
-    pack: factor.CharPolyPack
+    def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, pack):
+        self.y = y
+        self.x = x
+        self.g = g
+        self.eta = eta          # base-field element, -nu
+        self.c = c              # name -> tau-fixed auxiliary in F_pm^x
+        self.c_D = c_D          # base-field element from determinant bookkeeping
+        self.X = X
+        self.P_j = P_j
+        self.Q_j = Q_j
+        self.Q_X = Q_X
+        self.dQ_X = dQ_X
+        self.pack = pack        # factor.CharPolyPack
 
 
 def eta_from_nu(nu):
@@ -197,8 +194,8 @@ def check_cD_square_class(data):
     """c_D and eta * P(1) * P(-1) agree modulo squares; the two sides come
     from determinant bookkeeping and charpoly evaluation respectively."""
     F = data.g.F
-    p1 = data.pack.at(data.pack.P, 1)
-    pm1 = data.pack.at(data.pack.P, -1)
+    p1 = data.pack.P_at[1]
+    pm1 = data.pack.P_at[-1]
     probe = data.c_D * data.eta * F.element(p1 * pm1)
     return is_square(probe)
 
@@ -223,8 +220,8 @@ def check_Bi_Ci_consistency(data, i):
     b_base = _b_base(data, i)
     _, c_base = factor.compute_C(i, data.pack, data.y, data.x, data.g)
     lhs = norm_test(c_base, alg)
-    p1 = data.pack.at(data.pack.P, 1)
-    pm1 = data.pack.at(data.pack.P, -1)
+    p1 = data.pack.P_at[1]
+    pm1 = data.pack.P_at[-1]
     correction = alg.base_pm.element(
         data.eta.as_fraction() * p1 * pm1 * data.x.x_D.as_fraction()
     )
@@ -244,7 +241,7 @@ def reconstruct_delta(data, chi):
             data.c_D.as_fraction() * data.x.x_D.as_fraction()
         )
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
-    p1 = data.pack.at(data.pack.P, 1)
+    p1 = data.pack.P_at[1]
     pm_m1 = data.pack.at(data.pack.P_minus, -1)
     F = data.g.F
     arg = F.element(data.eta.as_fraction() * data.x.x_D.as_fraction() * p1 * pm_m1)

@@ -395,7 +395,6 @@ def so_odd_swap_instance(rng, p):
     """An so_odd instance with geometrically consistent eta and cocycle flag:
     eta is the determinant class of the assembled space, and the cocycle is
     trivial exactly when the space is split-Witt."""
-    import dataclasses
     inst = make_instance(rng, "so_odd", p=p)
     g, e, y, x = inst.g, inst.e, inst.y, inst.x
     F = g.F
@@ -413,8 +412,10 @@ def so_odd_swap_instance(rng, p):
     q = forms.QuadraticSpace(F, gram)
     inv = forms.invariants(q)
     trivial = forms.isomorphic(q, split_odd_reference(F, g.d, inv.det))
-    g = dataclasses.replace(g, eta=inv.det)
-    e = dataclasses.replace(e, cocycle_class="trivial" if trivial else "nontrivial")
+    g = GroupDescriptor(g.case, g.d, g.base, g.delta, g.E, g.nu, eta=inv.det)
+    e = EndoscopicDatum(e.d_minus, e.d_plus, e.delta_minus, e.delta_plus, e.chi,
+                        e.mu_minus, e.mu_plus,
+                        cocycle_class="trivial" if trivial else "nontrivial")
     return Instance(g, e, y, x)
 
 
@@ -498,7 +499,6 @@ def unitary_swap_instance(rng, p):
     for odd d the chosen quasi-split space has determinant class eta; for
     even d the quasi-split space is unique (determinant (-1)^(d/2) modulo
     norms) and eta is a free tau-odd class."""
-    import dataclasses
     from endofactor.localfield import hilbert_symbol
     inst = make_instance(rng, "unitary", p=p)
     g = inst.g
@@ -512,9 +512,11 @@ def unitary_swap_instance(rng, p):
         want = F.element((-1) ** (g.d // 2))
         trivial = hilbert_symbol(D * want, g.E.delta_e) == 1
         eta = g.E.E.element(0, random_unit(rng, F))
-    g2 = dataclasses.replace(g, eta=eta)
-    e2 = dataclasses.replace(inst.e,
-                             cocycle_class="trivial" if trivial else "nontrivial")
+    g2 = GroupDescriptor(g.case, g.d, g.base, g.delta, g.E, g.nu, eta=eta)
+    e = inst.e
+    e2 = EndoscopicDatum(e.d_minus, e.d_plus, e.delta_minus, e.delta_plus, e.chi,
+                         e.mu_minus, e.mu_plus,
+                         cocycle_class="trivial" if trivial else "nontrivial")
     return Instance(g2, e2, inst.y, inst.x)
 
 

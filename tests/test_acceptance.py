@@ -246,7 +246,6 @@ def test_criterion_7_indicator_cross_check():
 
 
 def test_criterion_8_swap_behavior():
-    import dataclasses
     rng = random.Random(606)
     ok = True
     mix = {"trivial": 0, "nontrivial": 0}
@@ -257,10 +256,10 @@ def test_criterion_8_swap_behavior():
         mix[inst.e.cocycle_class] += 1
         if swapped.angle != base_value.angle:
             ok = False
-        flipped = dataclasses.replace(
-            inst.e,
-            cocycle_class=("nontrivial" if inst.e.cocycle_class == "trivial"
-                           else "trivial"))
+        e = inst.e
+        flipped = EndoscopicDatum(
+            e.d_minus, e.d_plus, e.delta_minus, e.delta_plus, e.chi, e.mu_minus, e.mu_plus,
+            cocycle_class="nontrivial" if e.cocycle_class == "trivial" else "trivial")
         other = swapped_delta(inst.y, inst.x, inst.g, flipped)
         if other.angle != base_value.negate().angle:
             ok = False

@@ -69,11 +69,11 @@ class TestRealBaseDocument:
 
 class TestNuConsistentRescaling:
     def test_base_change(self, rng):
-        import dataclasses
         from support import make_instance, random_etale_unit
         inst = make_instance(rng, "bc_unitary", p=5)
         mu = random_etale_unit(rng, inst.g.E.E)
-        g2 = dataclasses.replace(inst.g, nu=inst.g.nu * mu)
+        g = inst.g
+        g2 = GroupDescriptor(g.case, g.d, g.base, g.delta, g.E, nu=g.nu * mu, eta=g.eta)
         entries = tuple(
             IndexEntry(en.name, en.side, en.algebra,
                        en.value * inst.g.E.embed(mu, en.algebra), en.c)

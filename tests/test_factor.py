@@ -202,6 +202,28 @@ class TestComputeDelta:
             compute_delta(*inst.astuple())
             assert len(calls) == len(inst.y.entries), case
 
+    def test_P_at_one_and_minus_one_once_per_pack(self, rng, monkeypatch):
+        """P(1) and P(-1) are evaluated once, however many minus-side field
+        indices read them; the other scalar evaluations are the prefactors'
+        P_minus(-1) (odd twisted case) and P_pm(0), P_pm(-1) (unitary)."""
+        from support import make_instance
+        from endofactor import _poly
+        calls = []
+
+        def counting(p, t, zero):
+            calls.append(t)
+            return peval_scalar(p, t, zero)
+
+        peval_scalar = _poly.peval_scalar
+        monkeypatch.setattr(_poly, "peval_scalar", counting)
+        for case in ALL_CASES:
+            inst = make_instance(rng, case, p=5, n_indices=(2, 3))
+            assert inst.y.field_indices("-"), case
+            calls.clear()
+            compute_delta(*inst.astuple())
+            extra = {"twisted_gl_odd": 1, "unitary": 4, "bc_unitary": 4}.get(case, 0)
+            assert len(calls) == 2 + extra, case
+
 
 class TestSwap:
     def test_so_odd_theorem(self, rng):
@@ -215,12 +237,12 @@ class TestSwap:
             seen.add(inst.e.cocycle_class)
 
     def test_flag_negates(self, rng):
-        import dataclasses
         from support import so_odd_swap_instance
         inst = so_odd_swap_instance(rng, 5)
-        flipped = dataclasses.replace(
-            inst.e,
-            cocycle_class="nontrivial" if inst.e.cocycle_class == "trivial" else "trivial")
+        e = inst.e
+        flipped = EndoscopicDatum(
+            e.d_minus, e.d_plus, e.delta_minus, e.delta_plus, e.chi, e.mu_minus, e.mu_plus,
+            cocycle_class="nontrivial" if e.cocycle_class == "trivial" else "trivial")
         a = swapped_delta(inst.y, inst.x, inst.g, inst.e)
         b = swapped_delta(inst.y, inst.x, inst.g, flipped)
         assert a.angle == b.negate().angle

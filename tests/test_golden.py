@@ -35,6 +35,17 @@ README_FORMULAS = {
 }
 
 
+# What ``endofactor compute sample-instance.json --trace`` prints, line by
+# line; CI also compares the installed console script's output with it.
+SAMPLE_TRACE = [
+    "case: twisted_gl_odd",
+    "index i0: C = x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x; C = 3200 in F_pm (checked); "
+    "norm test: -1",
+    "prefactor chi(eta*x_D*P(1)*P_minus(-1)) at 640: -1",
+    "delta = +1 (angle 0)",
+]
+
+
 def run_cli(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -43,13 +54,7 @@ def run_cli(args):
 
 
 @pytest.mark.parametrize("args, lines", [
-    (["compute", SAMPLE, "--trace"], [
-        "case: twisted_gl_odd",
-        "index i0: C = x_D*P'(y)*P(1)*y^((3-d)/2)*(y-1)/x; C = 3200 in F_pm (checked); "
-        "norm test: -1",
-        "prefactor chi(eta*x_D*P(1)*P_minus(-1)) at 640: -1",
-        "delta = +1 (angle 0)",
-    ]),
+    (["compute", SAMPLE, "--trace"], SAMPLE_TRACE),
     (["validate", SAMPLE], [
         "group: ok",
         "endoscopic: ok",
