@@ -19,6 +19,7 @@ from .errors import (
     ValidationFailure,
     ZeroValuation,
 )
+from .etale import charpoly_over
 from .localfield import FieldElement, hilbert_symbol, norm_test
 from .params import (
     CASES,
@@ -109,15 +110,18 @@ class CharPolyPack:
     base-field scalar into the ground ring (``params.ground_scalar``).
     ``P_at`` holds P(1) and P(-1), evaluated once: regularity, the
     formulary's poles and the prefactors all read them there.
+    ``factors`` maps each index name to its own characteristic polynomial,
+    the P_j the Lie-side identities read.
     """
 
-    def __init__(self, ground, P, P_minus, P_plus, dP, scalar):
+    def __init__(self, ground, P, P_minus, P_plus, dP, scalar, factors):
         self.ground = ground
         self.P = P
         self.P_minus = P_minus
         self.P_plus = P_plus
         self.dP = dP
         self.scalar = scalar
+        self.factors = factors
         self.P_at = charpoly_ends(P, scalar(0))
 
     def zero(self):
@@ -134,17 +138,22 @@ class CharPolyPack:
 
 def build_charpoly_pack(y, g):
     """Exact product of the per-index characteristic polynomials of the
-    eigenvalue data, with side sub-products and the formal derivative."""
-    P_minus = charpoly_product([en.value for en in y.side("-")], g)
-    P_plus = charpoly_product([en.value for en in y.side("+")], g)
+    eigenvalue data, each computed once, with side sub-products and the
+    formal derivative."""
+    ground = g.info["ground"]
+    # by entry, not by name: P stays exact for an unvalidated y that repeats a name
+    polys = [(en.side, charpoly_over(en.value, ground)) for en in y.entries]
+    P_minus = charpoly_product([q for side, q in polys if side == "-"], g)
+    P_plus = charpoly_product([q for side, q in polys if side == "+"], g)
     P = _poly.pmul(P_minus, P_plus)
     return CharPolyPack(
-        ground=g.info["ground"],
+        ground=ground,
         P=P,
         P_minus=P_minus,
         P_plus=P_plus,
         dP=_poly.pderiv(P),
         scalar=ground_scalar(g),
+        factors={en.name: q for en, (_, q) in zip(y.entries, polys)},
     )
 
 
@@ -226,13 +235,15 @@ def compute_C(name, pack, y, x, g):
 
 
 class FactorTrace:
-    """Everything compute_delta did, in deterministic printable form."""
+    """Everything compute_delta did, in deterministic printable form, and
+    the validated characteristic-polynomial pack it read (not printed)."""
 
-    def __init__(self, case, index_lines=None, prefactor_lines=None, total=None):
+    def __init__(self, case, index_lines=None, prefactor_lines=None, total=None, pack=None):
         self.case = case
         self.index_lines = [] if index_lines is None else index_lines
         self.prefactor_lines = [] if prefactor_lines is None else prefactor_lines
         self.total = total
+        self.pack = pack
 
     def lines(self):
         out = [f"case: {self.case}"]
@@ -311,7 +322,7 @@ def compute_delta(y, x, g, e):
     """The exact transfer factor of a matched pair (the Delta_IV term is
     omitted throughout).  Returns (value, trace)."""
     pack = validate_package(y, x, g, e)
-    trace = FactorTrace(case=g.case)
+    trace = FactorTrace(case=g.case, pack=pack)
     total = UnitCircleValue.one()
     label = formula_for(g).label
     for en in y.entries:

@@ -358,11 +358,12 @@ def validate_param(param, g, role):
             if alg.unitary_base is not None:
                 rep.add("ext-extraneous", f"{where}: tensor algebra outside unitary case")
             dim += 2 * alg.base_pm.n
-        if not en.value.is_unit():
+        norm = en.value.norm()
+        if not norm:
             rep.add("value-unit", f"{where}: value must be invertible")
             continue
         needs_norm_one = role == "endoscopic" or not info["twisted"]
-        if needs_norm_one and en.value.norm() != alg.base_pm.one():
+        if needs_norm_one and norm != alg.base_pm.one():
             rep.add("value-norm-one", f"{where}: value must have norm 1")
         _validate_c(en, g, role, rep, where)
     if role == "group" and g.case == "twisted_gl_odd":
@@ -443,13 +444,12 @@ def ground_scalar(g):
     return g.E.E.embed_ground if g.info["ground"] == "E" else Fraction
 
 
-def charpoly_product(values, g):
-    """Product of the characteristic polynomials of ``values`` over the case
-    ground (the base field, or E in the unitary cases)."""
-    ground = g.info["ground"]
+def charpoly_product(polys, g):
+    """Product of the polynomials ``polys`` over the case ground (the base
+    field, or E in the unitary cases)."""
     poly = [ground_scalar(g)(1)]
-    for value in values:
-        poly = _poly.pmul(poly, charpoly_over(value, ground))
+    for q in polys:
+        poly = _poly.pmul(poly, q)
     return poly
 
 
@@ -473,7 +473,8 @@ def is_regular_charpoly(poly, g, ends=None):
 def check_regularity(param, g, role="endoscopic"):
     """Regularity of a parameter pack: is_regular_charpoly on the product of
     the characteristic polynomials of its eigenvalue data."""
-    return is_regular_charpoly(charpoly_product(_norm_one_values(param, g, role), g), g)
+    polys = [charpoly_over(v, g.info["ground"]) for v in _norm_one_values(param, g, role)]
+    return is_regular_charpoly(charpoly_product(polys, g), g)
 
 
 def _structure_key(en):

@@ -1,6 +1,7 @@
 """Golden output: the exact bytes the command line prints for the shipped
-sample document, for documents on the degree-4 tower f = e = 2 and at the
-prime 10007, and the trace label of each of the nine formula variants."""
+sample document, for documents on the degree-4 tower f = e = 2, at the
+prime 10007 and with field indices on both sides of the odd twisted case,
+and the trace label of each of the nine formula variants."""
 
 import contextlib
 import io
@@ -20,6 +21,10 @@ QUARTIC = ("quartic-symplectic", "quartic-unitary", "quartic-bc-unitary")
 # One minus-side index on the trivial tower over Q_10007, with E unramified
 # and characters of unit exponent (p - 1)*t: logarithms in F_(p^2).
 LARGE_PRIME = ("large-prime-unitary", "large-prime-bc-unitary")
+# The odd twisted case over Q_5 with a split index and a field index on each
+# side, so that the full identity suite runs: li-identity-1 and A-is-norm
+# pair the minus-side field index with the plus-side one.
+TWO_SIDED = ("twisted-odd-two-sided",)
 
 # The rows of the formula table in README.md, by (case, parity of d).
 README_FORMULAS = {
@@ -44,6 +49,16 @@ SAMPLE_TRACE = [
     "prefactor chi(eta*x_D*P(1)*P_minus(-1)) at 640: -1",
     "delta = +1 (angle 0)",
 ]
+# What ``endofactor check sample-instance.json`` prints; CI compares the
+# installed console script's output with it too.
+SAMPLE_CHECK = [
+    "cayley-roundtrip[i0]: pass",
+    "li-identity-2[i0]: pass",
+    "B-C-consistency[i0]: pass",
+    "cD-square-class: pass",
+    "lie-side-reconstruction: pass",
+    "all checks passed",
+]
 
 
 def run_cli(args):
@@ -65,14 +80,7 @@ def run_cli(args):
         "matching: ok",
         "valid",
     ]),
-    (["check", SAMPLE], [
-        "cayley-roundtrip[i0]: pass",
-        "li-identity-2[i0]: pass",
-        "B-C-consistency[i0]: pass",
-        "cD-square-class: pass",
-        "lie-side-reconstruction: pass",
-        "all checks passed",
-    ]),
+    (["check", SAMPLE], SAMPLE_CHECK),
 ], ids=["compute-trace", "validate", "check"])
 def test_sample_document_output(args, lines):
     assert run_cli(args) == (0, "".join(line + "\n" for line in lines), "")
@@ -98,6 +106,12 @@ def test_quartic_document_output(name, command, flag, suffix):
 @pytest.mark.parametrize("name", LARGE_PRIME)
 @GOLDEN_OUTPUTS
 def test_large_prime_document_output(name, command, flag, suffix):
+    assert_golden(name, command, flag, suffix)
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+@GOLDEN_OUTPUTS
+def test_two_sided_document_output(name, command, flag, suffix):
     assert_golden(name, command, flag, suffix)
 
 

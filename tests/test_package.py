@@ -182,7 +182,7 @@ class TestRecordClasses:
         (InstanceDocument, "base group endoscopic y x"),
         (LieParam, "y x g eta c c_D X P_j Q_j Q_X dQ_X pack"),
         (ValidationReport, "subject violations"),
-        (FactorTrace, "case index_lines prefactor_lines total"),
+        (FactorTrace, "case index_lines prefactor_lines total pack"),
     ])
     def test_positional_and_keyword_calls_agree(self, cls, fields):
         names = fields.split()
@@ -192,9 +192,9 @@ class TestRecordClasses:
 
     def test_pack_and_param_calls(self):
         pack = CharPolyPack("F", [Fraction(-1), 0, 1], [Fraction(1)], [Fraction(-1), 0, 1],
-                            [0, Fraction(2)], Fraction)
+                            [0, Fraction(2)], Fraction, {"i": [Fraction(-1), 0, 1]})
         same = CharPolyPack(ground="F", P=pack.P, P_minus=pack.P_minus, P_plus=pack.P_plus,
-                            dP=pack.dP, scalar=Fraction)
+                            dP=pack.dP, scalar=Fraction, factors=pack.factors)
         assert vars(pack) == vars(same)
         assert pack.P_at == {1: 0, -1: 0}
         x_D = F5.element(2)

@@ -263,6 +263,23 @@ class TestValidateParam:
         p2 = RegularParam((entry,))
         assert "xD-missing" in codes(validate_param(p2, g, "group"))
 
+    def test_one_norm_per_index(self, rng, monkeypatch):
+        # the unit test and the norm-one rule read one norm of y_i; an
+        # optional c_i adds the norm of its own unit test
+        from endofactor.etale import EtaleElement
+        from support import make_instance
+        inst = make_instance(rng, "symplectic", p=5, n_indices=(2, 3))
+        norms = []
+        original = EtaleElement.norm
+
+        def counting(self):
+            norms.append(self)
+            return original(self)
+
+        monkeypatch.setattr(EtaleElement, "norm", counting)
+        assert validate_param(inst.y, inst.g, "endoscopic").ok
+        assert len(norms) == sum(1 + (en.c is not None) for en in inst.y.entries)
+
     def test_side_dimensions(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_even", p=5)

@@ -4,7 +4,7 @@ import pytest
 
 from endofactor.errors import NotInFixedField, PoleAtMinusOne, PoleAtOne
 from endofactor.etale import quadratic_field
-from endofactor.factor import compute_delta
+from endofactor.factor import build_charpoly_pack, compute_delta
 from endofactor.forms import gram_block
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import IndexEntry, RegularParam
@@ -39,6 +39,26 @@ def _mixed_instance(rng, p=5, tries=60):
     raise RuntimeError("no mixed instance")
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named function, wrapped wherever an
+    endofactor module binds it; returns name -> count, filled as they run."""
+    import sys
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        modules = [m for key, m in sorted(sys.modules.items())
+                   if key.startswith("endofactor.") and hasattr(m, name)]
+        original = getattr(modules[0], name)
+
+        def counting(*args, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
 def test_lie_param_needs_norm_one_values(rng):
     # doubling a field-index y_i makes its norm 4, so X_i is not tau-odd
     inst = _mixed_instance(rng)
@@ -47,7 +67,7 @@ def test_lie_param_needs_norm_one_values(rng):
                     for en in inst.y.entries)
     y = RegularParam(entries, inst.y.x_D)
     with pytest.raises(NotInFixedField):
-        make_lie_param(y, inst.x, inst.g)
+        make_lie_param(y, inst.x, inst.g, build_charpoly_pack(y, inst.g))
     assert ("lie-data", False) in run_suite(y, inst.x, inst.g, inst.e)
 
 
@@ -85,14 +105,14 @@ def test_eta_from_nu():
 class TestLiIdentities:
     def test_li1_exact(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         i = inst.y.field_indices("-")[0].name
         j = inst.y.field_indices("+")[0].name
         assert li_identity_1(data, i, j)
 
     def test_li1_rigid(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         i = inst.y.field_indices("-")[0].name
         j = inst.y.field_indices("+")[0].name
         data.X[i] = data.X[i] * 2          # break the Cayley link
@@ -102,14 +122,14 @@ class TestLiIdentities:
         from support import make_instance
         for _ in range(3):
             inst = make_instance(rng, "twisted_gl_odd", p=5)
-            data = make_lie_param(inst.y, inst.x, inst.g)
+            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
             for en in inst.y.field_indices("-"):
                 assert li_identity_2(data, en.name)
 
     def test_li2_rigid(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         name = inst.y.field_indices("-")[0].name
         data.X[name] = data.X[name] * 2
         assert not li_identity_2(data, name)
@@ -118,7 +138,7 @@ class TestLiIdentities:
 class TestAij:
     def test_random_instances(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         for i in [en.name for en in inst.y.field_indices("-")]:
             for j in [en.name for en in inst.y.field_indices("+")]:
                 assert check_Aij_is_norm(data, i, j)
@@ -130,7 +150,8 @@ class TestAij:
         jalg = inst.y.entry(j).algebra
         reps = jalg.base_pm.square_class_reps()
         for r in reps:
-            data = make_lie_param(inst.y, inst.x, inst.g, c={j: r})
+            data = make_lie_param(inst.y, inst.x, inst.g,
+                                  build_charpoly_pack(inst.y, inst.g), c={j: r})
             for i in [en.name for en in inst.y.field_indices("-")]:
                 assert check_Aij_is_norm(data, i, j)
 
@@ -142,7 +163,7 @@ class TestCd:
         g = GroupDescriptor("twisted_gl_odd", 1, Q5, nu=nu, eta=-nu)
         y = RegularParam(())
         x = RegularParam((), F5.element(7))
-        data = make_lie_param(y, x, g)
+        data = make_lie_param(y, x, g, build_charpoly_pack(y, g))
         # with I empty the P products are 1 and c_D = -nu = eta
         assert data.c_D == -nu
         assert check_cD_square_class(data)
@@ -151,7 +172,7 @@ class TestCd:
         from support import make_instance
         for _ in range(5):
             inst = make_instance(rng, "twisted_gl_odd", p=5)
-            data = make_lie_param(inst.y, inst.x, inst.g)
+            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
             assert check_cD_square_class(data)
             # the Gram determinants against the Gauss reference
             want = -inst.g.nu.as_fraction()
@@ -162,7 +183,7 @@ class TestCd:
     def test_nonsquare_perturbation_fails(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         data.c_D = data.c_D * F5.element(2)       # non-square unit
         assert not check_cD_square_class(data)
 
@@ -172,7 +193,7 @@ class TestBiCi:
         from support import make_instance
         for _ in range(4):
             inst = make_instance(rng, "twisted_gl_odd", p=3)
-            data = make_lie_param(inst.y, inst.x, inst.g)
+            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
             for en in inst.y.field_indices("-"):
                 assert check_Bi_Ci_consistency(data, en.name)
 
@@ -180,7 +201,7 @@ class TestBiCi:
         # the three-term identity never uses the determinant bookkeeping
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         data.c_D = F5.element(7)
         for en in inst.y.field_indices("-"):
             assert check_Bi_Ci_consistency(data, en.name)
@@ -190,7 +211,7 @@ class TestDeltaILie:
     def test_lambda_square_scaling(self, rng):
         from support import make_instance, random_unit
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         base = delta_I_lie(data)
         lam = random_unit(rng, F5).as_fraction()
         for name in data.X:
@@ -211,7 +232,7 @@ class TestDeltaILie:
                                  need_minus_field=False)
             if inst.y.field_indices("-"):
                 continue
-            data = make_lie_param(inst.y, inst.x, inst.g)
+            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
             assert delta_I_lie(data).sign == 1
             return
 
@@ -227,21 +248,57 @@ class TestSuite:
         assert "cD-square-class" in names
         assert "lie-side-reconstruction" in names
 
-    def test_engine_pack_built_at_most_twice(self, rng, monkeypatch):
-        # once inside compute_delta, once for the Lie-side checks
-        from endofactor import factor
-        built = []
-        original = factor.build_charpoly_pack
-
-        def counting(*args):
-            built.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(factor, "build_charpoly_pack", counting)
+    def test_engine_runs_once(self, rng, monkeypatch):
+        # compute_delta validates and builds the one pack; the Lie side adds
+        # only the Q_j to the engine's P_j
         inst = _mixed_instance(rng)
+        counts = _count_calls(monkeypatch, "validate_package", "build_charpoly_pack",
+                              "charpoly_over")
         results = run_suite(*inst.astuple())
         assert all(ok for _, ok in results)
-        assert 1 <= len(built) <= 2
+        assert counts == {
+            "validate_package": 1, "build_charpoly_pack": 1,
+            "charpoly_over": 2 * len(inst.y.entries)}
+
+    def test_lie_side_reads_the_validated_pack(self, rng, monkeypatch):
+        from endofactor import factor, verify
+        returned = {}
+        for module, name in ((factor, "validate_package"), (verify, "make_lie_param")):
+            def keeping(*args, _original=getattr(module, name), _name=name):
+                returned.setdefault(_name, []).append(_original(*args))
+                return returned[_name][-1]
+            monkeypatch.setattr(module, name, keeping)
+        inst = _mixed_instance(rng)
+        assert all(ok for _, ok in run_suite(*inst.astuple()))
+        [pack], [data] = returned["validate_package"], returned["make_lie_param"]
+        assert data.pack is pack and data.P_j is pack.factors
+
+    def test_check_command_counts(self, monkeypatch):
+        # the command validates once more before the suite; see cli.cmd_check
+        from pathlib import Path
+
+        from endofactor.cli import main
+        counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_over",
+                              "is_squarefree")
+        sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
+        assert main(["check", str(sample)]) == 0
+        assert counts == {
+            "build_charpoly_pack": 2, "charpoly_over": 3, "is_squarefree": 2}
+
+    def test_non_regular_instance_is_flagged(self, rng):
+        # a plus-side copy of a minus-side field index makes Q_j(X_i) = 0;
+        # A_{i,j} inverts it
+        from support import make_instance
+        inst = make_instance(rng, "twisted_gl_odd", p=5, n_indices=(1, 1))
+        en = inst.y.field_indices("-")[0]
+        xe = inst.x.entry(en.name)
+        y = RegularParam(inst.y.entries + (
+            IndexEntry("copy", "+", en.algebra, en.value, en.c),), inst.y.x_D)
+        x = RegularParam(inst.x.entries + (
+            IndexEntry("copy", "+", xe.algebra, xe.value, xe.c),), inst.x.x_D)
+        results = dict(run_suite(y, x, inst.g, inst.e))
+        assert results[f"A-is-norm[{en.name},copy]"] is False
+        assert results["lie-side-reconstruction"] is False
 
     def test_corruption_is_caught(self, rng):
         # corrupting y_j breaks the correspondence with x; the identities on
@@ -268,6 +325,6 @@ class TestSuite:
     def test_reconstruction_matches(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g)
+        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
         delta, _ = compute_delta(*inst.astuple())
         assert reconstruct_delta(data, inst.e.chi).angle == delta.angle
