@@ -7,10 +7,13 @@ one implementation serves Q, towers, and etale algebras, and ``charpoly``
 also runs on the integer matrices of the tower kernel.
 ``peval`` evaluates at an element of a tower or etale algebra on that ring's
 integer matrix of the element, and ``peval_scalar`` at 0, 1 and -1 by
-coefficient sums alone.  ``is_squarefree`` works over Z when the
-coefficients are Fractions and over Z[sqrt(D)] when they lie in a quadratic
-field E, after a certificate modulo a prime near 2^61, so no routine here
-needs a field.
+coefficient sums alone.  ``is_squarefree`` runs one path over Z[s],
+s^2 = D, on integer pairs: coefficients in a quadratic field E give pairs
+(x, y), rational ones the pairs (x, 0) with D = 1.  A certificate modulo a
+prime near 2^61 comes first, so no routine here needs a field of
+fractions.  Polynomial division lives here alone: ``_pair_prem``, the
+pseudo-remainder over Z[s], and ``rem_mod``, the remainder over F_l that
+``gcd_mod``, the certificate and the residue fields of ``localfield`` use.
 """
 
 import operator
@@ -18,8 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 # Primes l = 3 (mod 4) from 2^61 - 1 down, in a fixed order.  The squarefree
-# certificate works mod the first over Q, and over E mod the first in which
-# D is a nonzero square, where D^((l+1)/4) is a root of it.
+# certificate works mod the first in which D is a nonzero square, where
+# D^((l+1)/4) is a root of it: over Q, D = 1 and that is the first.
 _PRIMES = tuple(2 ** 61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
 
 
@@ -107,90 +110,31 @@ def peval_scalar(p, t, zero):
 def is_squarefree(p):
     """No repeated factor: gcd(p, p') has degree <= 0.
 
-    Rational p is scaled to a primitive integer polynomial a.  When the
-    prime l = 2^61 - 1 does not divide lc(a) and the images of a and a'
-    are coprime over F_l, Res(a, a') is nonzero mod l, so p is squarefree.
-    Otherwise a goes through the primitive remainder sequence of (a, a');
-    by Gauss's lemma its last nonzero term has the degree of the gcd over
-    Q, and this sequence gives every False.  Coefficients in a quadratic
-    field E = F(rt), rt^2 = delta = n/d, go through the same two steps over
-    Z[s], s = d*rt, s^2 = n*d (see ``_pair_squarefree``).
+    One path over Z[s], s^2 = D, on integer pairs (x, y) = x + y*s.  For
+    coefficients in a quadratic field E = F(rt), rt^2 = delta = n/d, s is
+    d*rt and D = n*d; a coefficient (x + y*rt)/c is scaled by the lcm L of
+    the c and by d to the pair (x*d*L/c, y*L/c).  A rational coefficient
+    x/c is the pair (x*L/c, 0) with D = 1.  The pairs are then divided by
+    the gcd of all their entries.
+
+    The certificate: for the first listed prime l in which D is a nonzero
+    square (over Q, l = 2^61 - 1), s -> r = D^((l+1)/4) is a ring map
+    Z[s] -> F_l.  When l does not divide the top pair's image and the
+    image a is coprime to a' over F_l, the resultant is nonzero, so p is
+    squarefree.  Otherwise the primitive pseudo-remainder sequence of
+    (p, p') over Z[s] decides, and gives every False: it differs from the
+    Euclidean one over E (or Q) by nonzero factors at each step, so its
+    last nonzero term has the degree of the gcd.  delta is a non-square,
+    so x + y*s is zero only when x = y = 0.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in p):
-        return _pair_squarefree(p)
-    den = lcm(*(c.denominator for c in p))
-    a = _primitive([c.numerator * (den // c.denominator) for c in p])
-    ell = _PRIMES[0]
-    if _coprime_to_derivative_mod([c % ell for c in a], ell):
-        return True
-    b = _primitive(pderiv(a))
-    while b:
-        a, b = b, _primitive(_int_prem(a, b))
-    return degree(a) <= 0
-
-
-def _coprime_to_derivative_mod(a, ell):
-    """True when the coefficients a, reduced mod the prime ell, have a
-    nonzero top one and a is coprime to a' over F_ell: Euclid on residues.
-    With a the image of an integer polynomial of the same degree below
-    ell, that certifies the integer one squarefree; False decides
-    nothing."""
-    if not a or not a[-1]:
-        return False
-    b = [k * c % ell for k, c in enumerate(a)][1:]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        rem = list(a)
-        inv = pow(b[-1], -1, ell)
-        while len(rem) >= len(b):
-            c = rem.pop() * inv % ell
-            k = len(rem) - len(b) + 1
-            for j in range(len(b) - 1):
-                rem[k + j] = (rem[k + j] - c * b[j]) % ell
-            while rem and not rem[-1]:
-                rem.pop()
-        a, b = b, rem
-    return len(a) == 1
-
-
-def _primitive(coeffs):
-    """Integer coefficients divided by their content."""
-    content = gcd(*coeffs)
-    return [c // content for c in coeffs] if content > 1 else coeffs
-
-
-def _int_prem(a, b):
-    """The remainder of k*a by b for some nonzero integer k (integer
-    coefficients, b nonzero)."""
-    rem = list(a)
-    lead = b[-1]
-    while len(rem) >= len(b):
-        g = gcd(lead, rem[-1])
-        scale, c = lead // g, rem[-1] // g
-        k = len(rem) - len(b)
-        rem = [v * scale for v in rem]
-        for j, v in enumerate(b):
-            rem[k + j] -= c * v
-        rem = trim(rem)
-    return rem
-
-
-def _pair_squarefree(p):
-    """``is_squarefree`` for coefficients in a quadratic field E over the
-    trivial tower.  A coefficient (x + y*rt)/c is scaled by the lcm L of
-    the c and by d to the integer pair (x*d*L/c, y*L/c), standing for
-    X + Y*s.  For the first listed prime l in which D = n*d is a nonzero
-    square, s -> r = D^((l+1)/4) is a ring map Z[s] -> F_l, so the image
-    of the pairs certifies squarefreeness as a rational polynomial's does.
-    Otherwise the pseudo-remainder sequence of (p, p') over Z[s] decides:
-    it differs from the Euclidean one over E by nonzero factors at each
-    step, so its last nonzero term has the degree of the gcd.  delta is a
-    non-square, so X + Y*s is zero only when X = Y = 0."""
-    delta = p[0].algebra.delta
-    d, D = delta.den, delta.num[0] * delta.den
-    den = lcm(*(c.den for c in p))
-    a = _primitive_pairs([(c.num[0] * d * (den // c.den), c.num[1] * (den // c.den)) for c in p])
+    if all(isinstance(c, (int, Fraction)) for c in p):
+        D, terms = 1, [(c.numerator, 0, c.denominator) for c in p]
+    else:
+        delta = p[0].algebra.delta
+        d, D = delta.den, delta.num[0] * delta.den
+        terms = [(c.num[0] * d, c.num[1], c.den) for c in p]
+    den = lcm(*(c for _, _, c in terms))
+    a = _primitive_pairs([(x * (den // c), y * (den // c)) for x, y, c in terms])
     ell = next((ell for ell in _PRIMES if pow(D, (ell - 1) // 2, ell) == 1), None)
     if ell is not None:
         r = pow(D, (ell + 1) // 4, ell)
@@ -200,6 +144,39 @@ def _pair_squarefree(p):
     while b:
         a, b = b, _primitive_pairs(_pair_prem(a, b, D))
     return degree(a) <= 0
+
+
+def _coprime_to_derivative_mod(a, ell):
+    """True when the coefficients a, reduced mod the prime ell, have a
+    nonzero top one and a is coprime to a' over F_ell.  With a the image
+    of an integer polynomial of the same degree below ell, that certifies
+    the integer one squarefree; False decides nothing."""
+    return bool(a) and a[-1] % ell != 0 and len(gcd_mod(a, pderiv(a), ell)) == 1
+
+
+def rem_mod(a, b, ell):
+    """The remainder of a by b over F_ell, trimmed, for int coefficient
+    lists; b must be nonzero mod the prime ell."""
+    b = trim([c % ell for c in b])
+    rem = trim([c % ell for c in a])
+    inv = pow(b[-1], -1, ell)
+    while len(rem) >= len(b):
+        c = rem.pop() * inv % ell
+        k = len(rem) - len(b) + 1
+        for j in range(len(b) - 1):
+            rem[k + j] = (rem[k + j] - c * b[j]) % ell
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def gcd_mod(a, b, ell):
+    """A gcd of a and b over F_ell, trimmed and not made monic: Euclid with
+    ``rem_mod``.  It is empty when both are zero mod ell."""
+    a, b = trim([c % ell for c in a]), trim([c % ell for c in b])
+    while b:
+        a, b = b, rem_mod(a, b, ell)
+    return a
 
 
 def _primitive_pairs(coeffs):

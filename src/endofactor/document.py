@@ -461,13 +461,13 @@ def load_document(text, *, precision=None):
         except Exception as exc:
             raise ParseError(f"bad algebra: {exc}", f"{where}.algebra") from None
         yv = parse_etale_literal(str(_need(ispec, "y", where)), algebra, f"{where}.y")
-        ce = (_opt(ispec, "c_endoscopic") and
+        ce = (None if _opt(ispec, "c_endoscopic") is None else
               parse_etale_literal(str(ispec["c_endoscopic"]), algebra, f"{where}.c_endoscopic"))
         xv = parse_etale_literal(str(_need(ispec, "x", where)), algebra, f"{where}.x")
-        cx = (_opt(ispec, "c") and
+        cx = (None if _opt(ispec, "c") is None else
               parse_etale_literal(str(ispec["c"]), algebra, f"{where}.c"))
-        y_entries.append(IndexEntry(name, side, algebra, yv, ce or None))
-        x_entries.append(IndexEntry(name, side, algebra, xv, cx or None))
+        y_entries.append(IndexEntry(name, side, algebra, yv, ce))
+        x_entries.append(IndexEntry(name, side, algebra, xv, cx))
 
     x_d = None
     if _opt(doc, "x_D") is not None:

@@ -150,32 +150,17 @@ class BaseField:
 # residue fields
 # ---------------------------------------------------------------------------
 
-def _fp_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _fp_mulmod(a, b, mod, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = (out[i + j] + x * y) % p
-    # reduce modulo the monic modulus
-    d = len(mod) - 1
-    while len(out) > d:
-        c = out.pop()
-        if c:
-            k = len(out) - d
-            for j in range(d):
-                out[k + j] = (out[k + j] - c * mod[j]) % p
-    return _fp_trim(out)
+    return _poly.rem_mod(out, mod, p)
 
 
 def _fp_powmod(a, n, mod, p):
     result = [1]
-    base = _fp_trim(a)
+    base = _poly.trim(a)
     while n:
         if n & 1:
             result = _fp_mulmod(result, base, mod, p)
@@ -184,34 +169,16 @@ def _fp_powmod(a, n, mod, p):
     return result
 
 
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(a), _fp_trim(b)
-    while b:
-        lead_inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            c = (r[-1] * lead_inv) % p
-            k = len(r) - len(b)
-            for j in range(len(b)):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-            r.pop()
-        a, b = b, _fp_trim(r)
-    return a
-
-
 def _fp_irreducible(poly, p):
     """Rabin test for a monic polynomial over F_p."""
     f = len(poly) - 1
     x = [0, 1]
-    if _fp_powmod(x, p ** f, poly, p) != _fp_trim(x):
+    if _fp_powmod(x, p ** f, poly, p) != x:
         return False
     for ell in _prime_factors(f):
         probe = _fp_powmod(x, p ** (f // ell), poly, p)
-        probe = _fp_trim([(a - b) % p for a, b in itertools.zip_longest(probe, x, fillvalue=0)])
-        if len(_fp_gcd(probe, poly, p)) > 1:
+        probe = [a - b for a, b in itertools.zip_longest(probe, x, fillvalue=0)]
+        if len(_poly.gcd_mod(probe, poly, p)) > 1:
             return False
     return True
 
@@ -235,7 +202,8 @@ class ResidueField:
 
     For f = 1 and f = 2 (F_p, and E's residue field or the canonical F_p^2)
     products and powers are closed formulas on ints; f >= 3 goes through the
-    list-polynomial ``_fp_mulmod`` and ``_fp_powmod``."""
+    list-polynomial ``_fp_mulmod`` and ``_fp_powmod``, which reduce modulo
+    the modulus with ``_poly.rem_mod``."""
 
     def __init__(self, p, f, modulus):
         self.p = p

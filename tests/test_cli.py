@@ -383,6 +383,50 @@ def test_failure_message_is_one_line(tmp_path, capsys, command):
     assert code == 1 and out.splitlines()[:3] == violations
 
 
+class TestZeroFormCoefficient:
+    """A present, non-null c or c_endoscopic is kept whatever its value:
+    a zero one is validated like any other, not read as absent."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        """compute on a document with index 0's ``key`` set to ``value``:
+        the exit code and stderr."""
+        def run(source, key, value):
+            doc = json.loads(source.read_text())
+            doc["indices"][0][key] = value
+            path = tmp_path / "zero_c.json"
+            path.write_text(json.dumps(doc))
+            code, _ = run_cli(["compute", str(path)])
+            return code, capsys.readouterr().err
+        return run
+
+    @pytest.mark.parametrize("value", ["0", "1", 0])
+    def test_c_on_the_twisted_group_side_is_extraneous(self, run, value):
+        code, err = run(SAMPLE, "c", value)
+        assert code == 1 and "param-group: c-extraneous: index 'i0'" in err
+
+    def test_zero_c_is_not_a_unit(self, run):
+        code, err = run(GOLDEN / "quartic-symplectic.json", "c", "0")
+        assert code == 1
+        assert err == ("invalid: ValidationFailure: param-group: c-unit: index 'i0': "
+                       "c must be invertible\n")
+
+    def test_zero_c_endoscopic_is_not_a_unit(self, run):
+        code, err = run(SAMPLE, "c_endoscopic", "0")
+        assert code == 1
+        assert err == ("invalid: ValidationFailure: param-endoscopic: c-unit: index 'i0': "
+                       "c must be invertible\n")
+
+    @pytest.mark.parametrize("key", ["c", "c_endoscopic"])
+    def test_empty_literal_is_a_parse_error(self, run, key):
+        code, err = run(SAMPLE, key, "")
+        assert code == 3 and err.startswith(f"parse error: $.indices[0].{key}: ")
+
+    @pytest.mark.parametrize("key", ["c", "c_endoscopic"])
+    def test_null_is_absent(self, run, key):
+        assert run(SAMPLE, key, None) == (0, "")
+
+
 class TestJsonReports:
     def test_validate_json(self, doc_path):
         code, out = run_cli(["validate", doc_path, "--json"])

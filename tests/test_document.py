@@ -98,6 +98,17 @@ class TestDocuments:
             assert (stable_class_of(doc.y, doc.group)
                     == stable_class_of(inst.y, inst.g))
 
+    def test_zero_c_round_trips(self):
+        doc = json.loads((GOLDEN / "quartic-symplectic.json").read_text())
+        doc["indices"][0]["c"] = doc["indices"][0]["c_endoscopic"] = "0"
+        first = load_document(json.dumps(doc))
+        dumped = dump_document(first.group, first.endoscopic, first.y, first.x)
+        assert dumped["indices"][0]["c"] == dumped["indices"][0]["c_endoscopic"] == "0"
+        again = load_document(json.dumps(dumped))
+        for param in (first.y, first.x, again.y, again.x):
+            c = param.entries[0].c
+            assert c is not None and c == c.algebra.zero()
+
     def test_bad_json_position(self):
         with pytest.raises(ParseError) as err:
             load_document("{\n  \"base\": }")

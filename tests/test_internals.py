@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,76 @@ class TestMatrixOps:
             gauss_solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(1)])
 
 
+def _divides_mod(d, poly, p):
+    """Whether the monic d divides poly over F_p, by schoolbook division."""
+    r = list(poly)
+    while len(r) >= len(d):
+        c = r[-1]
+        for j in range(len(d)):
+            r[len(r) - len(d) + j] = (r[len(r) - len(d) + j] - c * d[j]) % p
+        r.pop()
+    return not any(c % p for c in r)
+
+
+MOD_PRIMES = [2, 3, 5, 7, 2 ** 61 - 1]
+
+
+class TestModularEuclid:
+    """``_poly.rem_mod`` and ``_poly.gcd_mod``, the one division over F_l
+    behind the squarefree certificate and the residue fields."""
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    @given(st.lists(st.integers(-10 ** 20, 10 ** 20), max_size=8),
+           st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_remainder(self, p, a, b):
+        """r = a mod b has degree below b's, and a - r is a multiple of b."""
+        b_mod = _poly.trim([c % p for c in b])
+        if not b_mod:
+            return
+        r = _poly.rem_mod(a, b, p)
+        assert r == _poly.trim(r) and all(0 <= c < p for c in r)
+        assert _poly.degree(r) < _poly.degree(b_mod)
+        diff = [x - y for x, y in itertools.zip_longest(a, r, fillvalue=0)]
+        assert _poly.rem_mod(diff, b, p) == []
+
+    @pytest.mark.parametrize("p", MOD_PRIMES)
+    def test_untrimmed_empty_and_constant(self, p):
+        # 1 + 2T + 0*T^2 + p*T^3 is 1 + 2T mod p; mod T + 1 it is 1 - 2
+        assert _poly.rem_mod([1, 2, 0, p], [1, 1], p) == [p - 1]
+        # a divisor with a top coefficient 0 mod p is trimmed first
+        assert _poly.rem_mod([1, 2, 0, p], [1, 1, p, 0], p) == [p - 1]
+        assert _poly.rem_mod([], [1, 1], p) == []
+        assert _poly.rem_mod([0, 0, 0], [1, 1], p) == []
+        assert _poly.rem_mod([3, 4, 5, 6], [p + 1], p) == []
+        assert _poly.rem_mod([4], [1, 1], p) == _poly.trim([4 % p])
+        assert _poly.gcd_mod([], [], p) == []
+        assert _poly.gcd_mod([0, p], [1, 0, p], p) == [1]
+        assert _poly.gcd_mod([1, 1, 0], [], p) == [1, 1]
+        assert len(_poly.gcd_mod([1, 1], [p + 1], p)) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_gcd_degree_matches_enumeration(self, p):
+        """For degree <= 4, deg gcd_mod(a, b) is the largest degree of a
+        monic common divisor found by trial division, and the gcd divides
+        both."""
+        rng = random.Random(p)
+        monic = [list(t) + [1] for k in range(5) for t in itertools.product(range(p), repeat=k)]
+        for _ in range(40):
+            # a common factor makes gcds of positive degree common
+            common = [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [1]
+            a = _poly.pmul(common, [rng.randrange(p) for _ in range(rng.randint(0, 5 - len(common)))])
+            b = _poly.pmul(common, [rng.randrange(p) for _ in range(rng.randint(0, 5 - len(common)))])
+            a, b = _poly.trim([c % p for c in a]), _poly.trim([c % p for c in b])
+            if not a and not b:
+                continue
+            g = _poly.gcd_mod(a, b, p)
+            want = max(len(d) - 1 for d in monic
+                       if _divides_mod(d, a, p) and _divides_mod(d, b, p))
+            assert _poly.degree(g) == want
+            assert _poly.rem_mod(a, g, p) == _poly.rem_mod(b, g, p) == []
+
+
 SMALL_PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
 
 
@@ -153,21 +224,12 @@ class TestResidueFields:
         """The search skips the constant term 0; a scan of every monic
         polynomial, in the same order, with irreducibility by trial division
         by every monic polynomial of degree at most f/2, finds the same one."""
-        def divides(d, poly, p):
-            r = list(poly)
-            while len(r) >= len(d):
-                c = r[-1]
-                for j in range(len(d)):
-                    r[len(r) - len(d) + j] = (r[len(r) - len(d) + j] - c * d[j]) % p
-                r.pop()
-            return not any(r)
-
         for p in (2, 3, 5, 7, 11):
             for f in (1, 2, 3, 4):
                 divisors = [list(t) + [1] for k in range(1, f // 2 + 1)
                             for t in itertools.product(range(p), repeat=k)]
                 want = next(tuple(t) + (1,) for t in itertools.product(range(p), repeat=f)
-                            if not any(divides(d, list(t) + [1], p) for d in divisors))
+                            if not any(_divides_mod(d, list(t) + [1], p) for d in divisors))
                 assert canonical_unramified_poly(p, f) == want
 
     def test_square_counting(self):

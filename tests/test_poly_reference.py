@@ -6,11 +6,12 @@ by the integers 1..n) and a Hessenberg reduction by similarity over a field.
 The Gauss eliminations below are the references for the tower norm, the
 tower inverse and the Gram determinant, which all go through ``charpoly``.
 
-``_poly.is_squarefree`` decides Fraction-coefficient polynomials over Z and
-E-coefficient ones over Z[sqrt(D)]: a certificate modulo a prime near 2^61
-first, then remainder sequences divided by their integer content.  The
-reference is the Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and
-the certificate is also checked against the remainder sequence alone.
+``_poly.is_squarefree`` decides on one path over Z[s], s^2 = D: E-coefficient
+polynomials with E's D, Fraction-coefficient ones as pairs (x, 0) with
+D = 1.  A certificate modulo a prime near 2^61 comes first, then remainder
+sequences divided by their integer content.  The reference is the
+Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and the certificate
+is also checked against the remainder sequence alone.
 
 ``_poly.peval`` evaluates on the integer matrix of the point and
 ``_poly.peval_scalar`` by coefficient sums; the reference for both is
@@ -422,6 +423,18 @@ def test_squarefree_e_coefficients():
     other = [E.element(F(1, 2), -1), E.one()]
     assert _poly.is_squarefree(_poly.pmul(lin, other))
     assert not _poly.is_squarefree(_poly.pmul(_poly.pmul(lin, other), lin))
+
+
+@pytest.mark.parametrize("delta_e", [2, F(-7, 4)])
+def test_squarefree_rational_and_embedded_in_e_agree(delta_e):
+    """A rational P and the same P with its coefficients in E run the one
+    path over Z[s], with D = 1 and with E's D: both get one verdict."""
+    E = UnitaryBaseData(BaseField("p-adic", 3), delta_e).E
+    lin, quad = [F(-1, 2), F(3)], [F(5), F(-2, 3), F(1, 7)]
+    for P, want in ((_poly.pmul(lin, quad), True), (_poly.pmul(_poly.pmul(lin, quad), lin), False)):
+        embedded = [E.element(c) for c in P]
+        assert _poly.is_squarefree(P) is _poly.is_squarefree(embedded) is want
+        assert _sequence_verdict(P) is _sequence_verdict(embedded) is want
 
 
 def _random_e_poly(rng, E, deg):
