@@ -306,6 +306,14 @@ def _precision(base_spec, override):
     return _need(base_spec, "precision", "$.base", int)
 
 
+def _literal(obj, key, ring, where):
+    """obj[key] read as an element of ring, a tower or an etale algebra,
+    at where.key; None when the key is absent or null."""
+    if _opt(obj, key) is None:
+        return None
+    return _parse_literal(str(obj[key]), ring, getattr(ring, "base_pm", ring), f"{where}.{key}")
+
+
 def load_document(text, *, precision=None):
     """Parse a JSON instance document (a string) into an InstanceDocument."""
     try:
@@ -335,8 +343,10 @@ def load_document(text, *, precision=None):
     except ValueError as exc:
         raise ParseError(str(exc), "$.base") from None
     F = trivial_tower(base)
-
-    tower_specs = _opt(doc, "towers", {}) or {}
+    # one tower per distinct (f, eis literals read as (num, den)); F is x - p
+    # (x - 1 over R) at f = 1
+    rings = {(1, (((-1 if base.is_real else -base.p,), 1), ((1,), 1))): F}
+    tower_specs = {} if _opt(doc, "towers") is None else doc["towers"]
     if not isinstance(tower_specs, dict):
         raise ParseError("field 'towers' has the wrong type", "$.towers")
     towers = {}
@@ -351,7 +361,7 @@ def load_document(text, *, precision=None):
         if degree > MAX_TOWER_DEGREE:
             raise ParseError(f"tower degree {degree} exceeds the limit {MAX_TOWER_DEGREE}", where)
         try:
-            coeffs = []
+            reads = []
             for k, lit in enumerate(eis_lits):
                 lit, at = str(lit), f"{where}.eis[{k}]"
                 read = _read_literal(lit, fu, 1, False, at)
@@ -360,8 +370,11 @@ def load_document(text, *, precision=None):
                         helpers[fu] = make_extension(base, fu, [-(base.p if not base.is_real else 1), 1])
                     val = _evaluate_literal(lit, helpers[fu], helpers[fu], at)
                     read = val.num, val.den
-                coeffs.append([Fraction(c, read[1]) for c in read[0]])
-            towers[name] = make_extension(base, f, coeffs)
+                reads.append(read)
+            key = (f, tuple(reads))
+            if key not in rings:
+                rings[key] = make_extension(base, f, [[Fraction(c, d) for c in num] for num, d in reads])
+            towers[name] = rings[key]
         except ParseError:
             raise
         except Exception as exc:
@@ -381,14 +394,9 @@ def load_document(text, *, precision=None):
     case = _need(gspec, "case", "$.group", str)
     d = _need(gspec, "d", "$.group", int)
     def _group_literal(key, over_E):
-        where = f"$.group.{key}"
-        if _opt(gspec, key) is None:
-            return None
-        if not over_E:
-            return parse_tower_literal(str(gspec[key]), F, where)
-        if ub is None:
-            raise ParseError(f"{case} needs $.extension", where)
-        return parse_etale_literal(str(gspec[key]), ub.E, where)
+        if over_E and ub is None and _opt(gspec, key) is not None:
+            raise ParseError(f"{case} needs $.extension", f"$.group.{key}")
+        return _literal(gspec, key, ub.E if over_E and ub else F, "$.group")
     # an unknown case parses over F; validation reports it
     info = case_info(case) if case in CASES else None
     over_E = info is not None and info["ground"] == "E"
@@ -399,10 +407,6 @@ def load_document(text, *, precision=None):
                             nu=nu, eta=eta)
 
     espec = _need(doc, "endoscopic", "$")
-    def _sq(key):
-        if _opt(espec, key) is None:
-            return None
-        return parse_tower_literal(str(espec[key]), F, f"$.endoscopic.{key}")
     def _mu(key):
         spec = _opt(espec, key)
         if spec is None:
@@ -422,9 +426,9 @@ def load_document(text, *, precision=None):
     endo = EndoscopicDatum(
         d_minus=_need(espec, "d_minus", "$.endoscopic", int),
         d_plus=_need(espec, "d_plus", "$.endoscopic", int),
-        delta_minus=_sq("delta_minus"),
-        delta_plus=_sq("delta_plus"),
-        chi=_sq("chi"),
+        delta_minus=_literal(espec, "delta_minus", F, "$.endoscopic"),
+        delta_plus=_literal(espec, "delta_plus", F, "$.endoscopic"),
+        chi=_literal(espec, "chi", F, "$.endoscopic"),
         mu_minus=_mu("mu_minus"),
         mu_plus=_mu("mu_plus"),
         cocycle_class=_opt(espec, "cocycle_class", "trivial"),
@@ -432,6 +436,7 @@ def load_document(text, *, precision=None):
 
     y_entries = []
     x_entries = []
+    algebras = {}   # one per distinct (tower, kind, delta literal)
     indices = _need(doc, "indices", "$", list)
     for k, ispec in enumerate(indices):
         where = f"$.indices[{k}]"
@@ -443,36 +448,34 @@ def load_document(text, *, precision=None):
         tower = towers[tname]
         aspec = _need(ispec, "algebra", where)
         akind = _need(aspec, "kind", f"{where}.algebra", str)
-        try:
-            if akind == "field":
-                dlit = _need(aspec, "delta", f"{where}.algebra")
-                algebra = quadratic_field(
-                    tower, parse_tower_literal(str(dlit), tower, f"{where}.algebra.delta"))
-            elif akind == "split":
-                algebra = split_algebra(tower)
-            elif akind == "tensor":
-                if ub is None:
-                    raise ParseError("tensor algebras need $.extension", f"{where}.algebra")
-                algebra = ub.algebra_over(tower)
-            else:
-                raise ParseError(f"unknown algebra kind {akind!r}", f"{where}.algebra")
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(f"bad algebra: {exc}", f"{where}.algebra") from None
+        dlit = str(_need(aspec, "delta", f"{where}.algebra")) if akind == "field" else None
+        key = (id(tower), akind, dlit)      # a tower is one object per distinct spec
+        if key not in algebras:
+            try:
+                if akind == "field":
+                    algebras[key] = quadratic_field(
+                        tower, parse_tower_literal(dlit, tower, f"{where}.algebra.delta"))
+                elif akind == "split":
+                    algebras[key] = split_algebra(tower)
+                elif akind == "tensor":
+                    if ub is None:
+                        raise ParseError("tensor algebras need $.extension", f"{where}.algebra")
+                    algebras[key] = ub.algebra_over(tower)
+                else:
+                    raise ParseError(f"unknown algebra kind {akind!r}", f"{where}.algebra")
+            except ParseError:
+                raise
+            except Exception as exc:
+                raise ParseError(f"bad algebra: {exc}", f"{where}.algebra") from None
+        algebra = algebras[key]
         yv = parse_etale_literal(str(_need(ispec, "y", where)), algebra, f"{where}.y")
-        ce = (None if _opt(ispec, "c_endoscopic") is None else
-              parse_etale_literal(str(ispec["c_endoscopic"]), algebra, f"{where}.c_endoscopic"))
+        ce = _literal(ispec, "c_endoscopic", algebra, where)
         xv = parse_etale_literal(str(_need(ispec, "x", where)), algebra, f"{where}.x")
-        cx = (None if _opt(ispec, "c") is None else
-              parse_etale_literal(str(ispec["c"]), algebra, f"{where}.c"))
+        cx = _literal(ispec, "c", algebra, where)
         y_entries.append(IndexEntry(name, side, algebra, yv, ce))
         x_entries.append(IndexEntry(name, side, algebra, xv, cx))
 
-    x_d = None
-    if _opt(doc, "x_D") is not None:
-        x_d = parse_tower_literal(str(doc["x_D"]), F, "$.x_D")
-
+    x_d = _literal(doc, "x_D", F, "$")
     return InstanceDocument(
         base=base,
         group=group,

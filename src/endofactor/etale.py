@@ -26,7 +26,6 @@ and no p-adic square root is ever needed: whether the tensor splits is
 decided by an exact square test.
 """
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -47,7 +46,6 @@ from .localfield import (
     trivial_tower,
     _normal,
     _reduce_mod,
-    _sparse_table,
     _vp,
 )
 
@@ -74,20 +72,20 @@ class QuadraticEtale(IntegerStructure):
         of the tower.  m_i*m_j*rt^(c+c') is the tower product over D moved
         to the rt^(c+c') half, or for c = c' = 1 that product times delta:
         over D * s, s = delta.den * D, the integer matrix of delta times the
-        product's numerators."""
+        product's numerators.  The tower's table has no common factor with
+        its D, so the common factor of the whole table and D * s is that of
+        s and the products times delta."""
         tower = self.base_pm
         n, s = tower.n, self.delta.den * tower._D
         dm = tower._num_matrix(self.delta)
-        rows = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-        for i, j in itertools.product(range(2 * n), repeat=2):
-            c = i // n + j // n
-            for k, t in tower._table[i % n][j % n]:
-                if c < 2:
-                    rows[i][j][c * n + k] += t * s
-                else:
-                    for l in range(n):
-                        rows[i][j][l] += t * dm[l][k]
-        return _sparse_table(rows, tower._D * s)
+        sq = [[[sum(t * dm[l][k] for k, t in prod) for l in range(n)] for prod in row]
+              for row in tower._table]
+        g = math.gcd(s, *(c for row in sq for w in row for c in w))
+        low = [[tuple((k, t * s // g) for k, t in prod) for prod in row] for row in tower._table]
+        high = [[tuple((n + k, t) for k, t in prod) for prod in row] for row in low]
+        top = [[tuple((l, c // g) for l, c in enumerate(w) if c) for w in row] for row in sq]
+        return (tuple(tuple(a + b) for a, b in zip(low, high))
+                + tuple(tuple(a + b) for a, b in zip(high, top)), tower._D * s // g)
 
     # -- element construction -----------------------------------------------
 

@@ -106,7 +106,9 @@ class CharPolyPack:
     """P, its side factors, and its derivative, over the case's ground.
 
     Coefficients are Fractions for ground "F" and elements of E for
-    ground "E"; all lists are constant-term first.  ``scalar`` maps a
+    ground "E"; all lists are constant-term first.  Over F, P and the side
+    products come from ``charpoly_product`` on integer numerators, each
+    coefficient a Fraction made once.  ``scalar`` maps a
     base-field scalar into the ground ring (``params.ground_scalar``).
     ``P_at`` holds P(1) and P(-1), evaluated once: regularity, the
     formulary's poles and the prefactors all read them there.
@@ -143,18 +145,10 @@ def build_charpoly_pack(y, g):
     ground = g.info["ground"]
     # by entry, not by name: P stays exact for an unvalidated y that repeats a name
     polys = [(en.side, charpoly_over(en.value, ground)) for en in y.entries]
-    P_minus = charpoly_product([q for side, q in polys if side == "-"], g)
-    P_plus = charpoly_product([q for side, q in polys if side == "+"], g)
-    P = _poly.pmul(P_minus, P_plus)
-    return CharPolyPack(
-        ground=ground,
-        P=P,
-        P_minus=P_minus,
-        P_plus=P_plus,
-        dP=_poly.pderiv(P),
-        scalar=ground_scalar(g),
-        factors={en.name: q for en, (_, q) in zip(y.entries, polys)},
-    )
+    P_minus, P_plus = (charpoly_product([q for side, q in polys if side == s], g) for s in "-+")
+    P = _poly.pmul(P_minus, P_plus) if ground == "E" else charpoly_product((P_minus, P_plus), g)
+    return CharPolyPack(ground, P, P_minus, P_plus, _poly.pderiv(P), ground_scalar(g),
+                        {en.name: q for en, (_, q) in zip(y.entries, polys)})
 
 
 class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor")):
@@ -222,10 +216,18 @@ def compute_C(name, pack, y, x, g):
         lead = x.x_D if row.lead == "x_D" else g.eta
         if pack.ground == "E":
             lead = g.E.embed(lead, yv.algebra)
-        coef = xe.c if row.coef == "c" else xe.value ** (-1)
-        c = (row.scalar * lead * coef * pack.in_algebra(pack.dP, yv)
-             * pack.P_at[point] ** power * yv ** ((row.offset - g.d) // 2)
-             * (1 + yv) ** plus * (yv - 1) ** minus)
+        # one inversion, of the negative powers' product; P(point) comes last,
+        # as over E it lies in E, not in F_i
+        c, den = row.scalar * lead * pack.in_algebra(pack.dP, yv), None
+        for value, k in ((xe.c, 1) if row.coef == "c" else (xe.value, -1),
+                         (yv, (row.offset - g.d) // 2), (1 + yv, plus), (yv - 1, minus),
+                         (pack.P_at[point], power)):
+            if k > 0:
+                c = c * value ** k
+            elif k < 0:
+                den = value ** -k if den is None else den * value ** -k
+        if den is not None:
+            c = c * den.inverse()
     except ZeroValuation as exc:
         raise DivisionByZero(f"index {name!r}: {exc}") from None
     if not c:

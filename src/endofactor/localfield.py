@@ -184,14 +184,18 @@ def _fp_irreducible(poly, p):
 
 
 def canonical_unramified_poly(p, f):
-    """Lexicographically smallest monic irreducible of degree f over F_p.
-    For f >= 2 the scan starts at constant term 1: the candidates with
-    constant term 0 are divisible by x."""
+    """The first monic irreducible x^f + ... + a_1 x + a_0 over F_p in the
+    lexicographic order of (a_0, ..., a_(f-1)).  For f >= 2 the scan starts
+    at constant term 1: the candidates with constant term 0 are divisible
+    by x.  For p odd and f = 2 a candidate is irreducible exactly when
+    a_1^2 - 4 a_0 is a non-square mod p (Euler's criterion); otherwise it
+    runs the Rabin test."""
     if f == 1:
         return (0, 1)
     for tail in itertools.product(range(1, p), *[range(p)] * (f - 1)):
         poly = list(tail) + [1]
-        if _fp_irreducible(poly, p):
+        if (pow(tail[1] ** 2 - 4 * tail[0], p // 2, p) == p - 1 if f == 2 and p > 2
+                else _fp_irreducible(poly, p)):
             return tuple(poly)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
@@ -341,16 +345,6 @@ class ResidueField:
 # towers and their elements
 # ---------------------------------------------------------------------------
 
-def _sparse_table(rows, den):
-    """(table, D): rows[i][j], the integer numerators over den of the product
-    of basis monomials i and j, as the sparse pairs (k, c) of its nonzero
-    numerators over D, the common factor of den and the entries divided out."""
-    g = math.gcd(den, *(c for row in rows for w in row for c in w))
-    table = tuple(tuple(tuple((k, c // g) for k, c in enumerate(w) if c) for w in row)
-                  for row in rows)
-    return table, den // g
-
-
 class IntegerStructure:
     """A ring with a basis of n monomials over the base field, multiplied
     through integer structure constants: ``_table[i][j]`` is the product of
@@ -430,12 +424,8 @@ class ExtensionTower(IntegerStructure):
         self.unram_poly = unram_poly              # tuple of f+1 ints
         self.eis = eis_uvecs                      # tuple of e+1 u-vectors
         self._table, self._D = self._structure_constants()
-        if base.is_real:
-            self.q = None
-            self.residue = None
-        else:
-            self.q = base.p ** f
-            self.residue = ResidueField(base.p, f, tuple(c % base.p for c in unram_poly))
+        self.q = None if base.is_real else base.p ** f
+        self.residue = None if base.is_real else ResidueField(base.p, f, unram_poly)
         self._fingerprint = (
             base.kind,
             base.p,
@@ -449,11 +439,13 @@ class ExtensionTower(IntegerStructure):
         """(table, D): table[i][j] is the product of basis monomials i and j,
         as the sparse pairs (k, c) of its nonzero numerators over D.
 
-        Row i is walked from monomial i by the two steps "times u" and
-        "times pi", in integers.  The Eisenstein coefficients are numerators
-        over their common denominator d, so the monomials of pi-degree b in
-        row i are over d^b, and D = d^(e-1) before the common factor of the
-        whole table is divided out.
+        The product of u^a pi^b and u^a' pi^b' is u^A pi^B, A = a + a' and
+        B = b + b', so the (2f - 1)(2e - 1) monomials u^A pi^B are reduced
+        once, in integers: pi^B from pi^(e-1) by the step "times pi", then
+        u^A pi^B by the step "times u".  The Eisenstein coefficients are
+        numerators over their common denominator d, so pi^B is over
+        d^(B-e+1), and every u^A pi^B over d^(e-1), which is D before the
+        common factor of the whole table is divided out.
         """
         f, e, n = self.f, self.e, self.n
         d = math.lcm(*(c.denominator for row in self.eis for c in row))
@@ -479,17 +471,17 @@ class ExtensionTower(IntegerStructure):
                                        for row in self.eis[:-1] for c in row]]
         while len(pi_wrap) < n:
             pi_wrap.append(step(pi_wrap[-1], 1, u_wrap, 1))
-        rows = []
-        for i in range(n):
-            row, v = [], [int(k == i) for k in range(n)]
-            for b in range(e):
-                w = v
-                for _ in range(f):
-                    row.append([c * d ** (e - 1 - b) for c in w])
-                    w = step(w, 1, u_wrap, 1)
-                v = step(v, f, pi_wrap, d)
-            rows.append(row)
-        return _sparse_table(rows, d ** (e - 1))
+        # rows[A][B] is u^A pi^B over d^(e-1): rows[0] the pi^B, where the
+        # division by d is exact, and each next row u times the one before
+        rows = [[[d ** (e - 1) * (k == B * f) for k in range(n)] for B in range(e)]]
+        for _ in range(e - 1):
+            rows[0].append([c // d for c in step(rows[0][-1], f, pi_wrap, d)])
+        for _ in range(2 * f - 2):
+            rows.append([step(v, 1, u_wrap, 1) for v in rows[-1]])
+        g = math.gcd(d ** (e - 1), *(c for row in rows for v in row for c in v))
+        prods = [[tuple((k, c // g) for k, c in enumerate(v) if c) for v in row] for row in rows]
+        return (tuple(tuple(prods[i % f + j % f][i // f + j // f] for j in range(n))
+                      for i in range(n)), d ** (e - 1) // g)
 
     # -- construction of elements ------------------------------------------
 
@@ -772,7 +764,7 @@ class FieldElement(FlatElement):
     def unit_split(self):
         """(v, x * pi^(-v)) with v = v(x); exact."""
         v = valuation(self)
-        return v, self * self.tower.pi() ** (-v)
+        return v, (self * self.tower.pi() ** (-v) if v else self)
 
     def __repr__(self):
         terms = []
@@ -811,42 +803,32 @@ def make_extension(base, f, eis):
     Eisenstein over the unramified step, for degree 1 its root is taken
     as the uniformizer and must have valuation 1.
     """
-    if base.is_real:
-        if f != 1 or len(eis) != 2:
-            raise UnsupportedCase("only the trivial tower is supported over R")
-        unram = (0, 1)
-        eis_uvecs = tuple(_norm_uvec(c, 1) for c in eis)
-        if eis_uvecs[1] != (_Q1,):
-            raise NotEisenstein("defining polynomial must be monic")
-        return ExtensionTower(base, 1, eis_uvecs, unram)
-    p = base.p
+    if base.is_real and (f != 1 or len(eis) != 2):
+        raise UnsupportedCase("only the trivial tower is supported over R")
     if f < 1:
         raise ValueError("unramified degree must be >= 1")
     e = len(eis) - 1
     # before the degree check, so f >= 2 over Q_2 fails alike for any eis
-    if p == 2 and max(e, 1) * f > 1:
+    if base.p == 2 and max(e, 1) * f > 1:
         raise DyadicRamifiedUnsupported(
             "extensions with residue characteristic 2 are not supported"
         )
     if e < 1:
         raise NotEisenstein("defining polynomial must have degree >= 1")
-    unram = canonical_unramified_poly(p, f)
     eis_uvecs = tuple(_norm_uvec(c, f) for c in eis)
     if eis_uvecs[-1] != tuple([_Q1] + [_Q0] * (f - 1)):
         raise NotEisenstein("defining polynomial must be monic")
-    if e == 1:
-        root_v = _row_valuation(eis_uvecs[0], p)
-        if root_v != 1:
-            raise NotEisenstein("degree-1 step needs a valuation-1 root")
-    else:
-        v0 = _row_valuation(eis_uvecs[0], p)
-        if v0 != 1:
-            raise NotEisenstein("constant term must be a unit times p")
-        for k in range(1, e):
-            vk = _row_valuation(eis_uvecs[k], p)
-            if vk is not None and vk < 1:
-                raise NotEisenstein(f"coefficient {k} must have positive valuation")
-    return ExtensionTower(base, f, eis_uvecs, unram)
+    if base.is_real:
+        return ExtensionTower(base, 1, eis_uvecs, (0, 1))
+    p = base.p
+    if _row_valuation(eis_uvecs[0], p) != 1:
+        raise NotEisenstein("degree-1 step needs a valuation-1 root" if e == 1
+                            else "constant term must be a unit times p")
+    for k in range(1, e):
+        vk = _row_valuation(eis_uvecs[k], p)
+        if vk is not None and vk < 1:
+            raise NotEisenstein(f"coefficient {k} must have positive valuation")
+    return ExtensionTower(base, f, eis_uvecs, canonical_unramified_poly(p, f))
 
 
 def _norm_uvec(c, f):
@@ -889,9 +871,10 @@ def is_square(a):
         raise ZeroValuation("squareness of zero")
     if t.base.is_real:
         return a.as_fraction() > 0
-    v, u = a.unit_split()
-    if v % 2:
+    v = valuation(a)
+    if v % 2:       # decided before the unit part x * pi^(-v) is computed
         return False
+    u = a * t.pi() ** (-v) if v else a
     if t.base.p == 2:
         return _reduce_mod(u.as_fraction(), 8) == 1
     return t.residue.is_square(u.residue())

@@ -192,9 +192,6 @@ class RegularParam:
         self.entries = tuple(entries)
         self.x_D = x_D          # FieldElement
 
-    def side(self, s):
-        return [en for en in self.entries if en.side == s]
-
     def entry(self, name):
         for en in self.entries:
             if en.name == name:
@@ -445,12 +442,22 @@ def ground_scalar(g):
 
 
 def charpoly_product(polys, g):
-    """Product of the polynomials ``polys`` over the case ground (the base
-    field, or E in the unitary cases)."""
-    poly = [ground_scalar(g)(1)]
+    """Product of the polynomials ``polys`` over the case ground: the base
+    field, or E in the unitary cases.  Over the base field the integer
+    numerators of each over their lcm are multiplied, and the Fractions are
+    made once, over the product of the lcms."""
+    if g.info["ground"] == "E":
+        poly = [g.E.E.embed_ground(1)]
+        for q in polys:
+            poly = _poly.pmul(poly, q)
+        return poly
+    num, den = [1], 1
     for q in polys:
-        poly = _poly.pmul(poly, q)
-    return poly
+        d = math.lcm(*(c.denominator for c in q))
+        q = [c.numerator * (d // c.denominator) for c in q]
+        # a product by 1 is q itself
+        num, den = _poly.trim(q) if num == [1] else _poly.pmul(num, q), den * d
+    return [Fraction(c, den) for c in num]
 
 
 def charpoly_ends(poly, zero):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endofactor import document, localfield
+from endofactor import document, etale, localfield
 from endofactor.document import (
     MAX_INDICES,
     MAX_LITERAL_LENGTH,
@@ -124,6 +124,22 @@ class TestDocuments:
             with pytest.raises(ParseError) as err:
                 load_document(json.dumps(dict(sample, towers=towers)))
             assert str(err.value).startswith("$.towers: ")
+
+    @pytest.mark.parametrize("towers", [[], 0, "", False], ids=["list", "zero", "empty", "false"])
+    def test_falsy_towers_of_the_wrong_type(self, towers):
+        """A falsy 'towers' that is not an object is a type error, as a
+        truthy one is; it is not read as no towers."""
+        sample = json.loads(SAMPLE.read_text())
+        with pytest.raises(ParseError) as err:
+            load_document(json.dumps(dict(sample, towers=towers)))
+        assert str(err.value) == "$.towers: field 'towers' has the wrong type"
+
+    def test_null_towers_are_absent(self):
+        sample = json.loads(SAMPLE.read_text())
+        for doc in (dict(sample, towers=None), {k: v for k, v in sample.items() if k != "towers"}):
+            with pytest.raises(ParseError) as err:
+                load_document(json.dumps(doc))
+            assert str(err.value) == "$.indices[0]: unknown tower 'K0'"
 
     def test_unknown_tower_reference(self, rng):
         from support import make_instance
@@ -378,19 +394,67 @@ def test_quartic_document_is_read_without_ring_products(monkeypatch, name):
     assert counts == {"products": 0, "towers": len(json.loads(text)["towers"])}
 
 
-def test_unitary_document_builds_the_trivial_tower_once(monkeypatch):
-    """E is built over the document's own F: loading a unitary document
-    builds F and the document's towers, and no second trivial tower."""
-    text = (GOLDEN / "large-prime-unitary.json").read_text()
-    built = []
-    build = localfield.make_extension
+def _count_builds(monkeypatch):
+    """The towers and the etale algebras built from here on."""
+    towers, algebras = [], []
+    build, init = localfield.make_extension, etale.QuadraticEtale.__init__
 
-    def counted(*args):
-        built.append(args[1:])
+    def counted_build(*args):
+        towers.append(args[1:])
         return build(*args)
 
-    monkeypatch.setattr(localfield, "make_extension", counted)
-    monkeypatch.setattr(document, "make_extension", counted)
+    def counted_init(self, *args, **kwargs):
+        algebras.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(localfield, "make_extension", counted_build)
+    monkeypatch.setattr(document, "make_extension", counted_build)
+    monkeypatch.setattr(etale.QuadraticEtale, "__init__", counted_init)
+    return towers, algebras
+
+
+def _distinct_specs(doc):
+    """The distinct (f, eis) tower specs of a document, the base field's own
+    (x - p at f = 1) included."""
+    return ({(1, (str(-doc["base"]["p"]), "1"))}
+            | {(spec["f"], tuple(spec["eis"])) for spec in doc["towers"].values()})
+
+
+def test_unitary_document_builds_the_trivial_tower_once(monkeypatch):
+    """E is built over the document's own F, and a tower spec equal to F's
+    is F: loading a unitary document builds one tower per distinct spec, F
+    included (here F alone), and no second trivial tower."""
+    text = (GOLDEN / "large-prime-unitary.json").read_text()
+    built, _ = _count_builds(monkeypatch)
     doc = load_document(text)
-    assert len(built) == 1 + len(json.loads(text)["towers"])
+    assert len(built) == len(_distinct_specs(json.loads(text))) == 1
     assert doc.group.E.F.is_trivial and doc.group.E.F.base == doc.base
+    assert doc.y.entries[0].algebra.base_pm is doc.group.E.F
+
+
+def test_each_ring_is_built_once(monkeypatch, rng):
+    """A document that names its towers once per index, so that two names
+    share a spec, and one spec is the base field's, builds one tower per
+    distinct spec and one algebra per distinct (tower, algebra) pair, and
+    computes the trace of the document with one name per spec."""
+    from support import make_instance
+    for _ in range(50):
+        inst = make_instance(rng, "symplectic", p=5, n_indices=(3, 3), split_ratio=0.5)
+        doc = dump_document(inst.g, inst.e, inst.y, inst.x)
+        pairs = [(ispec["tower"], json.dumps(ispec["algebra"])) for ispec in doc["indices"]]
+        if len(set(pairs)) < len(pairs) and {"f": 1, "eis": ["-5", "1"]} in doc["towers"].values():
+            break
+    else:
+        pytest.fail("no draw repeats a (tower, algebra) pair on the base field's spec")
+    aliased = json.loads(json.dumps(doc))
+    aliased["towers"] = {f"T{k}": doc["towers"][ispec["tower"]]
+                         for k, ispec in enumerate(doc["indices"])}
+    for k, ispec in enumerate(aliased["indices"]):
+        ispec["tower"] = f"T{k}"
+    towers, algebras = _count_builds(monkeypatch)
+    loaded = load_document(json.dumps(aliased))
+    assert len(towers) == len(_distinct_specs(doc))
+    assert len(algebras) == len(set(pairs)) < len(pairs)
+    traces = [compute_delta(d.y, d.x, d.group, d.endoscopic)[1].lines()
+              for d in (loaded, load_document(json.dumps(doc)))]
+    assert traces[0] == traces[1]

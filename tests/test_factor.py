@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor.errors import MatchFailure, UnsupportedCase, ValidationFailure
+from endofactor.errors import DivisionByZero, MatchFailure, UnsupportedCase, ValidationFailure
 from endofactor.etale import UnitaryBaseData, quadratic_field, split_algebra
 from endofactor.factor import (
     UnitCircleValue,
@@ -10,6 +10,7 @@ from endofactor.factor import (
     compute_C,
     compute_delta,
     eval_character,
+    formula_for,
     special_case_indicator,
     swapped_delta,
 )
@@ -78,6 +79,68 @@ class TestComputeC:
         xp = RegularParam((IndexEntry("i", "-", s, y, s.element(0, 1)),))
         with pytest.raises(UnsupportedCase):
             compute_C("i", build_charpoly_pack(yp, g), yp, xp, g)
+
+
+def _c_by_powers(name, pack, y, x, g):
+    """C_i as the formula's product of powers, each negative power inverted
+    on its own, with no check that the value is tau-fixed."""
+    yv, xe = y.entry(name).value, x.entry(name)
+    row = formula_for(g)
+    point, power = row.pole
+    plus, minus = row.y_factor
+    lead = x.x_D if row.lead == "x_D" else g.eta
+    if pack.ground == "E":
+        lead = g.E.embed(lead, yv.algebra)
+    coef = xe.c if row.coef == "c" else xe.value ** (-1)
+    return (row.scalar * lead * coef * pack.in_algebra(pack.dP, yv)
+            * pack.P_at[point] ** power * yv ** ((row.offset - g.d) // 2)
+            * (1 + yv) ** plus * (yv - 1) ** minus)
+
+
+def _with_value(param, name, make):
+    """param with the value of the index ``name`` replaced by make(entry)."""
+    return RegularParam(tuple(
+        IndexEntry(en.name, en.side, en.algebra, make(en) if en.name == name else en.value, en.c)
+        for en in param.entries), param.x_D)
+
+
+class TestOneInversion:
+    def test_matches_the_product_of_powers(self, rng):
+        """C_i with the negative powers in one denominator, inverted once,
+        is the product of the formula's powers taken one by one, for all
+        nine formula variants, with negative exponents of y among them."""
+        from support import make_instance
+        seen = set()
+        for case in ALL_CASES:
+            for p in (3, 5, 7):
+                for parity in (0, 1) if case in ("unitary", "bc_unitary") else (None,):
+                    inst = make_instance(rng, case, p=p, force_d_parity=parity)
+                    pack = build_charpoly_pack(inst.y, inst.g)
+                    row = formula_for(inst.g)
+                    seen.add((row.label, (row.offset - inst.g.d) // 2 < 0))
+                    for en in inst.y.field_indices("-"):
+                        c_fi, _ = compute_C(en.name, pack, inst.y, inst.x, inst.g)
+                        assert c_fi == _c_by_powers(en.name, pack, inst.y, inst.x, inst.g)
+        assert len({label for label, _ in seen}) == 9
+        assert any(negative for _, negative in seen)
+
+    @pytest.mark.parametrize("case, who", [("twisted_gl_even", "x"), ("bc_unitary", "x"),
+                                           ("so_odd", "y"), ("so_even", "y")])
+    def test_a_non_unit_denominator(self, rng, case, who):
+        """x = 0 (the formula's 1/x) or y = 1 (its 1/(y - 1)) raises
+        DivisionByZero with the message of the one inversion that fails."""
+        from support import make_instance
+        inst = make_instance(rng, case, p=5)
+        name = inst.y.field_indices("-")[0].name
+        pack = build_charpoly_pack(inst.y, inst.g)
+        y, x = inst.y, inst.x
+        if who == "x":
+            x = _with_value(x, name, lambda en: en.algebra.zero())
+        else:
+            y = _with_value(y, name, lambda en: en.algebra.one())
+        with pytest.raises(DivisionByZero) as err:
+            compute_C(name, pack, y, x, inst.g)
+        assert str(err.value) == f"index {name!r}: element is not a unit in the etale algebra"
 
 
 class TestComputeDelta:

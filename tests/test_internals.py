@@ -232,6 +232,17 @@ class TestResidueFields:
                             if not any(_divides_mod(d, list(t) + [1], p) for d in divisors))
                 assert canonical_unramified_poly(p, f) == want
 
+    def test_quadratic_closed_form_matches_the_rabin_scan(self):
+        """For p odd and f = 2 the canonical polynomial is read off the
+        discriminant; the Rabin test over the same candidates, in the same
+        order, finds the same one, at every odd prime below 2000 and at
+        10007."""
+        primes = [p for p in range(3, 2000, 2) if localfield._prime_factors(p) == [p]]
+        for p in primes + [10007]:
+            want = next((a0, a1, 1) for a0 in range(1, p) for a1 in range(p)
+                        if localfield._fp_irreducible([a0, a1, 1], p))
+            assert canonical_unramified_poly(p, 2) == want
+
     def test_square_counting(self):
         rf = ResidueField(5, 2, canonical_unramified_poly(5, 2))
         squares = sum(1 for e in map(rf.decode, range(rf.q)) if any(e) and rf.is_square(e))

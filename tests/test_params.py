@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endofactor import _poly
 from endofactor.errors import IndexMismatch
@@ -14,6 +16,7 @@ from endofactor.params import (
     RegularParam,
     TameCharacter,
     case_info,
+    charpoly_product,
     check_regularity,
     ground_scalar,
     is_regular_charpoly,
@@ -286,6 +289,24 @@ class TestValidateParam:
         dm, dp = side_dimensions(inst.y, inst.g)
         assert (dm, dp) == (inst.e.d_minus, inst.e.d_plus)
         assert dm % 2 == 0 and dp % 2 == 1
+
+
+class TestCharpolyProduct:
+    @given(st.lists(st.lists(st.fractions(max_denominator=10 ** 6), max_size=6), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_product_is_the_fraction_fold(self, polys):
+        """Over the base field, the product of the integer numerators over
+        one denominator is the fold of pmul on the Fractions, from [1]; the
+        empty list gives [1]."""
+        g = GroupDescriptor("symplectic", 2, Q5)
+        want = [Fraction(1)]
+        for q in polys:
+            want = _poly.pmul(want, q)
+        got = charpoly_product(polys, g)
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+        if not polys:
+            assert got == [1]
 
 
 class TestRegularity:

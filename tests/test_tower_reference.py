@@ -15,6 +15,10 @@ arithmetic: (a, b)(c, d) = (ac + delta*bd, ad + bc), the inverse
 (a, -b) / (a^2 - delta*b^2), and the characteristic polynomials of the
 block matrix [[A, delta*B], [B, A]] over F and of the matrix A + B*rt
 over E, where A and B are the tower matrices of a and b.
+
+Both tables are also compared with the constructions they replaced: the
+tower's walk along each row, one product per entry, and the etale
+algebra's dense (2n)^3 array.
 """
 
 import math
@@ -333,3 +337,85 @@ def test_etale_product_makes_no_tower_product(monkeypatch):
     x * y
     x + y
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the structure constants against the constructions they replaced
+# ---------------------------------------------------------------------------
+
+def _sparse(rows, den):
+    """rows[i][j], integer numerator vectors over den, as sparse (k, c)
+    pairs over den with the common factor of den and the entries removed."""
+    g = math.gcd(den, *(c for row in rows for w in row for c in w))
+    return (tuple(tuple(tuple((k, c // g) for k, c in enumerate(w) if c) for w in row)
+                  for row in rows), den // g)
+
+
+def _walked_table(tower):
+    """The tower's table by walking each row i from monomial i with the
+    steps "times u" and "times pi", one product per entry."""
+    f, e, n = tower.f, tower.e, tower.n
+    d = math.lcm(*(c.denominator for row in tower.eis for c in row))
+
+    def step(v, shift, wrap, scale):
+        out = [0] * n
+        for k, c in enumerate(v):
+            if c and wrap[k] is None:
+                out[k + shift] += c * scale
+            elif c:
+                out = [o + c * w for o, w in zip(out, wrap[k])]
+        return out
+
+    minus_m = [-c for c in tower.unram_poly[:-1]]
+    u_wrap = [None if (k + 1) % f else [0] * (k + 1 - f) + minus_m + [0] * (n - 1 - k)
+              for k in range(n)]
+    pi_wrap = [None] * (n - f) + [[-c.numerator * (d // c.denominator)
+                                   for row in tower.eis[:-1] for c in row]]
+    while len(pi_wrap) < n:
+        pi_wrap.append(step(pi_wrap[-1], 1, u_wrap, 1))
+    rows = []
+    for i in range(n):
+        row, v = [], [int(k == i) for k in range(n)]
+        for b in range(e):
+            w = v
+            for _ in range(f):
+                row.append([c * d ** (e - 1 - b) for c in w])
+                w = step(w, 1, u_wrap, 1)
+            v = step(v, f, pi_wrap, d)
+        rows.append(row)
+    return _sparse(rows, d ** (e - 1))
+
+
+def _dense_etale_table(alg):
+    """The etale table from dense vectors: m_i*m_j*rt^(c+c') for every pair,
+    over D * s, the common factor divided out at the end."""
+    tower = alg.base_pm
+    n, s = tower.n, alg.delta.den * tower._D
+    dm = tower._num_matrix(alg.delta)
+    rows = [[[0] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
+    for i in range(2 * n):
+        for j in range(2 * n):
+            c = i // n + j // n
+            for k, t in tower._table[i % n][j % n]:
+                if c < 2:
+                    rows[i][j][c * n + k] += t * s
+                else:
+                    for l in range(n):
+                        rows[i][j][l] += t * dm[l][k]
+    return _sparse(rows, tower._D * s)
+
+
+@pytest.mark.parametrize("tower", _towers() + [make_extension(BaseField("p-adic", P), f, _eis(f, e))
+                                               for f, e in ((1, 8), (8, 1), (2, 4), (4, 2))],
+                         ids=repr)
+def test_tower_table_matches_the_walk(tower):
+    """The table read off the (2f - 1)(2e - 1) monomials u^A pi^B is the one
+    the row walk builds, denominator included."""
+    assert (tower._table, tower._D) == _walked_table(tower)
+
+
+@pytest.mark.parametrize("alg", [a for _, a in ALGEBRAS], ids=[name for name, _ in ALGEBRAS])
+def test_etale_table_matches_the_dense_products(alg):
+    """The etale table built from the tower's sparse one, its common factor
+    read off s and the rt^2 block, is the dense construction's."""
+    assert (alg._table, alg._D) == _dense_etale_table(alg)
