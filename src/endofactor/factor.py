@@ -4,8 +4,8 @@ Builds the characteristic polynomials attached to the endoscopic
 parameters, evaluates the per-index quantities C_i for field indices on
 the minus side, runs the norm character on each, applies the case's
 character prefactors, and multiplies everything into an exact value on the
-unit circle.  A full trace of every intermediate is kept so a run can be
-audited line by line.
+unit circle.  The trace keeps every intermediate as a value, and prints
+them so a run can be audited line by line.
 """
 
 from collections import namedtuple
@@ -237,20 +237,28 @@ def compute_C(name, pack, y, x, g):
 
 
 class FactorTrace:
-    """Everything compute_delta did, in deterministic printable form, and
-    the validated characteristic-polynomial pack it read (not printed)."""
+    """What compute_delta did, as values: the formula label, one
+    (name, C in F_pm, norm verdict) record per minus-side field index, one
+    (text, argument, value) record per prefactor, the total, and the
+    characteristic-polynomial pack it read.  ``lines()`` prints all but the
+    pack, deterministically; an engine-refused instance has a trace with no
+    records, no total and an unvalidated pack (see verify.run_suite)."""
 
-    def __init__(self, case, index_lines=None, prefactor_lines=None, total=None, pack=None):
+    def __init__(self, case, label=None, indices=None, prefactors=None, total=None, pack=None):
         self.case = case
-        self.index_lines = [] if index_lines is None else index_lines
-        self.prefactor_lines = [] if prefactor_lines is None else prefactor_lines
+        self.label = label
+        self.indices = [] if indices is None else indices
+        self.prefactors = [] if prefactors is None else prefactors
         self.total = total
         self.pack = pack
 
     def lines(self):
         out = [f"case: {self.case}"]
-        out.extend(self.index_lines)
-        out.extend(self.prefactor_lines)
+        out.extend(f"index {name}: {self.label}; C = {c!r} in F_pm (checked); "
+                   f"norm test: {'+1' if verdict == 1 else '-1'}"
+                   for name, c, verdict in self.indices)
+        out.extend(f"prefactor {text} at {arg}: {value.render()}"
+                   for text, arg, value in self.prefactors)
         out.append(f"delta = {self.total.render()} (angle {self.total.angle})")
         return out
 
@@ -324,44 +332,36 @@ def compute_delta(y, x, g, e):
     """The exact transfer factor of a matched pair (the Delta_IV term is
     omitted throughout).  Returns (value, trace)."""
     pack = validate_package(y, x, g, e)
-    trace = FactorTrace(case=g.case, pack=pack)
+    trace = FactorTrace(case=g.case, label=formula_for(g).label, pack=pack)
     total = UnitCircleValue.one()
-    label = formula_for(g).label
     for en in y.entries:
         if en.side != "-" or not en.algebra.is_field:
             continue
-        c_fi, c_base = compute_C(en.name, pack, y, x, g)
+        _, c_base = compute_C(en.name, pack, y, x, g)
         verdict = norm_test(c_base, en.algebra)
         total = total * UnitCircleValue.from_sign(verdict)
-        trace.index_lines.append(
-            f"index {en.name}: {label}; C = {c_base!r} in F_pm (checked); "
-            f"norm test: {'+1' if verdict == 1 else '-1'}"
-        )
-    total = _apply_prefactors(total, pack, y, x, g, e, trace)
+        trace.indices.append((en.name, c_base, verdict))
+    trace.prefactors = _prefactors(pack, x, g, e)
+    for _, _, value in trace.prefactors:
+        total = total * value
     trace.total = total
     return total, trace
 
 
-def _apply_prefactors(total, pack, y, x, g, e, trace):
+def _prefactors(pack, x, g, e):
+    """The case's (text, argument, value) prefactor records."""
     if g.case == "twisted_gl_odd":
         arg = (g.eta.as_fraction() * x.x_D.as_fraction()
                * pack.P_at[1] * pack.at(pack.P_minus, -1))
-        value = eval_character(e.chi, g.F.element(arg))
-        trace.prefactor_lines.append(
-            f"prefactor chi(eta*x_D*P(1)*P_minus(-1)) at {arg}: {value.render()}"
-        )
-        return total * value
+        return [("chi(eta*x_D*P(1)*P_minus(-1))", arg, eval_character(e.chi, g.F.element(arg)))]
     if pack.ground == "E":
-        for tag, poly, mu in (("minus", pack.P_minus, e.mu_minus),
-                              ("plus", pack.P_plus, e.mu_plus)):
+        records = []
+        for text, poly, mu in (("mu_minus(P_minus(0)/P_minus(-1))", pack.P_minus, e.mu_minus),
+                               ("mu_plus(P_plus(0)/P_plus(-1))", pack.P_plus, e.mu_plus)):
             arg = pack.at(poly, 0) * pack.at(poly, -1).inverse()
-            value = eval_character(mu, arg)
-            trace.prefactor_lines.append(
-                f"prefactor mu_{tag}(P_{tag}(0)/P_{tag}(-1)) at {arg!r}: {value.render()}"
-            )
-            total = total * value
-        return total
-    return total
+            records.append((text, arg, eval_character(mu, arg)))
+        return records
+    return []
 
 
 def eval_character(chi, arg):

@@ -50,8 +50,8 @@ MAX_ORACLE_RING = 10 ** 7
 # many elements, so its lists of ints stay small next to the squares.
 ORACLE_PIECE = 4096
 # The largest tower degree e*f a document may declare.  A one-index
-# symplectic compute at p = 3 takes 0.01-0.12 s at degree 6 and 0.03-0.54 s
-# at degree 8 (2-vCPU Xeon).
+# symplectic compute_delta at p = 3 and 7 takes 4-18 ms at degree 6 and
+# 14-134 ms at degree 8 (2-vCPU Xeon).
 MAX_TOWER_DEGREE = 6
 
 

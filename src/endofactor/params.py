@@ -265,6 +265,9 @@ def _validate_eta(g, info, rep):
     else:
         if not isinstance(g.eta, FieldElement) or not g.eta:
             rep.add("eta-type", "eta must be a nonzero element of F")
+        elif (g.case == "twisted_gl_odd" and isinstance(g.nu, FieldElement) and g.nu
+              and not is_square(-(g.eta * g.nu))):
+            rep.add("eta-pinning", "odd twisted case needs eta in the square class of -nu")
 
 
 def validate_endoscopic(g, e):

@@ -3,14 +3,13 @@
 This lane re-derives the factor's ingredients on the Lie-algebra side
 (Cayley transforms X_i, characteristic polynomials Q of X) and checks the
 exact identities that reconcile the two descriptions against one run of
-the factor engine, whose validated pack supplies P, P(1), P(-1) and the
-per-index P_j: the polynomial
-identities linking P-values at y with Q-values at X, the norm-triviality
-of the cross-index quantities A_{i,j}, the square class of the
-distinguished-line coefficient c_D, and the consistency of the per-index
-B_i with the factor engine's C_i.  Only norm-class (convention-free)
-consequences are checked; the auxiliary characters themselves are never
-evaluated.
+the factor engine, whose trace supplies P, P(1), P(-1), the per-index P_j,
+each C_i's norm verdict and the total: the polynomial identities linking
+P-values at y with Q-values at X, the norm-triviality of the cross-index
+quantities A_{i,j}, the square class of the distinguished-line coefficient
+c_D, and the consistency of the per-index B_i, derived here, with the
+engine's C_i.  Only norm-class (convention-free) consequences are checked;
+the auxiliary characters themselves are never evaluated.
 
 The auxiliary coefficients are generated here, not accepted from users:
 any tau-fixed c_i works for the identities (default 1), and c_D comes from
@@ -57,13 +56,13 @@ class LieParam:
     X maps index names to Cayley transforms, Q_j / P_j to the per-index
     characteristic polynomials of X_j / y_j over the base field; Q_X is
     the characteristic polynomial of X on the whole space (a zero
-    eigenvalue for the distinguished line, then the index blocks).  ``pack``
-    is the factor engine's own characteristic-polynomial pack of y, and
-    P_j is its ``factors``; its P, the product of the P_j, is what the
-    identities and the cross-checks against the engine read.
+    eigenvalue for the distinguished line, then the index blocks).  ``run``
+    is the factor engine's trace of y: P_j is its pack's ``factors``, the
+    pack's P, the product of the P_j, is what the identities read, and its
+    C_i verdicts and total are what the cross-checks compare against.
     """
 
-    def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, pack):
+    def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, run):
         self.y = y
         self.x = x
         self.g = g
@@ -75,7 +74,7 @@ class LieParam:
         self.Q_j = Q_j
         self.Q_X = Q_X
         self.dQ_X = dQ_X
-        self.pack = pack        # factor.CharPolyPack
+        self.run = run          # factor.FactorTrace
 
 
 def eta_from_nu(nu):
@@ -83,15 +82,15 @@ def eta_from_nu(nu):
     return -nu
 
 
-def make_lie_param(y, x, g, pack, c=None):
+def make_lie_param(y, x, g, run, c=None):
     """Assemble the Lie-side data for a validated odd twisted instance.
 
-    ``pack`` is the factor engine's characteristic-polynomial pack of y
-    (the one compute_delta validated); P_j is read from its ``factors``,
-    and only X, Q_j, Q_X and c_D are computed here.  ``c`` optionally maps
-    index names to tau-fixed auxiliaries in F_pm^x (default: 1
-    everywhere).  c_D is derived as -nu times the product of
-    the index trace-form determinants, so the square-class check against
+    ``run`` is the factor engine's trace of y (from compute_delta); P_j is
+    read from its pack's ``factors``, and only X, Q_j, Q_X and c_D are
+    computed here.  ``c`` optionally maps index names to tau-fixed
+    auxiliaries in F_pm^x (default: 1 everywhere).  c_D is derived as -nu
+    times the product of the index trace-form determinants, so the
+    square-class check against
     eta * P(1) * P(-1) runs on two independent code paths.
     """
     if g.case != "twisted_gl_odd":
@@ -123,8 +122,8 @@ def make_lie_param(y, x, g, pack, c=None):
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], prod_q)
     c_D = F.element(-g.nu.as_fraction() * det_prod)
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
-                    P_j=pack.factors, Q_j=Q_j, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
-                    pack=pack)
+                    P_j=run.pack.factors, Q_j=Q_j, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
+                    run=run)
 
 
 def _field_names(data, side):
@@ -167,7 +166,7 @@ def li_identity_2(data, i):
     yv = en.value
     xi = data.X[i]
     d = data.g.d
-    p_y = _poly.pmul(data.pack.P, [Fraction(-1), Fraction(1)])
+    p_y = _poly.pmul(data.run.pack.P, [Fraction(-1), Fraction(1)])
     dp_y = _poly.pderiv(p_y)
     lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(dp_y, yv, alg.zero())
     p_y_m1 = _poly.peval_scalar(p_y, -1, Fraction(0))
@@ -198,8 +197,8 @@ def check_cD_square_class(data):
     """c_D and eta * P(1) * P(-1) agree modulo squares; the two sides come
     from determinant bookkeeping and charpoly evaluation respectively."""
     F = data.g.F
-    p1 = data.pack.P_at[1]
-    pm1 = data.pack.P_at[-1]
+    p1 = data.run.pack.P_at[1]
+    pm1 = data.run.pack.P_at[-1]
     probe = data.c_D * data.eta * F.element(p1 * pm1)
     return is_square(probe)
 
@@ -215,28 +214,28 @@ def _b_base(data, i):
 
 def check_Bi_Ci_consistency(data, i):
     """sgn(C_i) = sgn(B_i) * sgn(c_D * x_D) with
-    B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i).
+    B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i), and sgn(C_i) the
+    engine's verdict, read from its run (False when the run has none).
 
     The correction class c_D * x_D is evaluated through the defining class
     eta * P(1) * P(-1) * x_D, so the identity holds for every Cayley-linked
     instance regardless of how the bookkeeping c_D was produced."""
     alg = data.y.entry(i).algebra
     b_base = _b_base(data, i)
-    _, c_base = factor.compute_C(i, data.pack, data.y, data.x, data.g)
-    lhs = norm_test(c_base, alg)
-    p1 = data.pack.P_at[1]
-    pm1 = data.pack.P_at[-1]
+    verdicts = [verdict for name, _, verdict in data.run.indices if name == i]
+    p1 = data.run.pack.P_at[1]
+    pm1 = data.run.pack.P_at[-1]
     correction = alg.base_pm.element(
         data.eta.as_fraction() * p1 * pm1 * data.x.x_D.as_fraction()
     )
     rhs = norm_test(b_base, alg) * norm_test(correction, alg)
-    return lhs == rhs
+    return verdicts == [rhs]
 
 
 def reconstruct_delta(data, chi):
     """Reassemble the factor from the Lie-side pieces: the product of the
     B_i norm characters, the per-index distinguished-line characters at
-    c_D * x_D, and the chi prefactor.  Must equal compute_delta exactly."""
+    c_D * x_D, and the chi prefactor.  Must equal the run's total exactly."""
     total = factor.UnitCircleValue.one()
     for name in _field_names(data, "-"):
         alg = data.y.entry(name).algebra
@@ -245,8 +244,8 @@ def reconstruct_delta(data, chi):
             data.c_D.as_fraction() * data.x.x_D.as_fraction()
         )
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
-    p1 = data.pack.P_at[1]
-    pm_m1 = data.pack.at(data.pack.P_minus, -1)
+    p1 = data.run.pack.P_at[1]
+    pm_m1 = data.run.pack.at(data.run.pack.P_minus, -1)
     F = data.g.F
     arg = F.element(data.eta.as_fraction() * data.x.x_D.as_fraction() * p1 * pm_m1)
     return total * factor.eval_character(chi, arg)
@@ -256,12 +255,12 @@ def run_suite(y, x, g, e):
     """The cmd-check battery: (name, ok) pairs, full for the odd twisted
     case and reduced (Cayley round trips only) otherwise.
 
-    The full suite runs compute_delta once, first: its validated pack is
-    the Lie side's, and its value is what the reconstruction must equal.
-    When the engine refuses the instance, the Lie side is built on an
-    unvalidated pack and the reconstruction fails.  The reduced suite runs
-    no validation, so the check command validates every document before it
-    prints anything, and an odd twisted one is validated twice."""
+    The full suite runs compute_delta once, first; the Lie side reads its
+    trace: the validated pack, each C_i's verdict and the total.  When the
+    engine refuses the instance, the trace holds the unvalidated pack and
+    no records, so B-C-consistency and the reconstruction fail.  The
+    reduced suite runs no validation, so the check command validates every
+    document before it prints anything, and an odd twisted one twice."""
     results = []
     for en in y.entries:
         try:
@@ -273,12 +272,13 @@ def run_suite(y, x, g, e):
         results.append(("notice: reduced suite (identities are for the odd twisted case)", True))
         return results
     try:
-        delta, trace = factor.compute_delta(y, x, g, e)
+        _, run = factor.compute_delta(y, x, g, e)
     except EndofactorError:
-        delta = trace = None
+        run = None
     try:
-        pack = factor.build_charpoly_pack(y, g) if trace is None else trace.pack
-        data = make_lie_param(y, x, g, pack)
+        if run is None:
+            run = factor.FactorTrace(g.case, pack=factor.build_charpoly_pack(y, g))
+        data = make_lie_param(y, x, g, run)
     except EndofactorError:
         results.append(("lie-data", False))
         return results
@@ -298,7 +298,7 @@ def run_suite(y, x, g, e):
             results.append((f"B-C-consistency[{i}]", False))
     results.append(("cD-square-class", check_cD_square_class(data)))
     try:
-        recon_ok = delta is not None and reconstruct_delta(data, e.chi) == delta
+        recon_ok = run.total is not None and reconstruct_delta(data, e.chi) == run.total
     except EndofactorError:
         recon_ok = False
     results.append(("lie-side-reconstruction", recon_ok))

@@ -283,7 +283,7 @@ def test_criterion_9_trivial_suite():
                       random_unit(rng, F5))
     e = EndoscopicDatum(1, 2, chi=F5.element(1))    # trivial character
     value, trace = compute_delta(yp, xp, g, e)
-    ok = ok and value.sign == 1 and not trace.index_lines
+    ok = ok and value.sign == 1 and not trace.indices
     # (b) all-split minus side in the plain product cases
     for case in ("symplectic", "so_odd", "so_even", "twisted_gl_even"):
         for _ in range(3):

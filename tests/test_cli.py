@@ -427,6 +427,40 @@ class TestZeroFormCoefficient:
         assert run(SAMPLE, key, None) == (0, "")
 
 
+class TestEtaPinning:
+    """The odd twisted eta must lie in the square class of -nu, the class
+    verify.eta_from_nu gives; the two-sided golden has nu = 3/10."""
+
+    PINNING = "group: eta-pinning: odd twisted case needs eta in the square class of -nu"
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        """The two-sided golden with ``group[key]`` set to ``value``."""
+        def path(key, value):
+            doc = json.loads((GOLDEN / "twisted-odd-two-sided.json").read_text())
+            doc["group"][key] = value
+            out = tmp_path / "pinning.json"
+            out.write_text(json.dumps(doc))
+            return str(out)
+        return path
+
+    @pytest.mark.parametrize("key, value", [("eta", "-6/10"), ("eta", "3"), ("nu", "65")])
+    def test_eta_off_the_class_of_minus_nu_is_invalid(self, path, capsys, key, value):
+        doc = path(key, value)
+        code, out = run_cli(["validate", doc])
+        assert code == 1 and out.splitlines()[0] == self.PINNING
+        for command in ("compute", "check"):
+            assert run_cli([command, doc]) == (1, "")
+            assert capsys.readouterr().err == f"invalid: ValidationFailure: {self.PINNING}\n"
+
+    @pytest.mark.parametrize("eta", ["-3/10", "-12/10", "3/10"])
+    def test_eta_in_the_class_of_minus_nu_is_valid(self, path, eta):
+        doc = path("eta", eta)
+        assert run_cli(["validate", doc])[0] == 0
+        code, out = run_cli(["check", doc])
+        assert code == 0 and out.endswith("all checks passed\n")
+
+
 class TestJsonReports:
     def test_validate_json(self, doc_path):
         code, out = run_cli(["validate", doc_path, "--json"])

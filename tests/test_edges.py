@@ -36,7 +36,7 @@ class TestEmptyIndexSet:
         value, trace = compute_delta(y, x, g, e)
         arg = g.eta.as_fraction() * x.x_D.as_fraction()
         assert value.angle == eval_character(e.chi, F5.element(arg)).angle
-        assert not trace.index_lines and trace.prefactor_lines
+        assert not trace.indices and trace.prefactors
 
     def test_check_suite_runs(self):
         y, x, g, e = self._instance(F5.element(1))

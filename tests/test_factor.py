@@ -160,7 +160,7 @@ class TestComputeDelta:
         e = EndoscopicDatum(2, 2, delta_minus=F5.element(2))
         value, trace = compute_delta(yp, xp, g, e)
         assert value.sign == 1
-        assert not trace.index_lines
+        assert not trace.indices
 
     def test_twisted_odd_pure_prefactor(self, rng):
         from support import make_instance, random_unit

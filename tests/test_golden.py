@@ -122,6 +122,7 @@ def test_trace_label_matches_readme(case, parity):
                          force_d_parity=parity)
     _, trace = compute_delta(*inst.astuple())
     names = [en.name for en in inst.y.field_indices("-")]
-    assert names and len(trace.index_lines) == len(names)
-    for name, line in zip(names, trace.index_lines):
-        assert line.startswith(f"index {name}: C = {README_FORMULAS[case, parity]}; C = ")
+    assert names and [name for name, _, _ in trace.indices] == names
+    assert trace.label == f"C = {README_FORMULAS[case, parity]}"
+    for name, line in zip(names, trace.lines()[1:]):
+        assert line.startswith(f"index {name}: {trace.label}; C = ")

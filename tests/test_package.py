@@ -134,9 +134,9 @@ class TestRecordClasses:
         a.add("code", "message")
         assert b.violations == [] and a.violations is not b.violations
         s, t = FactorTrace("so_odd"), FactorTrace("so_odd")
-        s.index_lines.append("x")
-        s.prefactor_lines.append("y")
-        assert t.index_lines == [] and t.prefactor_lines == []
+        s.indices.append("x")
+        s.prefactors.append("y")
+        assert t.indices == [] and t.prefactors == []
 
     def test_base_field_is_a_read_only_value(self):
         a, b = BaseField("p-adic", 5), BaseField("p-adic", p=5, precision=64)
@@ -180,9 +180,9 @@ class TestRecordClasses:
         (IndexEntry, "name side algebra value c"),
         (FormInvariants, "dim det disc hasse signature"),
         (InstanceDocument, "base group endoscopic y x"),
-        (LieParam, "y x g eta c c_D X P_j Q_j Q_X dQ_X pack"),
+        (LieParam, "y x g eta c c_D X P_j Q_j Q_X dQ_X run"),
         (ValidationReport, "subject violations"),
-        (FactorTrace, "case index_lines prefactor_lines total pack"),
+        (FactorTrace, "case label indices prefactors total pack"),
     ])
     def test_positional_and_keyword_calls_agree(self, cls, fields):
         names = fields.split()

@@ -53,6 +53,20 @@ class TestValidateGroup:
                             eta=F5.element(-1))
         assert validate_group(g).ok
 
+    @pytest.mark.parametrize("base, nu, eta, ok", [
+        (Q5, 10, -40, True), (Q5, 10, 40, True),      # -1 is a square in Q_5
+        (Q5, 10, -20, False), (Q5, 10, 1, False),
+        (BaseField("real"), 2, -3, True), (BaseField("real"), 2, 3, False)])
+    def test_twisted_odd_eta_pinning(self, base, nu, eta, ok):
+        # eta * (-nu) must be a square in F^x
+        F = trivial_tower(base)
+        g = GroupDescriptor("twisted_gl_odd", 3, base, nu=F.element(nu), eta=F.element(eta))
+        assert codes(validate_group(g)) == ([] if ok else ["eta-pinning"])
+
+    def test_eta_pinning_needs_nu(self):
+        g = GroupDescriptor("twisted_gl_odd", 3, Q5, eta=F5.element(1))
+        assert codes(validate_group(g)) == ["nu-missing"]
+
     def test_eta_required(self):
         g = GroupDescriptor("symplectic", 2, Q5)
         assert "eta-missing" in codes(validate_group(g))

@@ -145,4 +145,4 @@ def test_factor_over_quartic_tower(rng, quartic):
     e = EndoscopicDatum(8, 0, delta_minus=disc)
     value, trace = compute_delta(yp, xp, g, e)
     assert value.sign in (1, -1)
-    assert len(trace.index_lines) == 1
+    assert len(trace.indices) == 1

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor.errors import NotInFixedField, PoleAtMinusOne, PoleAtOne
+from endofactor.errors import MatchFailure, NotInFixedField, PoleAtMinusOne, PoleAtOne
 from endofactor.etale import quadratic_field
-from endofactor.factor import build_charpoly_pack, compute_delta
+from endofactor.factor import FactorTrace, build_charpoly_pack, compute_delta
 from endofactor.forms import gram_block
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import IndexEntry, RegularParam
@@ -67,7 +67,9 @@ def test_lie_param_needs_norm_one_values(rng):
                     for en in inst.y.entries)
     y = RegularParam(entries, inst.y.x_D)
     with pytest.raises(NotInFixedField):
-        make_lie_param(y, inst.x, inst.g, build_charpoly_pack(y, inst.g))
+        # the engine refuses y; run_suite hands the Lie side this run
+        make_lie_param(y, inst.x, inst.g,
+                       FactorTrace(inst.g.case, pack=build_charpoly_pack(y, inst.g)))
     assert ("lie-data", False) in run_suite(y, inst.x, inst.g, inst.e)
 
 
@@ -105,14 +107,14 @@ def test_eta_from_nu():
 class TestLiIdentities:
     def test_li1_exact(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         i = inst.y.field_indices("-")[0].name
         j = inst.y.field_indices("+")[0].name
         assert li_identity_1(data, i, j)
 
     def test_li1_rigid(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         i = inst.y.field_indices("-")[0].name
         j = inst.y.field_indices("+")[0].name
         data.X[i] = data.X[i] * 2          # break the Cayley link
@@ -122,14 +124,14 @@ class TestLiIdentities:
         from support import make_instance
         for _ in range(3):
             inst = make_instance(rng, "twisted_gl_odd", p=5)
-            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+            data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
             for en in inst.y.field_indices("-"):
                 assert li_identity_2(data, en.name)
 
     def test_li2_rigid(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         name = inst.y.field_indices("-")[0].name
         data.X[name] = data.X[name] * 2
         assert not li_identity_2(data, name)
@@ -138,7 +140,7 @@ class TestLiIdentities:
 class TestAij:
     def test_random_instances(self, rng):
         inst = _mixed_instance(rng)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         for i in [en.name for en in inst.y.field_indices("-")]:
             for j in [en.name for en in inst.y.field_indices("+")]:
                 assert check_Aij_is_norm(data, i, j)
@@ -149,21 +151,22 @@ class TestAij:
         j = inst.y.field_indices("+")[0].name
         jalg = inst.y.entry(j).algebra
         reps = jalg.base_pm.square_class_reps()
+        _, run = compute_delta(*inst.astuple())
         for r in reps:
-            data = make_lie_param(inst.y, inst.x, inst.g,
-                                  build_charpoly_pack(inst.y, inst.g), c={j: r})
+            data = make_lie_param(inst.y, inst.x, inst.g, run, c={j: r})
             for i in [en.name for en in inst.y.field_indices("-")]:
                 assert check_Aij_is_norm(data, i, j)
 
 
 class TestCd:
     def test_empty_index_set(self):
-        from endofactor.params import GroupDescriptor
+        from endofactor.params import EndoscopicDatum, GroupDescriptor
         nu = F5.element(3)
         g = GroupDescriptor("twisted_gl_odd", 1, Q5, nu=nu, eta=-nu)
         y = RegularParam(())
         x = RegularParam((), F5.element(7))
-        data = make_lie_param(y, x, g, build_charpoly_pack(y, g))
+        e = EndoscopicDatum(1, 0, chi=F5.element(1))
+        data = make_lie_param(y, x, g, compute_delta(y, x, g, e)[1])
         # with I empty the P products are 1 and c_D = -nu = eta
         assert data.c_D == -nu
         assert check_cD_square_class(data)
@@ -172,7 +175,7 @@ class TestCd:
         from support import make_instance
         for _ in range(5):
             inst = make_instance(rng, "twisted_gl_odd", p=5)
-            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+            data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
             assert check_cD_square_class(data)
             # the Gram determinants against the Gauss reference
             want = -inst.g.nu.as_fraction()
@@ -183,7 +186,7 @@ class TestCd:
     def test_nonsquare_perturbation_fails(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         data.c_D = data.c_D * F5.element(2)       # non-square unit
         assert not check_cD_square_class(data)
 
@@ -193,7 +196,7 @@ class TestBiCi:
         from support import make_instance
         for _ in range(4):
             inst = make_instance(rng, "twisted_gl_odd", p=3)
-            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+            data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
             for en in inst.y.field_indices("-"):
                 assert check_Bi_Ci_consistency(data, en.name)
 
@@ -201,7 +204,7 @@ class TestBiCi:
         # the three-term identity never uses the determinant bookkeeping
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         data.c_D = F5.element(7)
         for en in inst.y.field_indices("-"):
             assert check_Bi_Ci_consistency(data, en.name)
@@ -211,7 +214,7 @@ class TestDeltaILie:
     def test_lambda_square_scaling(self, rng):
         from support import make_instance, random_unit
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+        data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
         base = delta_I_lie(data)
         lam = random_unit(rng, F5).as_fraction()
         for name in data.X:
@@ -232,7 +235,7 @@ class TestDeltaILie:
                                  need_minus_field=False)
             if inst.y.field_indices("-"):
                 continue
-            data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
+            data = make_lie_param(inst.y, inst.x, inst.g, compute_delta(*inst.astuple())[1])
             assert delta_I_lie(data).sign == 1
             return
 
@@ -249,16 +252,18 @@ class TestSuite:
         assert "lie-side-reconstruction" in names
 
     def test_engine_runs_once(self, rng, monkeypatch):
-        # compute_delta validates and builds the one pack; the Lie side adds
-        # only the Q_j to the engine's P_j
+        # compute_delta validates, builds the one pack and computes each C_i
+        # once; the Lie side adds only the Q_j to the engine's P_j and reads
+        # the C_i verdicts from the engine's run
         inst = _mixed_instance(rng)
         counts = _count_calls(monkeypatch, "validate_package", "build_charpoly_pack",
-                              "charpoly_over")
+                              "charpoly_over", "compute_C")
         results = run_suite(*inst.astuple())
         assert all(ok for _, ok in results)
         assert counts == {
             "validate_package": 1, "build_charpoly_pack": 1,
-            "charpoly_over": 2 * len(inst.y.entries)}
+            "charpoly_over": 2 * len(inst.y.entries),
+            "compute_C": len(inst.y.field_indices("-"))}
 
     def test_lie_side_reads_the_validated_pack(self, rng, monkeypatch):
         from endofactor import factor, verify
@@ -271,7 +276,7 @@ class TestSuite:
         inst = _mixed_instance(rng)
         assert all(ok for _, ok in run_suite(*inst.astuple()))
         [pack], [data] = returned["validate_package"], returned["make_lie_param"]
-        assert data.pack is pack and data.P_j is pack.factors
+        assert data.run.pack is pack and data.P_j is pack.factors
 
     def test_check_command_counts(self, monkeypatch):
         # the command validates once more before the suite; see cli.cmd_check
@@ -279,11 +284,30 @@ class TestSuite:
 
         from endofactor.cli import main
         counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_over",
-                              "is_squarefree")
+                              "is_squarefree", "compute_C")
         sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
         assert main(["check", str(sample)]) == 0
         assert counts == {
-            "build_charpoly_pack": 2, "charpoly_over": 3, "is_squarefree": 2}
+            "build_charpoly_pack": 2, "charpoly_over": 3, "is_squarefree": 2, "compute_C": 1}
+
+    def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
+        # a plus-side x_j replaced by tau(x_j), off its matching class: the
+        # engine refuses the instance, so there is no engine C_i to compare
+        # with B_i, although the minus-side data behind both are untouched
+        inst = _mixed_instance(rng)
+        j = inst.y.field_indices("+")[0].name
+        bad_x = RegularParam(tuple(
+            IndexEntry(en.name, en.side, en.algebra,
+                       en.value.tau() if en.name == j else en.value, en.c)
+            for en in inst.x.entries), inst.x.x_D)
+        with pytest.raises(MatchFailure):
+            compute_delta(inst.y, bad_x, inst.g, inst.e)
+        counts = _count_calls(monkeypatch, "compute_C")
+        results = dict(run_suite(inst.y, bad_x, inst.g, inst.e))
+        minus = [en.name for en in inst.y.field_indices("-")]
+        assert minus and all(results[f"B-C-consistency[{i}]"] is False for i in minus)
+        assert results["lie-side-reconstruction"] is False
+        assert counts == {"compute_C": 0}
 
     def test_non_regular_instance_is_flagged(self, rng):
         # a plus-side copy of a minus-side field index makes Q_j(X_i) = 0;
@@ -325,6 +349,6 @@ class TestSuite:
     def test_reconstruction_matches(self, rng):
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        data = make_lie_param(inst.y, inst.x, inst.g, build_charpoly_pack(inst.y, inst.g))
-        delta, _ = compute_delta(*inst.astuple())
+        delta, run = compute_delta(*inst.astuple())
+        data = make_lie_param(inst.y, inst.x, inst.g, run)
         assert reconstruct_delta(data, inst.e.chi).angle == delta.angle
