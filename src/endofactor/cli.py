@@ -74,7 +74,7 @@ def cmd_compute(args, out):
             for line in trace.lines():
                 out(line)
         else:
-            out(f"delta = {value.render()} (angle {value.angle})")
+            out(trace.lines()[-1])
     return EXIT_OK
 
 

@@ -386,7 +386,7 @@ def load_document(text, *, precision=None):
         delta_lit = _need(doc["extension"], "delta", where)
         delta = parse_tower_literal(str(delta_lit), F, f"{where}.delta")
         try:
-            ub = UnitaryBaseData(base, delta.as_fraction())
+            ub = UnitaryBaseData(base, delta)
         except Exception as exc:
             raise ParseError(f"bad extension: {exc}", where) from None
 

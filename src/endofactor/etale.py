@@ -90,9 +90,18 @@ class QuadraticEtale(IntegerStructure):
     # -- element construction -----------------------------------------------
 
     def element(self, a, b=0):
-        """a + b*rt; a and b are coerced into the tower.  Over the lcm of
-        their denominators the numerators have no common factor with it, so
-        the result is in normal form."""
+        """a + b*rt: the one way into the algebra.  a and b are coerced by
+        the tower's ``element``, so each may be an int, a Fraction, or an
+        element of F_pm or of the base field F.  A tensor algebra F_pm (x) E
+        also takes an element a of E, which lands as a.a + a.b*rt (E's rt
+        is the algebra's).  Over the lcm of their denominators the
+        numerators have no common factor with it, so the result is in
+        normal form."""
+        if isinstance(a, EtaleElement):
+            ub = self.unitary_base
+            if ub is None or a.algebra._fingerprint != ub.E._fingerprint or b:
+                raise ValueError("element belongs to a different algebra")
+            a, b = a.a, a.b
         a, b = self.base_pm.element(a), self.base_pm.element(b)
         den = math.lcm(a.den, b.den)
         ma, mb = den // a.den, den // b.den
@@ -111,12 +120,6 @@ class QuadraticEtale(IntegerStructure):
         half = Fraction(1, 2)
         return self.element((first + second) * half,
                             (first - second) * half / self.split_root)
-
-    def embed_ground(self, x):
-        """Embed a base-field scalar (Fraction or trivial-tower element)."""
-        if isinstance(x, FieldElement):
-            x = x.as_fraction()
-        return self.element(self.base_pm.element(Fraction(x)))
 
     def _invert(self, x):
         """tau(x) / N(x), N(x) inverted in the tower."""
@@ -152,22 +155,18 @@ class EtaleElement(FlatElement):
     algebra = FlatElement.ring      # the slot ``ring`` under this name
 
     def _co(self, other):
+        """The other operand in this algebra, through ``algebra.element``:
+        an int, a Fraction, an element of F_pm or of F, and in a tensor
+        algebra one of E; None for anything else, so the operation returns
+        NotImplemented."""
         alg = self.algebra
-        if isinstance(other, EtaleElement):
-            if other.algebra._fingerprint == alg._fingerprint:
-                return other
-            ub = alg.unitary_base
-            if ub is not None and other.algebra._fingerprint == ub.E._fingerprint:
-                return ub.embed(other, alg)
-            return None
-        if isinstance(other, (int, Fraction)):
-            return alg.element(other)
-        if isinstance(other, FieldElement):
-            if other.tower._fingerprint == alg.base_pm._fingerprint:
+        if isinstance(other, EtaleElement) and other.algebra._fingerprint == alg._fingerprint:
+            return other
+        if isinstance(other, (int, Fraction, FlatElement)):
+            try:
                 return alg.element(other)
-            if other.tower.is_trivial and other.tower.base == alg.base_pm.base:
-                return alg.embed_ground(other)
-            return None
+            except ValueError:
+                return None
         return None
 
     # -- views over the tower ---------------------------------------------------
@@ -295,12 +294,7 @@ class UnitaryBaseData:
         """F_pm (x) E; a field iff delta_E stays a non-square in F_pm."""
         if tower.base != self.base:
             raise ValueError("tower lives over a different base field")
-        delta_im = tower.element(self.delta_e.as_fraction())
-        return QuadraticEtale(tower, delta_im, unitary_base=self)
-
-    def embed(self, e, algebra):
-        """Embed an element of E into a derived tensor algebra."""
-        return algebra.element(e.a.as_fraction(), e.b.as_fraction())
+        return QuadraticEtale(tower, tower.element(self.delta_e), unitary_base=self)
 
     # -- tame structure of E (uniformizer, residue field, valuation) -----------
 
@@ -316,7 +310,7 @@ class UnitaryBaseData:
         if v % 2:
             return True, k, self.E.element(0, Fraction(1) / Fraction(p) ** k), self.F.residue
         dbar = _reduce_mod(d / Fraction(p) ** (2 * k), p)
-        return False, k, self.E.embed_ground(p), ResidueField(p, 2, ((-dbar) % p, 0, 1))
+        return False, k, self.E.element(p), ResidueField(p, 2, ((-dbar) % p, 0, 1))
 
     @property
     def ramified(self):
@@ -366,15 +360,13 @@ class UnitaryBaseData:
         res = self.residue_field()
         out = []
         for t in (self.base.p, self.F.residue.multiplicative_generator()[0]):
-            v, u = self.tame_coordinates(self.E.embed_ground(t))
+            v, u = self.tame_coordinates(self.E.element(t))
             m = res.prime_field_log(u, self.residue_generator)
             out.append((v, Fraction(m, res.q - 1), self.sgn(t)))
         return tuple(out)
 
     def sgn(self, x):
         """The norm character sgn_{E/F} on F^x."""
-        if isinstance(x, FieldElement):
-            x = x.as_fraction()
         return localfield.hilbert_symbol(self.F.element(x), self.E.delta)
 
     def __eq__(self, other):

@@ -215,7 +215,9 @@ def compute_C(name, pack, y, x, g):
     try:
         lead = x.x_D if row.lead == "x_D" else g.eta
         if pack.ground == "E":
-            lead = g.E.embed(lead, yv.algebra)
+            # eta lies in E, and E * F_i is not defined (both are etale
+            # algebras, so Python calls no reflected product): embed it first
+            lead = yv.algebra.element(lead)
         # one inversion, of the negative powers' product; P(point) comes last,
         # as over E it lies in E, not in F_i
         c, den = row.scalar * lead * pack.in_algebra(pack.dP, yv), None
@@ -351,9 +353,8 @@ def compute_delta(y, x, g, e):
 def _prefactors(pack, x, g, e):
     """The case's (text, argument, value) prefactor records."""
     if g.case == "twisted_gl_odd":
-        arg = (g.eta.as_fraction() * x.x_D.as_fraction()
-               * pack.P_at[1] * pack.at(pack.P_minus, -1))
-        return [("chi(eta*x_D*P(1)*P_minus(-1))", arg, eval_character(e.chi, g.F.element(arg)))]
+        arg = g.eta * x.x_D * pack.P_at[1] * pack.at(pack.P_minus, -1)
+        return [("chi(eta*x_D*P(1)*P_minus(-1))", arg, eval_character(e.chi, arg))]
     if pack.ground == "E":
         records = []
         for text, poly, mu in (("mu_minus(P_minus(0)/P_minus(-1))", pack.P_minus, e.mu_minus),

@@ -161,7 +161,7 @@ def isomorphic(a, b):
 def _assemble(ground, index_blocks, x_d=None):
     blocks = []
     if x_d is not None:
-        blocks.append([[ground.element(x_d.as_fraction())]])
+        blocks.append([[ground.element(x_d)]])
     blocks.extend(index_blocks)
     dim = sum(len(b) for b in blocks)
     gram = [[ground.element(0)] * dim for _ in range(dim)]

@@ -486,11 +486,17 @@ class ExtensionTower(IntegerStructure):
     # -- construction of elements ------------------------------------------
 
     def element(self, x):
-        """Coerce an int, Fraction, or same-tower element."""
+        """Coerce an int, a Fraction, an element of this tower, or one of
+        the base field's trivial tower, which lands at monomial 0: the one
+        way into the tower.  An element of any other tower raises
+        ValueError."""
         if isinstance(x, FieldElement):
-            if x.tower is not self and x.tower._fingerprint != self._fingerprint:
+            t = x.tower
+            if t is self or t._fingerprint == self._fingerprint:
+                return FieldElement(self, x.num, x.den)
+            if not t.is_trivial or t.base != self.base:
                 raise ValueError("element belongs to a different tower")
-            return FieldElement(self, x.num, x.den)
+            return FieldElement(self, x.num + (0,) * (self.n - 1), x.den)
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
         return FieldElement(self, (x.numerator,) + (0,) * (self.n - 1), x.denominator)
@@ -726,11 +732,13 @@ class FieldElement(FlatElement):
         return tuple(Fraction(c, d) for c in self.num)
 
     def _co(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower is not self.tower and other.tower._fingerprint != self.tower._fingerprint:
-                raise ValueError("elements of different towers")
+        """The other operand in this tower, through ``tower.element``: an
+        int, a Fraction, or an element of the base field's trivial tower;
+        ValueError for an element of any other tower."""
+        if isinstance(other, FieldElement) and (
+                other.tower is self.tower or other.tower._fingerprint == self.tower._fingerprint):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, FieldElement)):
             return self.tower.element(other)
         return None
 

@@ -135,7 +135,7 @@ class TameCharacter:
     def angle(self, x):
         """The exact angle of the character value at x in E^x."""
         if isinstance(x, (int, Fraction, FieldElement)):
-            x = self.E.E.embed_ground(x if not isinstance(x, FieldElement) else x.as_fraction())
+            x = self.E.E.element(x)
         v, u = self.E.tame_coordinates(x)
         rf = self.E.residue_field()
         n = rf.q - 1
@@ -439,9 +439,9 @@ def _norm_one_values(param, g, role):
 
 def ground_scalar(g):
     """The case's ground ring for characteristic polynomials, as the map
-    from base-field scalars into it: Fraction, or the embedding into E in
-    the unitary cases."""
-    return g.E.E.embed_ground if g.info["ground"] == "E" else Fraction
+    from base-field scalars into it: Fraction, or E's ``element`` in the
+    unitary cases."""
+    return g.E.E.element if g.info["ground"] == "E" else Fraction
 
 
 def charpoly_product(polys, g):
@@ -450,7 +450,7 @@ def charpoly_product(polys, g):
     numerators of each over their lcm are multiplied, and the Fractions are
     made once, over the product of the lcms."""
     if g.info["ground"] == "E":
-        poly = [g.E.E.embed_ground(1)]
+        poly = [g.E.E.one()]
         for q in polys:
             poly = _poly.pmul(poly, q)
         return poly

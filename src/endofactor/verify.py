@@ -30,6 +30,7 @@ from .errors import (
 )
 from .etale import charpoly_over, norm_to_ground
 from .localfield import is_square, norm_test
+from .params import charpoly_product
 
 
 def cayley(y):
@@ -96,11 +97,10 @@ def make_lie_param(y, x, g, run, c=None):
     if g.case != "twisted_gl_odd":
         raise UnsupportedCase("the identity chain is for the odd twisted case")
     F = g.F
-    eta = F.element(eta_from_nu(g.nu).as_fraction())
+    eta = F.element(eta_from_nu(g.nu))
     cvals = {}
     X = {}
     Q_j = {}
-    prod_q = [Fraction(1)]
     det_prod = Fraction(1)
     for en in y.entries:
         tower = en.algebra.base_pm
@@ -112,15 +112,14 @@ def make_lie_param(y, x, g, run, c=None):
                                   "is not tau-odd (y is not of norm 1)")
         X[en.name] = xi
         Q_j[en.name] = charpoly_over(xi, "F")
-        prod_q = _poly.pmul(prod_q, Q_j[en.name])
         # L * gram is an integer matrix of the even size 2*[F_pm:F], so
         # det(gram) = c_0 / L^size with c_0 the constant term of its charpoly
         gram = forms.gram_block(en.algebra, en.algebra.element(cv))
         L = math.lcm(*(c.denominator for row in gram for c in row))
         scaled = [[c.numerator * (L // c.denominator) for c in row] for row in gram]
         det_prod *= Fraction(_poly.charpoly(scaled, 1)[0], L ** len(gram))
-    Q_X = _poly.pmul([Fraction(0), Fraction(1)], prod_q)
-    c_D = F.element(-g.nu.as_fraction() * det_prod)
+    Q_X = _poly.pmul([Fraction(0), Fraction(1)], charpoly_product(Q_j.values(), g))
+    c_D = F.element(-g.nu * det_prod)
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
                     P_j=run.pack.factors, Q_j=Q_j, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
                     run=run)
@@ -138,7 +137,7 @@ def delta_I_lie(data, eta=None):
     for name in _field_names(data, "-"):
         en = data.y.entry(name)
         qx = _poly.peval(data.dQ_X, data.X[name], en.algebra.zero())
-        arg = qx.as_base() * data.c[name] * eta.as_fraction()
+        arg = qx.as_base() * data.c[name] * eta
         total = total * factor.UnitCircleValue.from_sign(norm_test(arg, en.algebra))
     return total
 
@@ -196,10 +195,9 @@ def check_Aij_is_norm(data, i, j):
 def check_cD_square_class(data):
     """c_D and eta * P(1) * P(-1) agree modulo squares; the two sides come
     from determinant bookkeeping and charpoly evaluation respectively."""
-    F = data.g.F
     p1 = data.run.pack.P_at[1]
     pm1 = data.run.pack.P_at[-1]
-    probe = data.c_D * data.eta * F.element(p1 * pm1)
+    probe = data.c_D * data.eta * p1 * pm1
     return is_square(probe)
 
 
@@ -207,8 +205,7 @@ def _b_base(data, i):
     """B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i), in F_pm."""
     en = data.y.entry(i)
     qx = _poly.peval(data.dQ_X, data.X[i], en.algebra.zero())
-    b_i = Fraction(1, 2) * data.eta.as_fraction() * qx * (en.value + 1) \
-        * data.x.entry(i).value.tau()
+    b_i = Fraction(1, 2) * data.eta * qx * (en.value + 1) * data.x.entry(i).value.tau()
     return b_i.as_base()   # NotInFixedField when the assertion fails
 
 
@@ -225,9 +222,7 @@ def check_Bi_Ci_consistency(data, i):
     verdicts = [verdict for name, _, verdict in data.run.indices if name == i]
     p1 = data.run.pack.P_at[1]
     pm1 = data.run.pack.P_at[-1]
-    correction = alg.base_pm.element(
-        data.eta.as_fraction() * p1 * pm1 * data.x.x_D.as_fraction()
-    )
+    correction = alg.base_pm.element(data.eta * p1 * pm1 * data.x.x_D)
     rhs = norm_test(b_base, alg) * norm_test(correction, alg)
     return verdicts == [rhs]
 
@@ -240,14 +235,11 @@ def reconstruct_delta(data, chi):
     for name in _field_names(data, "-"):
         alg = data.y.entry(name).algebra
         total = total * factor.UnitCircleValue.from_sign(norm_test(_b_base(data, name), alg))
-        correction = alg.base_pm.element(
-            data.c_D.as_fraction() * data.x.x_D.as_fraction()
-        )
+        correction = alg.base_pm.element(data.c_D * data.x.x_D)
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
     p1 = data.run.pack.P_at[1]
     pm_m1 = data.run.pack.at(data.run.pack.P_minus, -1)
-    F = data.g.F
-    arg = F.element(data.eta.as_fraction() * data.x.x_D.as_fraction() * p1 * pm_m1)
+    arg = data.eta * data.x.x_D * p1 * pm_m1
     return total * factor.eval_character(chi, arg)
 
 

@@ -315,7 +315,7 @@ def _try_instance(rng, case, p, n_indices, need_minus_field, split_ratio,
             continue
         sign = (-1) ** (d + 1)
         if case == "bc_unitary":
-            nu_i = ub.embed(nu, en.algebra)
+            nu_i = en.algebra.element(nu)
             z = en.value * nu_i / nu_i.tau() * sign
         else:
             z = en.value * sign
@@ -507,7 +507,7 @@ def unitary_swap_instance(rng, p):
     if g.d % 2 == 1:
         t = rng.choice(F.square_class_reps()[:4])
         trivial = hilbert_symbol(D * t, g.E.delta_e) == 1
-        eta = g.E.E.element(t.as_fraction())
+        eta = g.E.E.element(t)
     else:
         want = F.element((-1) ** (g.d // 2))
         trivial = hilbert_symbol(D * want, g.E.delta_e) == 1

@@ -290,6 +290,21 @@ class TestCompute:
         assert code == 0
         assert out.startswith("delta = ")
 
+    @pytest.mark.parametrize("path", [SAMPLE] + sorted(
+        p for p in GOLDEN.glob("*.json") if not p.name.endswith(".check.json")),
+        ids=lambda p: p.stem)
+    def test_plain_output_is_the_last_trace_line(self, path):
+        """Without --trace, compute prints the trace's total line alone:
+        'delta = <value> (angle <angle>)'."""
+        _, plain = run_cli(["compute", str(path)])
+        _, traced = run_cli(["compute", str(path), "--trace"])
+        _, payload = run_cli(["compute", str(path), "--json"])
+        delta = json.loads(payload)["delta"]
+        assert plain == traced.splitlines(keepends=True)[-1]
+        assert plain == f"delta = {delta['value']} (angle {delta['angle']})\n"
+        if path == SAMPLE:
+            assert plain == "delta = +1 (angle 0)\n"
+
     def test_trace_and_determinism(self, doc_path):
         code1, out1 = run_cli(["compute", doc_path, "--trace"])
         code2, out2 = run_cli(["compute", doc_path, "--trace"])

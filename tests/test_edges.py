@@ -76,7 +76,7 @@ class TestNuConsistentRescaling:
         g2 = GroupDescriptor(g.case, g.d, g.base, g.delta, g.E, nu=g.nu * mu, eta=g.eta)
         entries = tuple(
             IndexEntry(en.name, en.side, en.algebra,
-                       en.value * inst.g.E.embed(mu, en.algebra), en.c)
+                       en.value * en.algebra.element(mu), en.c)
             for en in inst.x.entries)
         x2 = RegularParam(entries, inst.x.x_D)
         assert match_stable_classes(inst.y, x2, g2, inst.e)

@@ -154,11 +154,11 @@ class TestUnitary:
 
     def test_e_valuation_residue(self):
         ub = UnitaryBaseData(Q5, 2)      # unramified
-        assert ub.e_valuation(ub.E.embed_ground(5)) == 1
+        assert ub.e_valuation(ub.E.element(5)) == 1
         assert ub.e_valuation(ub.E.element(2, 3)) == 0
         ubr = UnitaryBaseData(Q5, 5)     # ramified
         assert ubr.e_valuation(ubr.E.rt()) == 1
-        assert ubr.e_valuation(ubr.E.embed_ground(5)) == 2
+        assert ubr.e_valuation(ubr.E.element(5)) == 2
         assert ubr.sgn(2) == -1
 
     def test_e_valuation_rejects_odd_norm_valuation(self):

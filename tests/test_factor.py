@@ -90,7 +90,7 @@ def _c_by_powers(name, pack, y, x, g):
     plus, minus = row.y_factor
     lead = x.x_D if row.lead == "x_D" else g.eta
     if pack.ground == "E":
-        lead = g.E.embed(lead, yv.algebra)
+        lead = yv.algebra.element(lead)
     coef = xe.c if row.coef == "c" else xe.value ** (-1)
     return (row.scalar * lead * coef * pack.in_algebra(pack.dP, yv)
             * pack.P_at[point] ** power * yv ** ((row.offset - g.d) // 2)
@@ -381,5 +381,5 @@ class TestEvalCharacter:
     def test_unramified_quarter_angle(self):
         ub = UnitaryBaseData(Q5, 2)
         mu = TameCharacter(ub, Fraction(1, 4), 0)
-        arg = ub.E.embed_ground(25)
+        arg = ub.E.element(25)
         assert eval_character(mu, arg).angle == Fraction(1, 2)

@@ -167,7 +167,7 @@ class TestTameCharacter:
     def test_unramified_angle(self):
         ub = UnitaryBaseData(Q5, 2)
         mu = TameCharacter(ub, Fraction(1, 4), 0)
-        pi_e = ub.E.embed_ground(5)
+        pi_e = ub.E.element(5)
         assert mu.angle(pi_e * pi_e) == Fraction(1, 2)
 
     @pytest.mark.parametrize("p, delta", [(3, 2), (5, 2), (5, 5), (7, 3), (7, 21)])
