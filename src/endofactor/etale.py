@@ -300,24 +300,25 @@ class UnitaryBaseData:
 
     @cached_property
     def _data(self):
-        """(ramified, k, uniformizer, residue field), with v(delta_E) = 2k
-        or 2k + 1: the residue field is F_p over a ramified E, and F_p[x]
-        modulo x^2 - (delta_E / p^(2k) mod p) over an unramified one."""
+        """(ramified, k, residue field), with v(delta_E) = 2k or 2k + 1.  The
+        uniformizer is sqrt(delta_E) / p^k over a ramified E, whose residue
+        field is F_p, and p over an unramified one, whose residue field is
+        F_p[x] modulo x^2 - (delta_E / p^(2k) mod p)."""
         p = self.base.p
         d = self.delta_e.as_fraction()
         v = _vp(d, p)
         k = v // 2
         if v % 2:
-            return True, k, self.E.element(0, Fraction(1) / Fraction(p) ** k), self.F.residue
+            return True, k, self.F.residue
         dbar = _reduce_mod(d / Fraction(p) ** (2 * k), p)
-        return False, k, self.E.element(p), ResidueField(p, 2, ((-dbar) % p, 0, 1))
+        return False, k, ResidueField(p, 2, ((-dbar) % p, 0, 1))
 
     @property
     def ramified(self):
         return self._data[0]
 
     def residue_field(self):
-        return self._data[3]
+        return self._data[2]
 
     @cached_property
     def residue_generator(self):
@@ -338,32 +339,27 @@ class UnitaryBaseData:
 
     def tame_coordinates(self, x):
         """(v, u) for x in E^x: v = v(x), and u in F_q^x is the residue of
-        the unit x * uniformizer^(-v) = a + b*sqrt(delta_E).  A character
-        reads the logarithm of u against ``residue_generator`` only modulo
-        the order it needs, so the logarithm is left to it."""
-        ramified, k, uniformizer, res = self._data
+        the unit x * uniformizer^(-v) = a + b*sqrt(delta_E), made without an
+        inverse in E.  Over an unramified E the unit is x times the rational
+        p^(-v).  Over a ramified one, with h = v mod 2, uniformizer^(-v) is
+        uniformizer^h * (delta_E / p^(2k))^(-(v + h)/2): one rational scale,
+        then for odd v one product by sqrt(delta_E) / p^k, which takes
+        a + b*sqrt(delta_E) to a unit of rational part b * delta_E / p^k.  A
+        character reads the logarithm of u against ``residue_generator``
+        only modulo the order it needs, so the logarithm is left to it."""
+        ramified, k, res = self._data
         v = self.e_valuation(x)
-        unit = x * uniformizer ** (-v)
         p = self.base.p
-        coords = [unit.a.as_fraction()]
-        if not ramified:
-            coords.append(unit.b.as_fraction() * Fraction(p) ** k)
+        a, b = x.a.as_fraction(), x.b.as_fraction()
+        if ramified:
+            d = self.delta_e.as_fraction()
+            h = v % 2
+            scale = (d / Fraction(p) ** (2 * k)) ** -((v + h) // 2)
+            coords = [(b * d / p ** k if h else a) * scale]
+        else:
+            scale = Fraction(p) ** -v
+            coords = [a * scale, b * scale * p ** k]
         return v, res.element([_reduce_mod(c, p) for c in coords])
-
-    @cached_property
-    def sgn_probes(self):
-        """(v, m / (q - 1), sgn) at p and at the canonical generator of
-        F_p^x, which generate F^x modulo its 1-units; m is the logarithm of
-        the residue against ``residue_generator``, taken in F_p^x, where
-        both residues lie.  Plain ints and Fractions: the cache holds no
-        element, so no reference to E."""
-        res = self.residue_field()
-        out = []
-        for t in (self.base.p, self.F.residue.multiplicative_generator()[0]):
-            v, u = self.tame_coordinates(self.E.element(t))
-            m = res.prime_field_log(u, self.residue_generator)
-            out.append((v, Fraction(m, res.q - 1), self.sgn(t)))
-        return tuple(out)
 
     def sgn(self, x):
         """The norm character sgn_{E/F} on F^x."""

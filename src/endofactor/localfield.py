@@ -311,16 +311,6 @@ class ResidueField:
             acc = self._mul(acc, giant)
         raise RuntimeError("no logarithm found")  # unreachable
 
-    def prime_field_log(self, elem, g):
-        """``dlog(elem, g=g)`` for elem in F_p^x, the subgroup of order
-        p - 1, which h = g^s generates for s = (q - 1)/(p - 1): s times the
-        index of elem against h in F_p, about 2*sqrt(p) multiplications."""
-        if any(elem[1:]):
-            raise ValueError(f"{elem} does not lie in F_{self.p}")
-        s = (self.q - 1) // (self.p - 1)
-        fp = ResidueField(self.p, 1, (0, 1))
-        return s * fp.dlog(elem[:1], g=self._pow(g, s)[:1])
-
     def first_nonsquare(self):
         for n in range(1, self.q):
             e = self.decode(n)

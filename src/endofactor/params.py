@@ -107,13 +107,14 @@ class TameCharacter:
     """A character of E^x trivial on the 1-units.
 
     Determined by a rational angle on the canonical uniformizer and an
-    exponent k against the canonical generator of the residue group F_q^x;
-    values are exact angles in Q/Z.  The unit angle k*m/(q - 1) mod 1 of a
-    residue with logarithm m depends only on m modulo r = (q - 1)/gcd(k,
+    exponent e against the canonical generator of the residue group F_q^x;
+    values are exact angles in Q/Z.  The unit angle e*m/(q - 1) mod 1 of a
+    residue with logarithm m depends only on m modulo r = (q - 1)/gcd(e,
     q - 1), so a value costs a logarithm in the subgroup of order r: about
-    2*sqrt(p + 1) multiplications for k divisible by p - 1 over an
-    unramified E.  Characters are equal when E, the angle and the exponent
-    are.
+    2*sqrt(p + 1) multiplications for e divisible by p - 1 over an
+    unramified E.  The restriction to F^x is read off the angle and e alone,
+    with no value taken.  Characters are equal when E, the angle and the
+    exponent are.
     """
 
     def __init__(self, E, angle_pi, unit_exponent):
@@ -127,28 +128,39 @@ class TameCharacter:
         return ((self.E, self.angle_pi, self.unit_exponent)
                 == (other.E, other.angle_pi, other.unit_exponent))
 
-    def _angle(self, v, unit_angle):
-        """The angle at valuation v and unit angle m/(q - 1), where m is
-        the logarithm of the residue or anything congruent to it mod r."""
-        return (v * self.angle_pi + self.unit_exponent * unit_angle) % 1
-
     def angle(self, x):
-        """The exact angle of the character value at x in E^x."""
+        """The exact angle of the character value at x in E^x: v*angle_pi +
+        e*m/(q - 1) mod 1 at valuation v, where m is the logarithm of the
+        residue, taken modulo r."""
         if isinstance(x, (int, Fraction, FieldElement)):
             x = self.E.E.element(x)
         v, u = self.E.tame_coordinates(x)
         rf = self.E.residue_field()
         n = rf.q - 1
         m = rf.dlog(u, n // math.gcd(self.unit_exponent, n), self.E.residue_generator)
-        return self._angle(v, Fraction(m, n))
+        return (v * self.angle_pi + self.unit_exponent * Fraction(m, n)) % 1
 
     def restricts_to_sgn_power(self, k):
-        """Exact check of the restriction to F^x against sgn_{E/F}^k."""
-        for v, unit_angle, sgn in self.E.sgn_probes:
-            want = Fraction(1, 2) if sgn ** (k % 2) == -1 else Fraction(0)
-            if self._angle(v, unit_angle) != want:
-                return False
-        return True
+        """Exact check of the restriction to F^x against sgn_{E/F}^k, in
+        closed form on p, v = v_p(delta_E), e and a = angle_pi, with eps = k
+        mod 2.  Over an unramified E (v even) the character restricts iff e
+        = 0 mod p - 1 and a = eps/2; over a ramified one (v odd) iff e =
+        eps*(p - 1)/2 mod p - 1 and 2a = eps*[p = 3 mod 4]/2 mod 1.
+
+        F^x modulo its 1-units is generated by p and by g, a generator of
+        F_p^x.  The residue of g generates F_p^x, the subgroup of index (q -
+        1)/(p - 1) of F_q^x, so the angle at g is e*j/(p - 1) with j prime
+        to p - 1, and sgn(g) = (-1)^v.  Over an unramified E, p is the
+        uniformizer, with unit part 1, and sgn(p) = -1.  Over a ramified
+        one, p = uniformizer^2 / u with uniformizer^2 = p*u, so sgn(p) =
+        (-u/p), and the angle at p is 2a plus e/(p - 1) times the logarithm
+        of 1/u: eps/2 times [u is a non-square], a Legendre symbol that
+        differs from (-u/p) by (-1/p)."""
+        p, eps = self.E.base.p, k % 2
+        if not self.E.ramified:
+            return self.unit_exponent % (p - 1) == 0 and self.angle_pi == Fraction(eps, 2)
+        return (self.unit_exponent % (p - 1) == eps * (p - 1) // 2
+                and (2 * self.angle_pi - Fraction(eps * (p % 4 == 3), 2)) % 1 == 0)
 
 
 class EndoscopicDatum:

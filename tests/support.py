@@ -17,6 +17,7 @@ from endofactor.etale import (
 )
 from endofactor.localfield import (
     BaseField,
+    ResidueField,
     is_square,
     make_extension,
     trivial_tower,
@@ -146,18 +147,70 @@ def solve_matching(rng, z, algebra):
 # per-case instance generation
 # ---------------------------------------------------------------------------
 
-def _unit_exponents(E, angle_pi, k):
-    """(first, step): the unit exponents e in range(q - 1) for which the
-    character of angle ``angle_pi`` and exponent e restricts to sgn^k are
-    those congruent to first mod step; None when there are none.
+def prime_field_log(rf, elem, g):
+    """``rf.dlog(elem, g=g)`` for elem in F_p^x, the subgroup of order
+    p - 1, which h = g^s generates for s = (q - 1)/(p - 1): s times the
+    index of elem against h in F_p, about 2*sqrt(p) multiplications."""
+    if any(elem[1:]):
+        raise ValueError(f"{elem} does not lie in F_{rf.p}")
+    s = (rf.q - 1) // (rf.p - 1)
+    fp = ResidueField(rf.p, 1, (0, 1))
+    return s * fp.dlog(elem[:1], g=rf._pow(g, s)[:1])
 
-    Each sgn probe (v, m/(q - 1), sgn) of ``restricts_to_sgn_power`` asks
-    for v*angle_pi + e*m/(q - 1) = want mod 1, the linear congruence
+
+def sgn_probes(E):
+    """(v, m / (q - 1), sgn) at p and at the canonical generator of F_p^x,
+    which generate F^x modulo its 1-units; m is the logarithm of the
+    residue against ``E.residue_generator``, taken in F_p^x, where both
+    residues lie.  The slow reference of the closed form in
+    ``TameCharacter.restricts_to_sgn_power``."""
+    res = E.residue_field()
+    out = []
+    for t in (E.base.p, E.F.residue.multiplicative_generator()[0]):
+        v, u = E.tame_coordinates(E.E.element(t))
+        m = prime_field_log(res, u, E.residue_generator)
+        out.append((v, Fraction(m, res.q - 1), E.sgn(t)))
+    return tuple(out)
+
+
+def restricts_by_probes(probes, mu, k):
+    """Whether mu restricts to sgn^k on F^x, read at the ``sgn_probes`` of
+    its E: the angle at each probe must be 1/2 where sgn^k is -1 and 0
+    elsewhere."""
+    for v, unit_angle, sgn in probes:
+        want = Fraction(1, 2) if sgn ** (k % 2) == -1 else Fraction(0)
+        if (v * mu.angle_pi + mu.unit_exponent * unit_angle) % 1 != want:
+            return False
+    return True
+
+
+def unitary_deltas(p):
+    """Sixteen delta_E over Q_p, p odd: sign * c * p^v / den for v in 0..3,
+    sign +-1 and den 1 or 2, with c = 1 for odd v (ramified E) and for even
+    v (unramified E) the least c > 0 that makes sign * c / den a
+    non-residue mod p."""
+    out = []
+    for v in range(4):
+        for sign in (1, -1):
+            for den in (1, 2):
+                c = 1
+                while v % 2 == 0 and pow(sign * c * pow(den, -1, p), (p - 1) // 2, p) != p - 1:
+                    c += 1
+                out.append(Fraction(sign * c * p ** v, den))
+    return out
+
+
+def _unit_exponents(probes, n, angle_pi, k):
+    """(first, step): the unit exponents e in range(n), n = q - 1, for
+    which the character of angle ``angle_pi`` and exponent e restricts to
+    sgn^k are those congruent to first mod step; None when there are none.
+
+    Each sgn probe (v, m/(q - 1), sgn) of ``sgn_probes`` asks for
+    v*angle_pi + e*m/(q - 1) = want mod 1, the linear congruence
     e*m = (want - v*angle_pi)*(q - 1) mod q - 1; the two are solved and
     joined by the Chinese remainder theorem."""
-    n = E.residue_field().q - 1
     first, step = 0, 1
-    for v, unit_angle, sgn in E.sgn_probes:
+    for v, unit_angle, sgn in probes:
         want = Fraction(1, 2) if sgn ** (k % 2) == -1 else Fraction(0)
         target = (want - v * angle_pi) % 1 * n
         m = int(unit_angle * n)
@@ -185,9 +238,10 @@ def _mu_character(rng, E, k):
     the draw is one ``rng.choice`` of an index into that list, as a choice
     from the list itself would make."""
     n = E.residue_field().q - 1
+    probes = sgn_probes(E)
     for den in (1, 2, 3, 4):
         classes = [(num, sol) for num in range(den)
-                   if (sol := _unit_exponents(E, Fraction(num, den), k)) is not None]
+                   if (sol := _unit_exponents(probes, n, Fraction(num, den), k)) is not None]
         total = sum(n // step for _, (_, step) in classes)
         if total:
             break

@@ -2,6 +2,7 @@ import io
 import json
 import contextlib
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -474,6 +475,32 @@ class TestEtaPinning:
         assert run_cli(["validate", doc])[0] == 0
         code, out = run_cli(["check", doc])
         assert code == 0 and out.endswith("all checks passed\n")
+
+
+class TestCharacterRestriction:
+    """A character that does not restrict to the power of sgn_{E/F} the
+    datum asks for is refused: one unit exponent off, or a quarter turn
+    off on the uniformizer, over the ramified E of quartic-unitary (p = 3)
+    and the unramified E of large-prime-unitary (p = 10007)."""
+
+    @pytest.mark.parametrize("name, tag, k", [
+        ("quartic-unitary", "minus", 0), ("quartic-unitary", "plus", 4),
+        ("large-prime-unitary", "minus", 0), ("large-prime-unitary", "plus", 1)])
+    def test_refused(self, tmp_path, capsys, name, tag, k):
+        doc = json.loads((GOLDEN / f"{name}.json").read_text())
+        mu = doc["endoscopic"][f"mu_{tag}"]
+        if tag == "minus":
+            mu["unit_exponent"] += 1
+        else:
+            mu["angle_pi"] = str(Fraction(mu["angle_pi"]) + Fraction(1, 4))
+        path = tmp_path / "restriction.json"
+        path.write_text(json.dumps(doc))
+        line = (f"endoscopic: char-restriction-{tag}: restriction to F^x must "
+                f"equal the norm character to the power {k}")
+        assert run_cli(["validate", str(path)]) == (1, (
+            f"group: ok\n{line}\nparam-endoscopic: ok\nparam-group: ok\ninvalid\n"))
+        assert run_cli(["compute", str(path)]) == (1, "")
+        assert capsys.readouterr().err == f"invalid: ValidationFailure: {line}\n"
 
 
 class TestJsonReports:

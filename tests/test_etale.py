@@ -12,7 +12,7 @@ from endofactor.etale import (
     split_algebra,
     tau,
 )
-from endofactor.localfield import BaseField, make_extension, norm_test, trivial_tower
+from endofactor.localfield import BaseField, _vp, make_extension, norm_test, trivial_tower
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
@@ -167,6 +167,49 @@ class TestUnitary:
         ub = UnitaryBaseData(Q5, 2)
         with pytest.raises(ZeroValuation):
             ub.e_valuation(K.rt())
+
+
+def _tame_coordinates_by_inverse(ub, x):
+    """(v, residue) by the definition: the residue of the unit
+    x * uniformizer^(-v), with the uniformizer sqrt(delta_E)/p^k over a
+    ramified E and p over an unramified one, v(delta_E) = 2k or 2k + 1."""
+    p = ub.base.p
+    w = _vp(ub.delta_e.as_fraction(), p)
+    k = w // 2
+    uniformizer = ub.E.element(0, Fraction(1, p ** k)) if w % 2 else ub.E.element(p)
+    v = ub.e_valuation(x)
+    unit = x * uniformizer ** (-v)
+    coords = [unit.a.as_fraction()] if w % 2 else [
+        unit.a.as_fraction(), unit.b.as_fraction() * Fraction(p) ** k]
+    return v, ub.residue_field().element(
+        [c.numerator * pow(c.denominator, -1, p) % p for c in coords])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+def test_tame_coordinates_against_the_inverse(p):
+    """Without an inverse, ``tame_coordinates`` gives the (v, residue) of
+    the definition for x = (a + b*sqrt(delta_E)) * p^t, t in -3..3, on the
+    sixteen E of ``unitary_deltas``, ramified and unramified; a and b carry
+    a power of p of their own, so that v(x) takes both parities on every
+    ramified E."""
+    import random
+    from support import rnd_rational, unitary_deltas
+    rng = random.Random(p)
+    base = BaseField("p-adic", p)
+    for delta in unitary_deltas(p):
+        ub = UnitaryBaseData(base, delta)
+        parities = set()
+        for _ in range(120):
+            a, b = (rnd_rational(rng, zero_ok=True) * Fraction(p) ** rng.randint(-2, 2)
+                    for _ in range(2))
+            if not (a or b):
+                a = 1
+            x = ub.E.element(a, b) * Fraction(p) ** rng.randint(-3, 3)
+            v, u = ub.tame_coordinates(x)
+            assert (v, u) == _tame_coordinates_by_inverse(ub, x), (delta, x)
+            parities.add(v % 2)
+        if ub.ramified:
+            assert parities == {0, 1}
 
 
 def test_as_base_guards():

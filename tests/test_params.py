@@ -172,20 +172,46 @@ class TestTameCharacter:
 
     @pytest.mark.parametrize("p, delta", [(3, 2), (5, 2), (5, 5), (7, 3), (7, 21)])
     def test_restriction_from_the_probes(self, p, delta):
-        """The cached probes give the same verdict as evaluating the angle at
-        p and at the generator of F_p^x, for every tame character with
-        angle in (1/4)Z and every k."""
+        """The probes of tests/support.py and the closed form give the same
+        verdict as evaluating the angle at p and at the generator of
+        F_p^x, for every tame character with angle in (1/4)Z and every k."""
+        from support import restricts_by_probes, sgn_probes
         ub = UnitaryBaseData(BaseField("p-adic", p), delta)
+        probes = sgn_probes(ub)
         assert all(type(v) is int and type(a) is Fraction and type(s) is int
-                   for v, a, s in ub.sgn_probes)
-        probes = (p, ub.F.residue.multiplicative_generator()[0])
+                   for v, a, s in probes)
+        points = (p, ub.F.residue.multiplicative_generator()[0])
         for num in range(4):
             for exp in range(ub.residue_field().q - 1):
                 mu = TameCharacter(ub, Fraction(num, 4), exp)
                 for k in (0, 1):
                     want = all(mu.angle(t) == Fraction(1, 2) * (ub.sgn(t) ** k == -1)
-                               for t in probes)
+                               for t in points)
+                    assert restricts_by_probes(probes, mu, k) == want
                     assert mu.restricts_to_sgn_power(k) == want
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_closed_form_restriction_against_the_probes(self, p):
+        """The closed form of ``restricts_to_sgn_power`` agrees with the
+        probe evaluation of tests/support.py on sixteen E over Q_p
+        (v_p(delta_E) in 0..3, negative delta_E, delta_E with a
+        denominator), for every angle in (1/8)Z, every unit exponent in
+        range(q - 1) and k in 0..3; both verdicts occur on each kind of
+        E."""
+        from support import restricts_by_probes, sgn_probes, unitary_deltas
+        base = BaseField("p-adic", p)
+        seen = set()
+        for delta in unitary_deltas(p):
+            ub = UnitaryBaseData(base, delta)
+            probes = sgn_probes(ub)
+            for num in range(8):
+                for exp in range(ub.residue_field().q - 1):
+                    mu = TameCharacter(ub, Fraction(num, 8), exp)
+                    for k in range(4):
+                        want = restricts_by_probes(probes, mu, k)
+                        assert mu.restricts_to_sgn_power(k) == want, (delta, mu.angle_pi, exp, k)
+                        seen.add((ub.ramified, want))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_restriction_search(self):
         ub = UnitaryBaseData(Q5, 5)
