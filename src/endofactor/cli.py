@@ -74,7 +74,7 @@ def cmd_compute(args, out):
             for line in trace.lines():
                 out(line)
         else:
-            out(trace.lines()[-1])
+            out(trace.total_line())
     return EXIT_OK
 
 

@@ -195,7 +195,9 @@ class EtaleElement(FlatElement):
         return self.a + self.a
 
     def is_unit(self):
-        return bool(self.norm())
+        """x != 0 in a field, where delta is a non-square; N(x) != 0 in a
+        split algebra."""
+        return bool(self) if self.algebra.is_field else bool(self.norm())
 
     def as_base(self):
         """The F_pm-value of a tau-fixed element; exact zero test on b."""
@@ -326,16 +328,20 @@ class UnitaryBaseData:
         return self.residue_field().multiplicative_generator()
 
     def e_valuation(self, x):
-        """Normalized valuation on E (v(uniformizer) = 1)."""
+        """Normalized valuation on E (v(uniformizer) = 1) of x = a +
+        b*sqrt(delta_E), read off v_p of the rational a and b, with a zero
+        coordinate skipped.  With v_p(delta_E) = 2k or 2k + 1 it is
+        min(v_p(a), v_p(b) + k) over an unramified E, where the residues of
+        a/p^m and b*sqrt(delta_E)/p^m cannot cancel, delta_E / p^(2k) being
+        a non-square unit; and min(2v_p(a), 2v_p(b) + 2k + 1) over a
+        ramified one, where the two have different parities."""
         if not x:
             raise ZeroValuation("valuation of zero")
-        nrm = x.norm().as_fraction()
-        v = _vp(nrm, self.base.p)
-        if self.ramified:
-            return v
-        if v % 2:
-            raise ZeroValuation(f"norm valuation {v} is odd over the unramified E")
-        return v // 2
+        ramified, k, _ = self._data
+        p, m = self.base.p, 1 + ramified
+        a, b = x.a.as_fraction(), x.b.as_fraction()
+        vals = [m * _vp(a, p)] if a else []
+        return min(vals + [m * (_vp(b, p) + k) + ramified] if b else vals)
 
     def tame_coordinates(self, x):
         """(v, u) for x in E^x: v = v(x), and u in F_q^x is the residue of

@@ -8,10 +8,10 @@ unit circle.  The trace keeps every intermediate as a value, and prints
 them so a run can be audited line by line.
 """
 
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from . import _poly
 from .errors import (
     DivisionByZero,
     MatchFailure,
@@ -27,10 +27,10 @@ from .params import (
     IndexEntry,
     RegularParam,
     TameCharacter,
-    charpoly_ends,
-    charpoly_product,
+    charpoly_at,
     ground_scalar,
-    is_regular_charpoly,
+    index_value,
+    is_regular,
     match_stable_classes,
     side_dimensions,
     validate_endoscopic,
@@ -103,52 +103,54 @@ class UnitCircleValue:
 
 
 class CharPolyPack:
-    """P, its side factors, and its derivative, over the case's ground.
+    """The per-index characteristic polynomials P_j of y over the case's
+    ground, by entry, and the values of P = prod P_j that the formulary
+    reads, each evaluated once.
 
-    Coefficients are Fractions for ground "F" and elements of E for
-    ground "E"; all lists are constant-term first.  Over F, P and the side
-    products come from ``charpoly_product`` on integer numerators, each
-    coefficient a Fraction made once.  ``scalar`` maps a
-    base-field scalar into the ground ring (``params.ground_scalar``).
-    ``P_at`` holds P(1) and P(-1), evaluated once: regularity, the
-    formulary's poles and the prefactors all read them there.
-    ``factors`` maps each index name to its own characteristic polynomial,
-    the P_j the Lie-side identities read.
+    Coefficients are Fractions for ground "F" and elements of E for ground
+    "E", constant term first; ``scalar`` maps a base-field scalar into the
+    ground ring (``params.ground_scalar``).  ``side_at`` holds P_-(t) and
+    P_+(t), the products over each side, at t = 0, 1 and -1, and ``P_at``
+    holds P(1) and P(-1): regularity, the formulary's poles and the
+    prefactors all read them there.  ``factors`` maps each index name to its
+    P_j, which the Lie-side identities read.  ``names``, ``ys`` and
+    ``polys`` hold the names, the y_i and the P_j by entry, and
+    ``cache`` the values P_j(y_i) and P_i'(y_i) by entry positions (i, j)
+    (``params.index_value``): regularity reads them all, and
+    ``derivative_at`` multiplies the same values into P'(y_i).
     """
 
-    def __init__(self, ground, P, P_minus, P_plus, dP, scalar, factors):
+    def __init__(self, ground, scalar, entries, polys):
         self.ground = ground
-        self.P = P
-        self.P_minus = P_minus
-        self.P_plus = P_plus
-        self.dP = dP
         self.scalar = scalar
-        self.factors = factors
-        self.P_at = charpoly_ends(P, scalar(0))
+        self.names = [en.name for en in entries]
+        self.ys = [en.value for en in entries]
+        self.polys = list(polys)
+        self.factors = dict(zip(self.names, self.polys))
+        self.side_at = {(side, t): charpoly_at([q for en, q in zip(entries, self.polys)
+                                                if en.side == side], t, scalar)
+                        for side in "-+" for t in (0, 1, -1)}
+        self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
+        self.cache = {}
 
-    def zero(self):
-        return self.scalar(0)
-
-    def at(self, poly, point):
-        """Evaluate at the ground scalar 0, 1 or -1."""
-        return _poly.peval_scalar(poly, point, self.zero())
-
-    def in_algebra(self, poly, value):
-        """Evaluate at an element of one of the index algebras."""
-        return _poly.peval(poly, value, value.algebra.zero())
+    def derivative_at(self, name):
+        """P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i) for the first entry i
+        named ``name``."""
+        i = self.names.index(name)
+        out = index_value(self.ys, self.polys, i, i, self.cache)
+        for j in range(len(self.ys)):
+            if j != i:
+                out = out * index_value(self.ys, self.polys, i, j, self.cache)
+        return out
 
 
 def build_charpoly_pack(y, g):
-    """Exact product of the per-index characteristic polynomials of the
-    eigenvalue data, each computed once, with side sub-products and the
-    formal derivative."""
+    """The pack of y: each per-index characteristic polynomial computed
+    once, by entry, so it stays exact for an unvalidated y that repeats a
+    name."""
     ground = g.info["ground"]
-    # by entry, not by name: P stays exact for an unvalidated y that repeats a name
-    polys = [(en.side, charpoly_over(en.value, ground)) for en in y.entries]
-    P_minus, P_plus = (charpoly_product([q for side, q in polys if side == s], g) for s in "-+")
-    P = _poly.pmul(P_minus, P_plus) if ground == "E" else charpoly_product((P_minus, P_plus), g)
-    return CharPolyPack(ground, P, P_minus, P_plus, _poly.pderiv(P), ground_scalar(g),
-                        {en.name: q for en, (_, q) in zip(y.entries, polys)})
+    return CharPolyPack(ground, ground_scalar(g), y.entries,
+                        [charpoly_over(en.value, ground) for en in y.entries])
 
 
 class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor")):
@@ -220,7 +222,7 @@ def compute_C(name, pack, y, x, g):
             lead = yv.algebra.element(lead)
         # one inversion, of the negative powers' product; P(point) comes last,
         # as over E it lies in E, not in F_i
-        c, den = row.scalar * lead * pack.in_algebra(pack.dP, yv), None
+        c, den = row.scalar * lead * pack.derivative_at(name), None
         for value, k in ((xe.c, 1) if row.coef == "c" else (xe.value, -1),
                          (yv, (row.offset - g.d) // 2), (1 + yv, plus), (yv - 1, minus),
                          (pack.P_at[point], power)):
@@ -243,8 +245,9 @@ class FactorTrace:
     (name, C in F_pm, norm verdict) record per minus-side field index, one
     (text, argument, value) record per prefactor, the total, and the
     characteristic-polynomial pack it read.  ``lines()`` prints all but the
-    pack, deterministically; an engine-refused instance has a trace with no
-    records, no total and an unvalidated pack (see verify.run_suite)."""
+    pack, deterministically, ending with ``total_line()``; an engine-refused
+    instance has a trace with no records, no total and an unvalidated pack
+    (see verify.run_suite)."""
 
     def __init__(self, case, label=None, indices=None, prefactors=None, total=None, pack=None):
         self.case = case
@@ -255,14 +258,28 @@ class FactorTrace:
         self.pack = pack
 
     def lines(self):
-        out = [f"case: {self.case}"]
-        out.extend(f"index {name}: {self.label}; C = {c!r} in F_pm (checked); "
-                   f"norm test: {'+1' if verdict == 1 else '-1'}"
-                   for name, c, verdict in self.indices)
-        out.extend(f"prefactor {text} at {arg}: {value.render()}"
-                   for text, arg, value in self.prefactors)
-        out.append(f"delta = {self.total.render()} (angle {self.total.angle})")
+        """The trace as text.  A C or a prefactor argument may have integers
+        past the interpreter's limit on the digits of an int-to-str
+        conversion; the limit is lifted while these exact values print, and
+        restored after."""
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            out = [f"case: {self.case}"]
+            out.extend(f"index {name}: {self.label}; C = {c!r} in F_pm (checked); "
+                       f"norm test: {'+1' if verdict == 1 else '-1'}"
+                       for name, c, verdict in self.indices)
+            out.extend(f"prefactor {text} at {arg}: {value.render()}"
+                       for text, arg, value in self.prefactors)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        out.append(self.total_line())
         return out
+
+    def total_line(self):
+        return f"delta = {self.total.render()} (angle {self.total.angle})"
 
     def __repr__(self):
         return "\n".join(self.lines())
@@ -303,7 +320,7 @@ def validation_steps(y, x, g, e):
                ValidationFailure(f"sides have dimensions {dims}, "
                                  f"datum says ({e.d_minus}, {e.d_plus})"))
     pack = build_charpoly_pack(y, g)
-    if not is_regular_charpoly(pack.P, g, pack.P_at):
+    if not is_regular(pack.ys, pack.polys, pack.P_at.values(), pack.cache):
         yield (["regularity: not suitably regular"],
                ValidationFailure("parameters are not suitably regular"))
         return pack
@@ -353,13 +370,13 @@ def compute_delta(y, x, g, e):
 def _prefactors(pack, x, g, e):
     """The case's (text, argument, value) prefactor records."""
     if g.case == "twisted_gl_odd":
-        arg = g.eta * x.x_D * pack.P_at[1] * pack.at(pack.P_minus, -1)
+        arg = g.eta * x.x_D * pack.P_at[1] * pack.side_at["-", -1]
         return [("chi(eta*x_D*P(1)*P_minus(-1))", arg, eval_character(e.chi, arg))]
     if pack.ground == "E":
         records = []
-        for text, poly, mu in (("mu_minus(P_minus(0)/P_minus(-1))", pack.P_minus, e.mu_minus),
-                               ("mu_plus(P_plus(0)/P_plus(-1))", pack.P_plus, e.mu_plus)):
-            arg = pack.at(poly, 0) * pack.at(poly, -1).inverse()
+        for text, side, mu in (("mu_minus(P_minus(0)/P_minus(-1))", "-", e.mu_minus),
+                               ("mu_plus(P_plus(0)/P_plus(-1))", "+", e.mu_plus)):
+            arg = pack.side_at[side, 0] * pack.side_at[side, -1].inverse()
             records.append((text, arg, eval_character(mu, arg)))
         return records
     return []

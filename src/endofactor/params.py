@@ -25,7 +25,7 @@ from .localfield import FieldElement, is_square, trivial_tower
 # Over F, d has the parity of line (over E it is free); the index degrees
 # sum to d - line; d_minus + d_plus = d - line + the number of so_odd
 # halves.  Regularity asks the same of P in every case: squarefree, with
-# P(1) and P(-1) nonzero.
+# P(1) and P(-1) nonzero (see is_regular).
 _INFO = {
     "symplectic":      dict(factors=("so_even", "symplectic"), twisted=False,
                             ground="F", c_sign=-1, line=0),
@@ -475,28 +475,48 @@ def charpoly_product(polys, g):
     return [Fraction(c, den) for c in num]
 
 
-def charpoly_ends(poly, zero):
-    """{1: P(1), -1: P(-1)}, in the ring of ``zero``."""
-    return {t: _poly.peval_scalar(poly, t, zero) for t in (1, -1)}
+def charpoly_at(polys, t, scalar):
+    """The product of the polys at t = 0, 1 or -1, in the ground ring of
+    ``scalar`` (``ground_scalar``); 1 for no polys."""
+    return math.prod((_poly.peval_scalar(q, t, scalar(0)) for q in polys), start=scalar(1))
 
 
-def is_regular_charpoly(poly, g, ends=None):
-    """The conservative sufficient condition on the product P of the
-    characteristic polynomials: P is squarefree, and the formulary's
-    denominators at T = 1, -1 stay away from zero.  Where a case has an
-    eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree.
-    ``ends`` is charpoly_ends of P, when the caller has evaluated it."""
-    zero = ground_scalar(g)(0)
-    if not _poly.is_squarefree(poly):
-        return False
-    return all(v != zero for v in (ends or charpoly_ends(poly, zero)).values())
+def index_value(values, polys, i, j, cache):
+    """P_j(y_i) for j != i, and P_i'(y_i) for j = i, in the algebra of
+    y_i = values[i], where P_j = polys[j]; kept in ``cache`` by (i, j), so
+    each is evaluated once.  By Cayley-Hamilton P_i(y_i) = 0, so these are
+    the factors of P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i)."""
+    if (i, j) not in cache:
+        y = values[i]
+        cache[i, j] = _poly.peval(_poly.pderiv(polys[i]) if i == j else polys[j],
+                                  y, y.algebra.zero())
+    return cache[i, j]
+
+
+def is_regular(values, polys, ends, cache):
+    """The conservative sufficient condition on P = prod P_j, the product of
+    the characteristic polynomials P_j of the y_i over the case ground: P is
+    squarefree, and the formulary's denominators P(1) and P(-1), given as
+    ``ends``, are nonzero.  Where a case has an eigenvalue-1 line, P(1) != 0
+    is what keeps P * (T - 1) squarefree.
+
+    Squarefreeness is read off the per-index values of ``index_value``.
+    The algebra of y_i is etale of the degree of P_i over the ground, so the
+    roots of P_i are the images of y_i, and P'(y_i) is a unit iff P' vanishes
+    at no root of P_i.  Every root of P is a root of some P_i, so P is
+    squarefree iff every P'(y_i) is a unit, that is iff every factor
+    P_i'(y_i) and P_j(y_i), j != i, is one."""
+    return all(ends) and all(index_value(values, polys, i, j, cache).is_unit()
+                             for i in range(len(values)) for j in range(len(values)))
 
 
 def check_regularity(param, g, role="endoscopic"):
-    """Regularity of a parameter pack: is_regular_charpoly on the product of
-    the characteristic polynomials of its eigenvalue data."""
-    polys = [charpoly_over(v, g.info["ground"]) for v in _norm_one_values(param, g, role)]
-    return is_regular_charpoly(charpoly_product(polys, g), g)
+    """Regularity of a parameter pack: is_regular on the characteristic
+    polynomials of its eigenvalue data."""
+    values = _norm_one_values(param, g, role)
+    polys = [charpoly_over(v, g.info["ground"]) for v in values]
+    ends = [charpoly_at(polys, t, ground_scalar(g)) for t in (1, -1)]
+    return is_regular(values, polys, ends, {})
 
 
 def _structure_key(en):

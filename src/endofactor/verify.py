@@ -3,7 +3,7 @@
 This lane re-derives the factor's ingredients on the Lie-algebra side
 (Cayley transforms X_i, characteristic polynomials Q of X) and checks the
 exact identities that reconcile the two descriptions against one run of
-the factor engine, whose trace supplies P, P(1), P(-1), the per-index P_j,
+the factor engine, whose trace supplies P(1), P(-1), the per-index P_j,
 each C_i's norm verdict and the total: the polynomial identities linking
 P-values at y with Q-values at X, the norm-triviality of the cross-index
 quantities A_{i,j}, the square class of the distinguished-line coefficient
@@ -57,13 +57,14 @@ class LieParam:
     X maps index names to Cayley transforms, Q_j / P_j to the per-index
     characteristic polynomials of X_j / y_j over the base field; Q_X is
     the characteristic polynomial of X on the whole space (a zero
-    eigenvalue for the distinguished line, then the index blocks).  ``run``
-    is the factor engine's trace of y: P_j is its pack's ``factors``, the
-    pack's P, the product of the P_j, is what the identities read, and its
-    C_i verdicts and total are what the cross-checks compare against.
+    eigenvalue for the distinguished line, then the index blocks).  P_y is
+    (T - 1) * P, P the product of the P_j, on the whole space, and dP_y its
+    derivative.  ``run`` is the factor engine's trace of y: P_j is its
+    pack's ``factors``, and its C_i verdicts and total are what the
+    cross-checks compare against.
     """
 
-    def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, run):
+    def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, P_y, dP_y, run):
         self.y = y
         self.x = x
         self.g = g
@@ -75,6 +76,8 @@ class LieParam:
         self.Q_j = Q_j
         self.Q_X = Q_X
         self.dQ_X = dQ_X
+        self.P_y = P_y
+        self.dP_y = dP_y
         self.run = run          # factor.FactorTrace
 
 
@@ -87,11 +90,11 @@ def make_lie_param(y, x, g, run, c=None):
     """Assemble the Lie-side data for a validated odd twisted instance.
 
     ``run`` is the factor engine's trace of y (from compute_delta); P_j is
-    read from its pack's ``factors``, and only X, Q_j, Q_X and c_D are
-    computed here.  ``c`` optionally maps index names to tau-fixed
-    auxiliaries in F_pm^x (default: 1 everywhere).  c_D is derived as -nu
-    times the product of the index trace-form determinants, so the
-    square-class check against
+    read from its pack's ``factors``, and only X, Q_j, Q_X, c_D and P_y,
+    (T - 1) times the product of the P_j, are computed here, each once.
+    ``c`` optionally maps index names to tau-fixed auxiliaries in F_pm^x
+    (default: 1 everywhere).  c_D is derived as -nu times the product of
+    the index trace-form determinants, so the square-class check against
     eta * P(1) * P(-1) runs on two independent code paths.
     """
     if g.case != "twisted_gl_odd":
@@ -120,9 +123,10 @@ def make_lie_param(y, x, g, run, c=None):
         det_prod *= Fraction(_poly.charpoly(scaled, 1)[0], L ** len(gram))
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], charpoly_product(Q_j.values(), g))
     c_D = F.element(-g.nu * det_prod)
+    P_y = _poly.pmul(charpoly_product(run.pack.polys, g), [Fraction(-1), Fraction(1)])
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
                     P_j=run.pack.factors, Q_j=Q_j, Q_X=Q_X, dQ_X=_poly.pderiv(Q_X),
-                    run=run)
+                    P_y=P_y, dP_y=_poly.pderiv(P_y), run=run)
 
 
 def _field_names(data, side):
@@ -165,10 +169,8 @@ def li_identity_2(data, i):
     yv = en.value
     xi = data.X[i]
     d = data.g.d
-    p_y = _poly.pmul(data.run.pack.P, [Fraction(-1), Fraction(1)])
-    dp_y = _poly.pderiv(p_y)
-    lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(dp_y, yv, alg.zero())
-    p_y_m1 = _poly.peval_scalar(p_y, -1, Fraction(0))
+    lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(data.dP_y, yv, alg.zero())
+    p_y_m1 = _poly.peval_scalar(data.P_y, -1, Fraction(0))
     rhs = -1 * p_y_m1 * _poly.peval(data.dQ_X, xi, alg.zero())
     return lhs == rhs
 
@@ -238,7 +240,7 @@ def reconstruct_delta(data, chi):
         correction = alg.base_pm.element(data.c_D * data.x.x_D)
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
     p1 = data.run.pack.P_at[1]
-    pm_m1 = data.run.pack.at(data.run.pack.P_minus, -1)
+    pm_m1 = data.run.pack.side_at["-", -1]
     arg = data.eta * data.x.x_D * p1 * pm_m1
     return total * factor.eval_character(chi, arg)
 

@@ -1,4 +1,5 @@
-"""Random-instance generators shared by the test suite.
+"""Random-instance generators shared by the test suite, and the slow
+references that fast paths of the package are checked against.
 
 Everything is driven by an explicit random.Random so failures reproduce.
 Generated instances are always structurally valid and suitably regular;
@@ -6,16 +7,20 @@ generation retries until the regularity gate passes.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 import math
 import random
 
-from endofactor import forms
+from endofactor import _poly, forms
+from endofactor._poly import degree, gcd_mod, pderiv
 from endofactor.etale import (
     UnitaryBaseData,
+    charpoly_over,
     quadratic_field,
     split_algebra,
 )
 from endofactor.localfield import (
+    MAX_TOWER_DEGREE,
     BaseField,
     ResidueField,
     is_square,
@@ -29,7 +34,10 @@ from endofactor.params import (
     IndexEntry,
     RegularParam,
     TameCharacter,
+    _norm_one_values,
+    charpoly_product,
     check_regularity,
+    ground_scalar,
     side_dimensions,
     validate_endoscopic,
     validate_group,
@@ -527,7 +535,6 @@ def indicator_instance(rng, p):
 def hermitian_gram_det(inst):
     """Determinant over E of the hermitian Gram of the group-side form
     (a tau-fixed element, i.e. a class of F^x modulo norms from E)."""
-    from endofactor import _poly
     E = inst.g.E
     det = E.E.one()
     for en in inst.x.entries:
@@ -574,6 +581,34 @@ def unitary_swap_instance(rng, p):
     return Instance(g2, e2, inst.y, inst.x)
 
 
+def regularity_probe(count, regular, c=1):
+    """A symplectic instance at p = 3 with ``count`` minus-side indices, all
+    on one tower of degree MAX_TOWER_DEGREE with Eisenstein polynomial
+    x^e - 3, and in the one field K = F_pm(sqrt(pi)).  Index a = 1..count has
+    y_a = t/tau(t) with t = (a + c*pi) + sqrt(pi), and x_a = y_a with the
+    form coefficient sqrt(pi).  With (f, e) = (1, MAX_TOWER_DEGREE) the y_a
+    are distinct and the instance is regular.  With (f, e) = (2,
+    MAX_TOWER_DEGREE/2) each y_a lies in the subfield without the
+    unramified generator, so each P_j is a square and the instance is not
+    regular.  The regularity gate is not applied."""
+    base = BaseField("p-adic", 3)
+    F = trivial_tower(base)
+    f, e = (1, MAX_TOWER_DEGREE) if regular else (2, MAX_TOWER_DEGREE // 2)
+    tower = make_extension(base, f, [-3] + [0] * (e - 1) + [1])
+    alg = quadratic_field(tower, tower.pi())
+    s = alg.rt()
+    y_entries, x_entries = [], []
+    for a in range(1, count + 1):
+        t = alg.element(tower.element(a) + c * tower.pi()) + s
+        y = t / t.tau()
+        y_entries.append(IndexEntry(f"i{a}", "-", alg, y, None))
+        x_entries.append(IndexEntry(f"i{a}", "-", alg, y, s))
+    d = 2 * tower.n * count
+    g = GroupDescriptor("symplectic", d, base, eta=F.element(1))
+    datum = EndoscopicDatum(d_minus=d, d_plus=0, delta_minus=F.element(1))
+    return Instance(g, datum, RegularParam(tuple(y_entries)), RegularParam(tuple(x_entries)))
+
+
 def _make_datum(rng, g, y, dm, dp):
     fm, fp = g.info["factors"]
     delta_minus = delta_plus = chi = mu_minus = mu_plus = None
@@ -599,3 +634,120 @@ def _make_datum(rng, g, y, dm, dp):
         chi=chi, mu_minus=mu_minus, mu_plus=mu_plus,
         cocycle_class="trivial",
     )
+
+
+# ---------------------------------------------------------------------------
+# the whole-P regularity test: the reference of params.is_regular
+# ---------------------------------------------------------------------------
+
+# Primes l = 3 (mod 4) from 2^61 - 1 down, in a fixed order.  The squarefree
+# certificate works mod the first in which D is a nonzero square, where
+# D^((l+1)/4) is a root of it: over Q, D = 1 and that is the first.
+_PRIMES = tuple(2 ** 61 - k for k in (1, 45, 229, 465, 829, 985, 1153, 1281))
+
+
+def is_squarefree(p):
+    """No repeated factor: gcd(p, p') has degree <= 0.
+
+    One path over Z[s], s^2 = D, on integer pairs (x, y) = x + y*s.  For
+    coefficients in a quadratic field E = F(rt), rt^2 = delta = n/d, s is
+    d*rt and D = n*d; a coefficient (x + y*rt)/c is scaled by the lcm L of
+    the c and by d to the pair (x*d*L/c, y*L/c).  A rational coefficient
+    x/c is the pair (x*L/c, 0) with D = 1.  The pairs are then divided by
+    the gcd of all their entries.
+
+    The certificate: for the first listed prime l in which D is a nonzero
+    square (over Q, l = 2^61 - 1), s -> r = D^((l+1)/4) is a ring map
+    Z[s] -> F_l.  When l does not divide the top pair's image and the
+    image a is coprime to a' over F_l, the resultant is nonzero, so p is
+    squarefree.  Otherwise the primitive pseudo-remainder sequence of
+    (p, p') over Z[s] decides, and gives every False: it differs from the
+    Euclidean one over E (or Q) by nonzero factors at each step, so its
+    last nonzero term has the degree of the gcd.  delta is a non-square,
+    so x + y*s is zero only when x = y = 0.
+    """
+    if all(isinstance(c, (int, Fraction)) for c in p):
+        D, terms = 1, [(c.numerator, 0, c.denominator) for c in p]
+    else:
+        delta = p[0].algebra.delta
+        d, D = delta.den, delta.num[0] * delta.den
+        terms = [(c.num[0] * d, c.num[1], c.den) for c in p]
+    den = lcm(*(c for _, _, c in terms))
+    a = _primitive_pairs([(x * (den // c), y * (den // c)) for x, y, c in terms])
+    ell = next((ell for ell in _PRIMES if pow(D, (ell - 1) // 2, ell) == 1), None)
+    if ell is not None:
+        r = pow(D, (ell + 1) // 4, ell)
+        if _coprime_to_derivative_mod([(x + y * r) % ell for x, y in a], ell):
+            return True
+    b = _primitive_pairs([(k * x, k * y) for k, (x, y) in enumerate(a)][1:])
+    while b:
+        a, b = b, _primitive_pairs(_pair_prem(a, b, D))
+    return degree(a) <= 0
+
+
+def _coprime_to_derivative_mod(a, ell):
+    """True when the coefficients a, reduced mod the prime ell, have a
+    nonzero top one and a is coprime to a' over F_ell.  With a the image
+    of an integer polynomial of the same degree below ell, that certifies
+    the integer one squarefree; False decides nothing."""
+    return bool(a) and a[-1] % ell != 0 and len(gcd_mod(a, pderiv(a), ell)) == 1
+
+
+def _primitive_pairs(coeffs):
+    """Integer pairs divided by the gcd of all their entries."""
+    content = gcd(*(v for pair in coeffs for v in pair))
+    return [(x // content, y // content) for x, y in coeffs] if content > 1 else coeffs
+
+
+def _pair_prem(a, b, D):
+    """The remainder of k*a by b for some nonzero k in Z[s], s^2 = D, on
+    integer pairs (x, y) = x + y*s (b nonzero)."""
+    rem = list(a)
+    l0, l1 = b[-1]
+    while len(rem) >= len(b):
+        c0, c1 = rem[-1]
+        g = gcd(l0, l1, c0, c1)
+        s0, s1, c0, c1 = l0 // g, l1 // g, c0 // g, c1 // g
+        k = len(rem) - len(b)
+        # rem * (s0 + s1*s) - (c0 + c1*s) * T^k * b; the top term cancels
+        rem = [(x * s0 + D * y * s1, x * s1 + y * s0) for x, y in rem[:-1]]
+        for j, (x, y) in enumerate(b[:-1]):
+            u, v = rem[k + j]
+            rem[k + j] = (u - c0 * x - D * c1 * y, v - c0 * y - c1 * x)
+        while rem and rem[-1] == (0, 0):
+            rem.pop()
+    return rem
+
+
+def charpoly_ends(poly, zero):
+    """{1: P(1), -1: P(-1)}, in the ring of ``zero``."""
+    return {t: _poly.peval_scalar(poly, t, zero) for t in (1, -1)}
+
+
+def is_regular_charpoly(poly, g, ends=None):
+    """The conservative sufficient condition on the product P of the
+    characteristic polynomials: P is squarefree, and the formulary's
+    denominators at T = 1, -1 stay away from zero.  Where a case has an
+    eigenvalue-1 line, P(1) != 0 is what keeps P * (T - 1) squarefree.
+    ``ends`` is charpoly_ends of P, when the caller has evaluated it."""
+    zero = ground_scalar(g)(0)
+    if not is_squarefree(poly):
+        return False
+    return all(v != zero for v in (ends or charpoly_ends(poly, zero)).values())
+
+
+def whole_charpolys(y, g):
+    """(P, P_minus, P_plus): the products of the characteristic polynomials
+    of the y_i over the case ground, on the whole space and on each side."""
+    ground = g.info["ground"]
+    polys = [(en.side, charpoly_over(en.value, ground)) for en in y.entries]
+    P_minus, P_plus = (charpoly_product([q for side, q in polys if side == s], g) for s in "-+")
+    P = _poly.pmul(P_minus, P_plus) if ground == "E" else charpoly_product((P_minus, P_plus), g)
+    return P, P_minus, P_plus
+
+
+def regular_by_whole_P(param, g, role="endoscopic"):
+    """Regularity of a parameter pack by is_regular_charpoly on the whole
+    product P of the characteristic polynomials of its eigenvalue data."""
+    polys = [charpoly_over(v, g.info["ground"]) for v in _norm_one_values(param, g, role)]
+    return is_regular_charpoly(charpoly_product(polys, g), g)

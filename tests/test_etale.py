@@ -161,12 +161,34 @@ class TestUnitary:
         assert ubr.e_valuation(ubr.E.element(5)) == 2
         assert ubr.sgn(2) == -1
 
-    def test_e_valuation_rejects_odd_norm_valuation(self):
-        # an element of the ramified K has a norm of odd valuation, which no
-        # element of the unramified E can have
-        ub = UnitaryBaseData(Q5, 2)
-        with pytest.raises(ZeroValuation):
-            ub.e_valuation(K.rt())
+    def test_e_valuation_matches_the_norm(self, rng):
+        """v(x), read off v_p of the coordinates a and b of x, is the norm
+        path's: v_p(x * tau(x)) over a ramified E, and half of it, which is
+        even, over an unramified one.  Sixteen delta_E at each of p = 3, 5,
+        7, with a or b zero and with a and b*sqrt(delta_E) of equal
+        valuation among the draws."""
+        from support import unitary_deltas
+
+        def coordinate(p):
+            if rng.random() < 0.2:
+                return Fraction(0)
+            r = Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 60))
+            return r * Fraction(p) ** rng.randint(-3, 3)
+
+        seen = set()
+        for p in (3, 5, 7):
+            for delta_e in unitary_deltas(p):
+                ub = UnitaryBaseData(BaseField("p-adic", p), delta_e)
+                for _ in range(40):
+                    x = ub.E.element(coordinate(p), coordinate(p))
+                    if not x:
+                        continue
+                    v = _vp(x.norm().as_fraction(), p)
+                    assert ub.ramified or v % 2 == 0
+                    assert ub.e_valuation(x) == (v if ub.ramified else v // 2)
+                    seen.add((ub.ramified, not x.a, not x.b))
+        assert seen == {(r, za, zb) for r in (True, False)
+                        for za, zb in ((False, False), (True, False), (False, True))}
 
 
 def _tame_coordinates_by_inverse(ub, x):

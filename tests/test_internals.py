@@ -22,7 +22,7 @@ from endofactor.localfield import (
     trivial_tower,
 )
 from endofactor.params import TameCharacter
-from support import prime_field_log
+from support import is_squarefree, prime_field_log
 from test_poly_reference import gauss_det, gauss_solve, pdivmod, pgcd
 
 F = Fraction
@@ -63,9 +63,9 @@ class TestPolyOps:
         assert pgcd(a, b) == fpoly(-1, 1)
 
     def test_squarefree(self):
-        assert _poly.is_squarefree(fpoly(-2, 1))
-        assert _poly.is_squarefree(_poly.pmul(fpoly(-1, 1), fpoly(-2, 1)))
-        assert not _poly.is_squarefree(_poly.pmul(fpoly(-1, 1), fpoly(-1, 1)))
+        assert is_squarefree(fpoly(-2, 1))
+        assert is_squarefree(_poly.pmul(fpoly(-1, 1), fpoly(-2, 1)))
+        assert not is_squarefree(_poly.pmul(fpoly(-1, 1), fpoly(-1, 1)))
 
     def test_derivative_and_eval(self):
         p = fpoly(1, -3, 0, 2)      # 1 - 3T + 2T^3

@@ -180,7 +180,7 @@ class TestRecordClasses:
         (IndexEntry, "name side algebra value c"),
         (FormInvariants, "dim det disc hasse signature"),
         (InstanceDocument, "base group endoscopic y x"),
-        (LieParam, "y x g eta c c_D X P_j Q_j Q_X dQ_X run"),
+        (LieParam, "y x g eta c c_D X P_j Q_j Q_X dQ_X P_y dP_y run"),
         (ValidationReport, "subject violations"),
         (FactorTrace, "case label indices prefactors total pack"),
     ])
@@ -191,12 +191,15 @@ class TestRecordClasses:
         assert vars(by_position) == vars(by_keyword) == dict(zip(names, values))
 
     def test_pack_and_param_calls(self):
-        pack = CharPolyPack("F", [Fraction(-1), 0, 1], [Fraction(1)], [Fraction(-1), 0, 1],
-                            [0, Fraction(2)], Fraction, {"i": [Fraction(-1), 0, 1]})
-        same = CharPolyPack(ground="F", P=pack.P, P_minus=pack.P_minus, P_plus=pack.P_plus,
-                            dP=pack.dP, scalar=Fraction, factors=pack.factors)
+        entries = (IndexEntry("i", "+", None, None), IndexEntry("j", "-", None, None))
+        polys = [[Fraction(-1), 0, 1], [Fraction(2), 3, 1]]
+        pack = CharPolyPack("F", Fraction, entries, polys)
+        same = CharPolyPack(ground="F", scalar=Fraction, entries=entries, polys=polys)
         assert vars(pack) == vars(same)
+        assert pack.factors == {"i": polys[0], "j": polys[1]}
         assert pack.P_at == {1: 0, -1: 0}
+        assert pack.side_at == {("+", 0): -1, ("+", 1): 0, ("+", -1): 0,
+                                ("-", 0): 2, ("-", 1): 6, ("-", -1): 0}
         x_D = F5.element(2)
         assert vars(RegularParam((), x_D)) == vars(RegularParam(entries=[], x_D=x_D))
         assert TameCharacter(None, Fraction(1, 2), 3) == TameCharacter(

@@ -19,7 +19,6 @@ from endofactor.params import (
     charpoly_product,
     check_regularity,
     ground_scalar,
-    is_regular_charpoly,
     match_stable_classes,
     side_dimensions,
     stable_class_of,
@@ -27,6 +26,7 @@ from endofactor.params import (
     validate_group,
     validate_param,
 )
+from support import is_regular_charpoly, is_squarefree
 from test_poly_reference import horner
 
 Q5 = BaseField("p-adic", 5)
@@ -308,7 +308,8 @@ class TestValidateParam:
 
     def test_one_norm_per_index(self, rng, monkeypatch):
         # the unit test and the norm-one rule read one norm of y_i; an
-        # optional c_i adds the norm of its own unit test
+        # optional c_i adds the norm of its own unit test on a split
+        # algebra, and none on a field, where a unit is a nonzero element
         from endofactor.etale import EtaleElement
         from support import make_instance
         inst = make_instance(rng, "symplectic", p=5, n_indices=(2, 3))
@@ -321,7 +322,8 @@ class TestValidateParam:
 
         monkeypatch.setattr(EtaleElement, "norm", counting)
         assert validate_param(inst.y, inst.g, "endoscopic").ok
-        assert len(norms) == sum(1 + (en.c is not None) for en in inst.y.entries)
+        assert len(norms) == sum(1 + (en.c is not None and not en.algebra.is_field)
+                                 for en in inst.y.entries)
 
     def test_side_dimensions(self, rng):
         from support import make_instance
@@ -383,7 +385,7 @@ def _regular_with_adjoined_line(poly, g):
     scalar = ground_scalar(g)
     one, zero, minus_one = scalar(1), scalar(0), scalar(-1)
     aug = _poly.pmul(poly, [-one, one]) if dline else poly
-    if not _poly.is_squarefree(aug):
+    if not is_squarefree(aug):
         return False
     if horner(poly, minus_one, zero) == zero:
         return False

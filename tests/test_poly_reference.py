@@ -6,12 +6,13 @@ by the integers 1..n) and a Hessenberg reduction by similarity over a field.
 The Gauss eliminations below are the references for the tower norm, the
 tower inverse and the Gram determinant, which all go through ``charpoly``.
 
-``_poly.is_squarefree`` decides on one path over Z[s], s^2 = D: E-coefficient
-polynomials with E's D, Fraction-coefficient ones as pairs (x, 0) with
-D = 1.  A certificate modulo a prime near 2^61 comes first, then remainder
-sequences divided by their integer content.  The reference is the
-Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and the certificate
-is also checked against the remainder sequence alone.
+``support.is_squarefree``, the whole-P regularity reference of
+``params.is_regular``, decides on one path over Z[s], s^2 = D:
+E-coefficient polynomials with E's D, Fraction-coefficient ones as pairs
+(x, 0) with D = 1.  A certificate modulo a prime near 2^61 comes first,
+then remainder sequences divided by their integer content.  Its reference
+is the Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and the
+certificate is also checked against the remainder sequence alone.
 
 ``_poly.peval`` evaluates on the integer matrix of the point and
 ``_poly.peval_scalar`` by coefficient sums; the reference for both is
@@ -367,7 +368,7 @@ def _product(factors, one=F(1)):
 
 
 def _assert_squarefree_matches(p, expected=None):
-    verdict = _poly.is_squarefree(p)
+    verdict = support.is_squarefree(p)
     assert verdict == _reference_squarefree(p)
     if expected is not None:
         assert verdict == expected
@@ -385,7 +386,7 @@ def test_squarefree_scaling_and_content(rng):
     for _ in range(20):
         p = _product([_random_poly(rng, rng.randint(1, 3)) for _ in range(3)])
         for scale in (F(6, 35), F(-12), F(1, 1024), F(-7, 3)):
-            _assert_squarefree_matches([c * scale for c in p], _poly.is_squarefree(p))
+            _assert_squarefree_matches([c * scale for c in p], support.is_squarefree(p))
         # integer coefficients sharing a content
         ints = [F(30 * rng.randint(-5, 5)) for _ in range(4)] + [F(30)]
         _assert_squarefree_matches(ints)
@@ -410,19 +411,19 @@ def test_squarefree_degree_24_instance(monkeypatch):
     monkeypatch.setattr(support, "random_tower",
                         lambda rng, base, shapes=None: orig(rng, base, ((3, 2),)))
     inst = support.make_instance(random.Random(1), "symplectic", p=3, n_indices=(2, 2))
-    P = factor.build_charpoly_pack(inst.y, inst.g).P
+    P, _, _ = support.whole_charpolys(inst.y, inst.g)
     assert _poly.degree(P) == 24
     _assert_squarefree_matches(P, True)
     first = charpoly_over(inst.y.entries[0].value, "F")
-    assert not _poly.is_squarefree(_poly.pmul(P, first))
+    assert not support.is_squarefree(_poly.pmul(P, first))
 
 
 def test_squarefree_e_coefficients():
     E = UnitaryBaseData(BaseField("p-adic", 3), 2).E
     lin = [E.element(1, 1), E.one()]
     other = [E.element(F(1, 2), -1), E.one()]
-    assert _poly.is_squarefree(_poly.pmul(lin, other))
-    assert not _poly.is_squarefree(_poly.pmul(_poly.pmul(lin, other), lin))
+    assert support.is_squarefree(_poly.pmul(lin, other))
+    assert not support.is_squarefree(_poly.pmul(_poly.pmul(lin, other), lin))
 
 
 @pytest.mark.parametrize("delta_e", [2, F(-7, 4)])
@@ -433,7 +434,7 @@ def test_squarefree_rational_and_embedded_in_e_agree(delta_e):
     lin, quad = [F(-1, 2), F(3)], [F(5), F(-2, 3), F(1, 7)]
     for P, want in ((_poly.pmul(lin, quad), True), (_poly.pmul(_poly.pmul(lin, quad), lin), False)):
         embedded = [E.element(c) for c in P]
-        assert _poly.is_squarefree(P) is _poly.is_squarefree(embedded) is want
+        assert support.is_squarefree(P) is support.is_squarefree(embedded) is want
         assert _sequence_verdict(P) is _sequence_verdict(embedded) is want
 
 
@@ -461,7 +462,7 @@ def test_squarefree_over_e_against_the_euclidean_gcd(rng, delta_e):
         lin = _random_e_poly(rng, E, 1)
         _assert_squarefree_matches(_product(factors + [lin, lin], E.one()), False)
         _assert_squarefree_matches([c * E.element(F(-6, 35), F(1, 7)) for c in p],
-                                   _poly.is_squarefree(p))
+                                   support.is_squarefree(p))
 
 
 # --- the modular certificate against the remainder sequence ---
@@ -469,23 +470,23 @@ def test_squarefree_over_e_against_the_euclidean_gcd(rng, delta_e):
 def _certified(p):
     """(is_squarefree(p), [(l, outcome)] of the certificates it tried)."""
     seen = []
-    real = _poly._coprime_to_derivative_mod
+    real = support._coprime_to_derivative_mod
 
     def spy(a, ell):
         seen.append((ell, real(a, ell)))
         return seen[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_poly, "_coprime_to_derivative_mod", spy)
-        return _poly.is_squarefree(p), seen
+        mp.setattr(support, "_coprime_to_derivative_mod", spy)
+        return support.is_squarefree(p), seen
 
 
 def _sequence_verdict(p):
     """is_squarefree(p) with every certificate refused: the remainder
     sequence alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_poly, "_coprime_to_derivative_mod", lambda a, ell: False)
-        return _poly.is_squarefree(p)
+        mp.setattr(support, "_coprime_to_derivative_mod", lambda a, ell: False)
+        return support.is_squarefree(p)
 
 
 def _assert_certificate_sound(p):
@@ -523,9 +524,9 @@ def _is_prime(n):
 
 
 def test_certificate_primes():
-    assert _poly._PRIMES[0] == 2 ** 61 - 1
-    assert list(_poly._PRIMES) == sorted(_poly._PRIMES, reverse=True)
-    assert all(ell % 4 == 3 and _is_prime(ell) for ell in _poly._PRIMES)
+    assert support._PRIMES[0] == 2 ** 61 - 1
+    assert list(support._PRIMES) == sorted(support._PRIMES, reverse=True)
+    assert all(ell % 4 == 3 and _is_prime(ell) for ell in support._PRIMES)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -538,18 +539,18 @@ def test_certificate_agrees_with_the_sequence_on_instances(case):
     certified = 0
     for p in (3, 5, 7):
         inst = support.make_instance(rng, case, p=p)
-        pack = factor.build_charpoly_pack(inst.y, inst.g)
-        for poly in (pack.P, pack.P_minus, pack.P_plus):
+        polys = support.whole_charpolys(inst.y, inst.g)
+        for poly in polys:
             seen = _assert_certificate_sound(poly)
             certified += [ok for _, ok in seen] == [True]
-        first = charpoly_over(inst.y.entries[0].value, pack.ground)
-        _assert_certificate_sound(_poly.pmul(pack.P, first))
-        assert not _poly.is_squarefree(_poly.pmul(pack.P, first))
+        first = charpoly_over(inst.y.entries[0].value, inst.g.info["ground"])
+        _assert_certificate_sound(_poly.pmul(polys[0], first))
+        assert not support.is_squarefree(_poly.pmul(polys[0], first))
     assert certified == 9
 
 
 def test_certificate_falls_through_when_ell_divides_the_lead():
-    ell = _poly._PRIMES[0]
+    ell = support._PRIMES[0]
     T = [F(0), F(1)]
     # ell*T^2 + T + 1: squarefree, but of degree 1 mod ell
     assert _certified([F(1), F(1), F(ell)]) == (True, [(ell, False)])
@@ -561,13 +562,13 @@ def test_certificate_falls_through_when_ell_divides_the_lead():
 
 def test_certificate_falls_through_on_a_discriminant_divisible_by_ell():
     """T^2 - l is squarefree, but T^2 mod l is not: the sequence decides."""
-    ell = _poly._PRIMES[0]
+    ell = support._PRIMES[0]
     assert _certified([F(-ell), F(0), F(1)]) == (True, [(ell, False)])
     assert _certified([F(-ell, 3), F(0), F(1, 3)]) == (True, [(ell, False)])
 
 
 def test_certificate_empty_and_constant_polynomials():
-    ell = _poly._PRIMES[0]
+    ell = support._PRIMES[0]
     assert _certified([]) == (True, [(ell, False)])
     assert _certified([F(7, 3)]) == (True, [(ell, True)])
     assert _certified([F(0), F(5)]) == (True, [(ell, True)])
@@ -580,7 +581,7 @@ def _delta_nonsquare_mod(count):
     """The least integer D > 1, a non-square in Q_3, that is a non-square
     mod the first ``count`` listed primes and, when count < len(_PRIMES),
     a square mod the next one."""
-    primes = _poly._PRIMES
+    primes = support._PRIMES
     for D in range(2, 10 ** 6):
         if D % 3 != 2 and D % 9 not in (3, 6):
             continue
@@ -591,7 +592,7 @@ def _delta_nonsquare_mod(count):
     raise AssertionError("no such D below 10^6")
 
 
-@pytest.mark.parametrize("count", [2, len(_poly._PRIMES)])
+@pytest.mark.parametrize("count", [2, len(support._PRIMES)])
 def test_certificate_over_e_where_nd_is_a_non_square_mod_the_first_primes(rng, count):
     """delta = D with D a non-square mod the first ``count`` primes: the
     certificate runs mod the next prime, or not at all when there is none,
@@ -600,7 +601,7 @@ def test_certificate_over_e_where_nd_is_a_non_square_mod_the_first_primes(rng, c
     E = UnitaryBaseData(BaseField("p-adic", 3), D).E
     rt = E.rt()
     p = _poly.pmul([-rt, E.one()], [rt + 1, E.one()])
-    want = [(_poly._PRIMES[count], True)] if count < len(_poly._PRIMES) else []
+    want = [(support._PRIMES[count], True)] if count < len(support._PRIMES) else []
     assert _certified(p) == (True, want)
     for _ in range(6):
         q = _product([_random_e_poly(rng, E, rng.randint(1, 3)) for _ in range(2)], E.one())

@@ -284,11 +284,11 @@ class TestSuite:
 
         from endofactor.cli import main
         counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_over",
-                              "is_squarefree", "compute_C")
+                              "is_regular", "compute_C")
         sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
         assert main(["check", str(sample)]) == 0
         assert counts == {
-            "build_charpoly_pack": 2, "charpoly_over": 3, "is_squarefree": 2, "compute_C": 1}
+            "build_charpoly_pack": 2, "charpoly_over": 3, "is_regular": 2, "compute_C": 1}
 
     def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
         # a plus-side x_j replaced by tau(x_j), off its matching class: the
