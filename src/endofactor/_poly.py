@@ -47,41 +47,55 @@ def pderiv(p):
 def peval(p, x, zero):
     """p(x) for an element x of a tower or etale algebra; ``zero`` when p is
     empty.  The coefficients are ints, Fractions or elements that x
-    coerces.
+    coerces."""
+    return peval_many([p], x, zero)[0]
 
-    One Horner pass on integer vectors: the ring's integer matrix N of
-    y -> x*y is over s = x.den * D, and with the coefficients over one
-    denominator L, c_j = C_j / L, the vectors W_m = C_m and
-    W_j = N*W_(j+1) + s^(m-j) * C_j give p(x) = W_0 / (s^m * L).
+
+def peval_many(polys, x, zero):
+    """[p(x) for p in polys], on one set of powers of x (see ``peval``).
+
+    The ring's integer matrix N of y -> x*y is over s = x.den * D, so
+    b * x^k = N^k b / s^k for b a monomial of the ring's basis.  With the
+    coefficients of a p of degree m over one denominator L, c_k = C_k / L,
+    C_k = sum_r C_k[r] * b_r, p(x) = sum_(k,r) C_k[r] * s^(m-k) * N^k b_r
+    over s^m * L.  A scalar coefficient has b_0 = 1 alone, an element of E
+    in a tensor algebra 1 and the root: the vectors N^k b_r, made once for
+    each monomial met, are the powers all the polys share.
     """
-    if not p:
-        return zero
-    coeffs = []
-    for c in p:
-        if isinstance(c, (int, Fraction)):
-            coeffs.append(((c.numerator,), c.denominator))
-        else:
-            o = x._co(c)
-            if o is None:
-                raise TypeError(f"cannot evaluate a coefficient {c!r} at {x!r}")
-            coeffs.append((o.num, o.den))
     ring = x.ring
-    L = lcm(*(d for _, d in coeffs))
     mat = ring._num_matrix(x)
     s = x.den * ring._D
-    num, d = coeffs[-1]
-    acc = [c * (L // d) for c in num] + [0] * (ring.n - len(num))
-    scale = 1
-    for num, d in reversed(coeffs[:-1]):
-        scale *= s
-        acc = [sum(map(operator.mul, row, acc)) for row in mat]
-        k = scale * (L // d)
-        for i, c in enumerate(num):
-            if c:
-                acc[i] += k * c
-    den = scale * L
-    g = gcd(den, *acc)
-    return type(x)(ring, tuple(c // g for c in acc), den // g)
+    powers = {}
+    out = []
+    for p in polys:
+        coeffs = []
+        for c in p:
+            if isinstance(c, (int, Fraction)):
+                coeffs.append(((c.numerator,), c.denominator))
+            else:
+                o = x._co(c)
+                if o is None:
+                    raise TypeError(f"cannot evaluate a coefficient {c!r} at {x!r}")
+                coeffs.append((o.num, o.den))
+        L = lcm(1, *(d for _, d in coeffs))
+        acc, sp = [0] * ring.n, 1
+        for k in reversed(range(len(coeffs))):
+            num, d = coeffs[k]
+            for r, c in enumerate(num):
+                if c:
+                    chain = powers.get(r) or powers.setdefault(
+                        r, [[int(i == r) for i in range(ring.n)]])
+                    while len(chain) <= k:
+                        chain.append([sum(map(operator.mul, row, chain[-1])) for row in mat])
+                    acc = list(map(operator.add, acc, map((c * sp * (L // d)).__mul__, chain[k])))
+            sp *= s
+        if not any(acc):
+            out.append(zero)
+            continue
+        den = sp // s * L
+        g = gcd(den, *acc)
+        out.append(type(x)(ring, tuple(c // g for c in acc), den // g))
+    return out
 
 
 def peval_scalar(p, t, zero):

@@ -334,7 +334,10 @@ class UnitaryBaseData:
         min(v_p(a), v_p(b) + k) over an unramified E, where the residues of
         a/p^m and b*sqrt(delta_E)/p^m cannot cancel, delta_E / p^(2k) being
         a non-square unit; and min(2v_p(a), 2v_p(b) + 2k + 1) over a
-        ramified one, where the two have different parities."""
+        ramified one, where the two have different parities.  An element of
+        another algebra has no valuation on E."""
+        if x.algebra._fingerprint != self.E._fingerprint:
+            raise ZeroValuation("element is not in E")
         if not x:
             raise ZeroValuation("valuation of zero")
         ramified, k, _ = self._data

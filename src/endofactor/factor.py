@@ -8,6 +8,7 @@ unit circle.  The trace keeps every intermediate as a value, and prints
 them so a run can be audited line by line.
 """
 
+import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .params import (
     TameCharacter,
     charpoly_at,
     ground_scalar,
-    index_value,
+    index_values,
     is_regular,
     match_stable_classes,
     side_dimensions,
@@ -110,38 +111,31 @@ class CharPolyPack:
     Coefficients are Fractions for ground "F" and elements of E for ground
     "E", constant term first; ``scalar`` maps a base-field scalar into the
     ground ring (``params.ground_scalar``).  ``side_at`` holds P_-(t) and
-    P_+(t), the products over each side, at t = 0, 1 and -1, and ``P_at``
-    holds P(1) and P(-1): regularity, the formulary's poles and the
-    prefactors all read them there.  ``factors`` maps each index name to its
-    P_j, which the Lie-side identities read.  ``names``, ``ys`` and
-    ``polys`` hold the names, the y_i and the P_j by entry, and
-    ``cache`` the values P_j(y_i) and P_i'(y_i) by entry positions (i, j)
-    (``params.index_value``): regularity reads them all, and
-    ``derivative_at`` multiplies the same values into P'(y_i).
+    P_+(t), the products over each side, at t = 1 and -1, and over E also
+    at 0, for the unitary prefactors; ``P_at`` holds P(1) and P(-1):
+    regularity, the formulary's poles and the prefactors all read them
+    there.  ``names``, ``ys`` and ``polys`` hold the names, the y_i and
+    the P_j by entry, and ``cache`` the rows of values P_j(y_i) and
+    P_i'(y_i) by entry position i (``params.index_values``): regularity
+    reads them all, and ``derivative_at`` multiplies a row into P'(y_i).
     """
 
     def __init__(self, ground, scalar, entries, polys):
         self.ground = ground
-        self.scalar = scalar
         self.names = [en.name for en in entries]
         self.ys = [en.value for en in entries]
         self.polys = list(polys)
-        self.factors = dict(zip(self.names, self.polys))
         self.side_at = {(side, t): charpoly_at([q for en, q in zip(entries, self.polys)
                                                 if en.side == side], t, scalar)
-                        for side in "-+" for t in (0, 1, -1)}
+                        for side in "-+" for t in ((0, 1, -1) if ground == "E" else (1, -1))}
         self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
         self.cache = {}
 
     def derivative_at(self, name):
-        """P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i) for the first entry i
-        named ``name``."""
-        i = self.names.index(name)
-        out = index_value(self.ys, self.polys, i, i, self.cache)
-        for j in range(len(self.ys)):
-            if j != i:
-                out = out * index_value(self.ys, self.polys, i, j, self.cache)
-        return out
+        """P'(y_i), the product of row i, for the first entry i named
+        ``name``."""
+        row = index_values(self.ys, self.polys, self.names.index(name), self.cache)
+        return math.prod(row[1:], start=row[0])
 
 
 def build_charpoly_pack(y, g):
@@ -260,23 +254,29 @@ class FactorTrace:
     def lines(self):
         """The trace as text.  A C or a prefactor argument may have integers
         past the interpreter's limit on the digits of an int-to-str
-        conversion; the limit is lifted while these exact values print, and
-        restored after."""
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        if limit:
-            sys.set_int_max_str_digits(0)
+        conversion.  Only then, the interpreter-wide limit is lifted while
+        these exact values print, and restored after: a call on such a trace
+        is not thread-safe."""
         try:
-            out = [f"case: {self.case}"]
-            out.extend(f"index {name}: {self.label}; C = {c!r} in F_pm (checked); "
-                       f"norm test: {'+1' if verdict == 1 else '-1'}"
-                       for name, c, verdict in self.indices)
-            out.extend(f"prefactor {text} at {arg}: {value.render()}"
-                       for text, arg, value in self.prefactors)
-        finally:
-            if limit:
+            out = self._record_lines()
+        except ValueError:
+            if not hasattr(sys, "set_int_max_str_digits"):
+                raise
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                out = self._record_lines()
+            finally:
                 sys.set_int_max_str_digits(limit)
-        out.append(self.total_line())
-        return out
+        return out + [self.total_line()]
+
+    def _record_lines(self):
+        return ([f"case: {self.case}"]
+                + [f"index {name}: {self.label}; C = {c!r} in F_pm (checked); "
+                   f"norm test: {'+1' if verdict == 1 else '-1'}"
+                   for name, c, verdict in self.indices]
+                + [f"prefactor {text} at {arg}: {value.render()}"
+                   for text, arg, value in self.prefactors])
 
     def total_line(self):
         return f"delta = {self.total.render()} (angle {self.total.angle})"

@@ -478,19 +478,21 @@ def charpoly_product(polys, g):
 def charpoly_at(polys, t, scalar):
     """The product of the polys at t = 0, 1 or -1, in the ground ring of
     ``scalar`` (``ground_scalar``); 1 for no polys."""
-    return math.prod((_poly.peval_scalar(q, t, scalar(0)) for q in polys), start=scalar(1))
+    zero = scalar(0)
+    return math.prod((_poly.peval_scalar(q, t, zero) for q in polys), start=scalar(1))
 
 
-def index_value(values, polys, i, j, cache):
-    """P_j(y_i) for j != i, and P_i'(y_i) for j = i, in the algebra of
-    y_i = values[i], where P_j = polys[j]; kept in ``cache`` by (i, j), so
-    each is evaluated once.  By Cayley-Hamilton P_i(y_i) = 0, so these are
-    the factors of P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i)."""
-    if (i, j) not in cache:
+def index_values(values, polys, i, cache):
+    """Row i: P_j(y_i) for j != i, and P_i'(y_i) at j = i, in the algebra of
+    y_i = values[i], where P_j = polys[j]; all on one set of powers of y_i
+    (``_poly.peval_many``), and kept in ``cache`` by i, so each row is
+    evaluated once.  By Cayley-Hamilton P_i(y_i) = 0, so the row holds the
+    factors of P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i)."""
+    if i not in cache:
         y = values[i]
-        cache[i, j] = _poly.peval(_poly.pderiv(polys[i]) if i == j else polys[j],
-                                  y, y.algebra.zero())
-    return cache[i, j]
+        cache[i] = _poly.peval_many([_poly.pderiv(q) if j == i else q for j, q in enumerate(polys)],
+                                    y, y.algebra.zero())
+    return cache[i]
 
 
 def is_regular(values, polys, ends, cache):
@@ -500,14 +502,14 @@ def is_regular(values, polys, ends, cache):
     ``ends``, are nonzero.  Where a case has an eigenvalue-1 line, P(1) != 0
     is what keeps P * (T - 1) squarefree.
 
-    Squarefreeness is read off the per-index values of ``index_value``.
-    The algebra of y_i is etale of the degree of P_i over the ground, so the
-    roots of P_i are the images of y_i, and P'(y_i) is a unit iff P' vanishes
-    at no root of P_i.  Every root of P is a root of some P_i, so P is
-    squarefree iff every P'(y_i) is a unit, that is iff every factor
-    P_i'(y_i) and P_j(y_i), j != i, is one."""
-    return all(ends) and all(index_value(values, polys, i, j, cache).is_unit()
-                             for i in range(len(values)) for j in range(len(values)))
+    Squarefreeness is read off the rows of ``index_values``.  The algebra
+    of y_i is etale of the degree of P_i over the ground, so the roots of
+    P_i are the images of y_i, and P'(y_i) is a unit iff P' vanishes at no
+    root of P_i.  Every root of P is a root of some P_i, so P is squarefree
+    iff every P'(y_i) is a unit, that is iff every factor P_i'(y_i) and
+    P_j(y_i), j != i, is one."""
+    return all(ends) and all(v.is_unit() for i in range(len(values))
+                             for v in index_values(values, polys, i, cache))
 
 
 def check_regularity(param, g, role="endoscopic"):

@@ -86,15 +86,16 @@ class TestUnitaryPrefactors:
     def test_arguments_nonzero_under_regularity(self, rng):
         from endofactor.factor import build_charpoly_pack
         from endofactor import _poly
+        from endofactor.params import ground_scalar
         from support import make_instance, whole_charpolys
         for case in ("unitary", "bc_unitary"):
             inst = make_instance(rng, case, p=5)
             pack = build_charpoly_pack(inst.y, inst.g)
-            zero = pack.scalar(0)
+            scalar = ground_scalar(inst.g)
             for side, poly in zip("-+", whole_charpolys(inst.y, inst.g)[1:]):
                 for t in (0, -1):
-                    assert _poly.peval(poly, pack.scalar(t), zero)
-                    assert pack.side_at[side, t] == _poly.peval(poly, pack.scalar(t), zero)
+                    assert _poly.peval(poly, scalar(t), scalar(0))
+                    assert pack.side_at[side, t] == _poly.peval(poly, scalar(t), scalar(0))
 
 
 def test_console_script(rng, tmp_path):

@@ -161,6 +161,16 @@ class TestUnitary:
         assert ubr.e_valuation(ubr.E.element(5)) == 2
         assert ubr.sgn(2) == -1
 
+    def test_e_valuation_rejects_odd_norm_valuation(self):
+        # an element of the ramified K has a norm of odd valuation, which no
+        # element of the unramified E can have; an element of another
+        # unramified E is refused as well
+        ub = UnitaryBaseData(Q5, 2)
+        with pytest.raises(ZeroValuation):
+            ub.e_valuation(K.rt())
+        with pytest.raises(ZeroValuation):
+            ub.e_valuation(UnitaryBaseData(Q5, 3).E.element(1, 1))
+
     def test_e_valuation_matches_the_norm(self, rng):
         """v(x), read off v_p of the coordinates a and b of x, is the norm
         path's: v_p(x * tau(x)) over a ramified E, and half of it, which is

@@ -196,10 +196,9 @@ class TestRecordClasses:
         pack = CharPolyPack("F", Fraction, entries, polys)
         same = CharPolyPack(ground="F", scalar=Fraction, entries=entries, polys=polys)
         assert vars(pack) == vars(same)
-        assert pack.factors == {"i": polys[0], "j": polys[1]}
+        assert (pack.names, pack.polys) == (["i", "j"], polys)
         assert pack.P_at == {1: 0, -1: 0}
-        assert pack.side_at == {("+", 0): -1, ("+", 1): 0, ("+", -1): 0,
-                                ("-", 0): 2, ("-", 1): 6, ("-", -1): 0}
+        assert pack.side_at == {("+", 1): 0, ("+", -1): 0, ("-", 1): 6, ("-", -1): 0}
         x_D = F5.element(2)
         assert vars(RegularParam((), x_D)) == vars(RegularParam(entries=[], x_D=x_D))
         assert TameCharacter(None, Fraction(1, 2), 3) == TameCharacter(

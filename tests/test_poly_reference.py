@@ -14,7 +14,8 @@ then remainder sequences divided by their integer content.  Its reference
 is the Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and the
 certificate is also checked against the remainder sequence alone.
 
-``_poly.peval`` evaluates on the integer matrix of the point and
+``_poly.peval_many`` evaluates several polynomials on the shared powers of
+the point's integer matrix (``_poly.peval`` is one of them), and
 ``_poly.peval_scalar`` by coefficient sums; the reference for both is
 Horner's rule element by element, ``horner`` below.
 """
@@ -662,6 +663,21 @@ def test_peval_matches_horner(data):
 
 
 @given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_peval_many_matches_horner(data):
+    """Several polynomials at one point share its powers: each value is
+    Horner's, whatever the degrees and coefficient kinds in the list."""
+    ring, sources = data.draw(st.sampled_from(EVAL_RINGS))
+    x = data.draw(_elements(ring))
+    coefficient = st.one_of(st.integers(-30, 30), _RATIONALS, *map(_elements, sources))
+    polys = data.draw(st.lists(st.lists(coefficient, max_size=7), max_size=4))
+    got = _poly.peval_many(polys, x, ring.zero())
+    assert len(got) == len(polys)
+    for value, p in zip(got, polys):
+        assert _same(value, horner(p, x, ring.zero()))
+
+
+@given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_peval_scalar_matches_horner(data):
     """Fraction and E coefficients at 0, 1 and -1."""
@@ -679,12 +695,13 @@ def test_peval_scalar_matches_horner(data):
 def test_every_evaluation_of_compute_and_check_matches_horner(case, monkeypatch):
     """Each evaluation that compute_delta and run_suite make, at an element
     or at a scalar, on draws of every case."""
-    fast, fast_scalar = _poly.peval, _poly.peval_scalar
+    fast, fast_scalar = _poly.peval_many, _poly.peval_scalar
     at_elements, at_scalars = [], []
 
-    def checked(p, x, zero):
-        out = fast(p, x, zero)
-        assert _same(out, horner(p, x, zero))
+    def checked(polys, x, zero):
+        out = fast(polys, x, zero)
+        for value, p in zip(out, polys):
+            assert _same(value, horner(p, x, zero))
         at_elements.append(x)
         return out
 
@@ -694,7 +711,7 @@ def test_every_evaluation_of_compute_and_check_matches_horner(case, monkeypatch)
         at_scalars.append(t)
         return out
 
-    monkeypatch.setattr(_poly, "peval", checked)
+    monkeypatch.setattr(_poly, "peval_many", checked)
     monkeypatch.setattr(_poly, "peval_scalar", checked_scalar)
     rng = random.Random(11)
     for p in (3, 5, 7):

@@ -122,3 +122,14 @@ def test_trace_lines_restore_the_digit_limit():
     lines = trace.lines()
     assert "1" + "0" * 4999 + "1" in lines[1] and "1" + "0" * 4999 + "1" in lines[2]
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_ordinary_trace_lines_leave_the_digit_limit_alone(rng, monkeypatch):
+    """A trace whose values all print within the limit never sets it."""
+    from support import make_instance
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", calls.append, raising=False)
+    for case in ("symplectic", "unitary"):
+        inst = make_instance(rng, case, p=5)
+        assert len(factor.compute_delta(*inst.astuple())[1].lines()) > 2
+    assert calls == []

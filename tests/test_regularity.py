@@ -82,24 +82,26 @@ def test_per_index_verdict_matches_the_whole_P_reference():
 
 
 def test_each_value_is_evaluated_once(monkeypatch):
-    """Regularity evaluates every P_j(y_i) and P_i'(y_i) once; compute_C
-    reads them from the pack and evaluates nothing more."""
+    """Regularity evaluates every P_j(y_i) and P_i'(y_i) once, row i on the
+    powers of y_i alone; compute_C reads them from the pack and evaluates
+    nothing more."""
     from endofactor import _poly
     from endofactor.factor import compute_delta
     calls = []
 
-    def counting(p, x, zero):
-        calls.append(x)
-        return peval(p, x, zero)
+    def counting(polys, x, zero):
+        calls.append((x, len(polys)))
+        return peval_many(polys, x, zero)
 
-    peval = _poly.peval
-    monkeypatch.setattr(_poly, "peval", counting)
+    peval_many = _poly.peval_many
+    monkeypatch.setattr(_poly, "peval_many", counting)
     rng = random.Random(3)
     for case in ALL_CASES:
         inst = make_instance(rng, case, p=5, n_indices=(2, 3))
         calls.clear()
         compute_delta(*inst.astuple())
-        assert len(calls) == len(inst.y.entries) ** 2, case
+        k = len(inst.y.entries)
+        assert calls == [(en.value, k) for en in inst.y.entries], case
 
 
 @pytest.mark.parametrize("regular", [True, False], ids=["distinct", "subfield"])

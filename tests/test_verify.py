@@ -276,7 +276,9 @@ class TestSuite:
         inst = _mixed_instance(rng)
         assert all(ok for _, ok in run_suite(*inst.astuple()))
         [pack], [data] = returned["validate_package"], returned["make_lie_param"]
-        assert data.run.pack is pack and data.P_j is pack.factors
+        assert data.run.pack is pack
+        assert list(data.P_j) == pack.names
+        assert all(q is pack.polys[i] for i, q in enumerate(data.P_j.values()))
 
     def test_check_command_counts(self, monkeypatch):
         # the command validates once more before the suite; see cli.cmd_check
