@@ -4,15 +4,21 @@ Builds the characteristic polynomials attached to the endoscopic
 parameters, evaluates the per-index quantities C_i for field indices on
 the minus side, runs the norm character on each, applies the case's
 character prefactors, and multiplies everything into an exact value on the
-unit circle.  The trace keeps every intermediate as a value, and prints
-them so a run can be audited line by line.
+unit circle.  Over the base field F every y has norm 1, and the engine
+works on its tower half a = (y + tau(y))/2 in F_pm: half-degree
+characteristic polynomials, regularity values in F_pm, and C_i with no
+power of y (see CharPolyPack and Formula).  The trace keeps every
+intermediate as a value, and prints them so a run can be audited line by
+line.
 """
 
 import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
+from . import _poly
 from .errors import (
     DivisionByZero,
     MatchFailure,
@@ -20,7 +26,6 @@ from .errors import (
     ValidationFailure,
     ZeroValuation,
 )
-from .etale import charpoly_over
 from .localfield import FieldElement, hilbert_symbol, norm_test
 from .params import (
     CASES,
@@ -29,6 +34,7 @@ from .params import (
     RegularParam,
     TameCharacter,
     charpoly_at,
+    charpoly_rows,
     ground_scalar,
     index_values,
     is_regular,
@@ -108,33 +114,45 @@ class CharPolyPack:
     ground, by entry, and the values of P = prod P_j that the formulary
     reads, each evaluated once.
 
-    Coefficients are Fractions for ground "F" and elements of E for ground
-    "E", constant term first; ``scalar`` maps a base-field scalar into the
-    ground ring (``params.ground_scalar``).  ``side_at`` holds P_-(t) and
-    P_+(t), the products over each side, at t = 1 and -1, and over E also
-    at 0, for the unitary prefactors; ``P_at`` holds P(1) and P(-1):
-    regularity, the formulary's poles and the prefactors all read them
-    there.  ``names``, ``ys`` and ``polys`` hold the names, the y_i and
-    the P_j by entry, and ``cache`` the rows of values P_j(y_i) and
-    P_i'(y_i) by entry position i (``params.index_values``): regularity
-    reads them all, and ``derivative_at`` multiplies a row into P'(y_i).
+    ``points`` and ``polys`` are those of ``params.charpoly_rows``: the y_j
+    and P_j over E, and over F the tower halves a_j and their half-degree
+    R_j, Fraction coefficients, constant term first.  ``P_j`` holds the
+    whole P_j by entry, over F expanded from the R_j once, for a reader
+    that asks (the Lie side of verify).  ``scalar`` maps a base-field scalar
+    into the ground ring (``params.ground_scalar``).  ``side_at`` holds
+    P_-(t) and P_+(t), the products over each side, at t = 1 and -1, and
+    over E also at 0, for the unitary prefactors; over F, P_j(t) =
+    (2t)^(n_j) * R_j(t).  ``P_at`` holds P(1) and P(-1): regularity, the
+    formulary's poles and the prefactors all read them there.  ``cache``
+    holds the rows of ``params.index_values`` by entry position: regularity
+    reads them all, and ``derivative_at`` multiplies one out.
     """
 
-    def __init__(self, ground, scalar, entries, polys):
+    def __init__(self, ground, scalar, entries, points, polys):
         self.ground = ground
         self.names = [en.name for en in entries]
-        self.ys = [en.value for en in entries]
+        self.points = list(points)
         self.polys = list(polys)
-        self.side_at = {(side, t): charpoly_at([q for en, q in zip(entries, self.polys)
-                                                if en.side == side], t, scalar)
-                        for side in "-+" for t in ((0, 1, -1) if ground == "E" else (1, -1))}
+        sides = {side: [q for en, q in zip(entries, self.polys) if en.side == side]
+                 for side in "-+"}
+        if ground == "E":
+            self.side_at = {(side, t): charpoly_at(qs, t, scalar)
+                            for side, qs in sides.items() for t in (0, 1, -1)}
+        else:
+            self.side_at = {(side, t): (2 * t) ** sum(map(_poly.degree, qs))
+                            * charpoly_at(qs, t, scalar)
+                            for side, qs in sides.items() for t in (1, -1)}
         self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
         self.cache = {}
 
+    @cached_property
+    def P_j(self):
+        return self.polys if self.ground == "E" else list(map(_poly.self_reciprocal, self.polys))
+
     def derivative_at(self, name):
-        """P'(y_i), the product of row i, for the first entry i named
-        ``name``."""
-        row = index_values(self.ys, self.polys, self.names.index(name), self.cache)
+        """The product of row i, for the first entry i named ``name``:
+        P'(y_i) over E, and R'(a_i), R = prod R_j, over F."""
+        row = index_values(self.points, self.polys, self.names.index(name), self.cache)
         return math.prod(row[1:], start=row[0])
 
 
@@ -144,7 +162,7 @@ def build_charpoly_pack(y, g):
     name."""
     ground = g.info["ground"]
     return CharPolyPack(ground, ground_scalar(g), y.entries,
-                        [charpoly_over(en.value, ground) for en in y.entries])
+                        *charpoly_rows([en.value for en in y.entries], ground))
 
 
 class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor")):
@@ -156,6 +174,18 @@ class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor
     evaluated in F_i at y = y_i.  ``lead`` is eta (an element of E in the
     unitary cases, where P is P_E) or x_D; ``coef`` is the form coefficient
     c or 1/x; ``pole`` is (point, power) and ``y_factor`` is (plus, minus).
+
+    Over F, with y = a + b*rt of norm 1 and R, a and d' = sum n_j as in
+    ``CharPolyPack``, P'(y) = 2^d' * y^(d'-1) * b*rt * R'(a): with P(T) =
+    (2T)^d' * R((T + 1/T)/2), R(a) = 0 and 1/y = tau(y), this is (2y)^d' *
+    R'(a) * (1 - tau(y)^2)/2, and (1 - tau(y)^2)/2 = b*rt*tau(y).  In every
+    row over F, (offset - d)/2 = 1 - d', so the powers of y cancel and
+
+        C = [scalar * lead * 2^d' * R'(a)] * (b*rt * coef * P(point)^power
+            * (1+y)^plus * (y-1)^minus),
+
+    the first factor in F_pm, multiplied after the second is found
+    tau-fixed.
     """
 
     __slots__ = ()
@@ -191,7 +221,8 @@ def formula_for(g):
 
 
 def compute_C(name, pack, y, x, g):
-    """The per-index quantity C_i, certified to lie in F_pm^x.
+    """The per-index quantity C_i, certified to lie in F_pm^x; over F in the
+    form of ``Formula`` on the tower half.
 
     Returns (value in F_i, value as an element of F_pm); raises
     NotInFixedField when the tau-fixedness assertion fails and
@@ -208,17 +239,24 @@ def compute_C(name, pack, y, x, g):
         raise UnsupportedCase("half-integral exponent: case/parity mismatch")
     point, power = row.pole
     plus, minus = row.y_factor
+    y_power = (row.offset - g.d) // 2
     try:
         lead = x.x_D if row.lead == "x_D" else g.eta
         if pack.ground == "E":
             # eta lies in E, and E * F_i is not defined (both are etale
             # algebras, so Python calls no reflected product): embed it first
-            lead = yv.algebra.element(lead)
+            front, c = 1, row.scalar * yv.algebra.element(lead) * pack.derivative_at(name)
+        else:
+            # the factors in F_pm wait for as_base; y^(d'-1) joins the power
+            # of y, which is then 0 once the dimensions are validated
+            d_half = sum(map(_poly.degree, pack.polys))
+            front = pack.derivative_at(name) * (row.scalar * 2 ** d_half * lead)
+            c, y_power = yv.algebra.element(0, yv.b), y_power + d_half - 1
         # one inversion, of the negative powers' product; P(point) comes last,
         # as over E it lies in E, not in F_i
-        c, den = row.scalar * lead * pack.derivative_at(name), None
+        den = None
         for value, k in ((xe.c, 1) if row.coef == "c" else (xe.value, -1),
-                         (yv, (row.offset - g.d) // 2), (1 + yv, plus), (yv - 1, minus),
+                         (yv, y_power), (1 + yv, plus), (yv - 1, minus),
                          (pack.P_at[point], power)):
             if k > 0:
                 c = c * value ** k
@@ -228,10 +266,10 @@ def compute_C(name, pack, y, x, g):
             c = c * den.inverse()
     except ZeroValuation as exc:
         raise DivisionByZero(f"index {name!r}: {exc}") from None
-    if not c:
+    if not (c and front):
         raise DivisionByZero(f"index {name!r}: C vanished (non-regular input)")
-    base_value = c.as_base()   # raises NotInFixedField when the assertion fails
-    return c, base_value
+    base_value = c.as_base() * front   # as_base raises NotInFixedField when the assertion fails
+    return ye.algebra.element(base_value), base_value
 
 
 class FactorTrace:
@@ -320,7 +358,7 @@ def validation_steps(y, x, g, e):
                ValidationFailure(f"sides have dimensions {dims}, "
                                  f"datum says ({e.d_minus}, {e.d_plus})"))
     pack = build_charpoly_pack(y, g)
-    if not is_regular(pack.ys, pack.polys, pack.P_at.values(), pack.cache):
+    if not is_regular(pack.points, pack.polys, pack.P_at.values(), pack.cache):
         yield (["regularity: not suitably regular"],
                ValidationFailure("parameters are not suitably regular"))
         return pack

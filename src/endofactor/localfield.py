@@ -732,6 +732,10 @@ class FieldElement(FlatElement):
             return self.tower.element(other)
         return None
 
+    def is_unit(self):
+        """x != 0: a tower is a field."""
+        return bool(self)
+
     # -- p-adic structure ------------------------------------------------------
 
     def as_fraction(self):

@@ -4,7 +4,9 @@ Seven group cases are supported: symplectic, odd/even special orthogonal,
 the twisted linear group in even/odd dimension, unitary, and the twisted
 group obtained from a unitary group by base change.  Validation is
 report-style: every rule violation is collected with a stable code instead
-of raising, so front ends can print complete diagnoses.
+of raising, so front ends can print complete diagnoses.  Over F,
+regularity is read off the tower halves (y + tau(y))/2 of the norm-one y
+(``charpoly_rows``).
 """
 
 import math
@@ -482,43 +484,67 @@ def charpoly_at(polys, t, scalar):
     return math.prod((_poly.peval_scalar(q, t, zero) for q in polys), start=scalar(1))
 
 
-def index_values(values, polys, i, cache):
-    """Row i: P_j(y_i) for j != i, and P_i'(y_i) at j = i, in the algebra of
-    y_i = values[i], where P_j = polys[j]; all on one set of powers of y_i
+def charpoly_rows(values, ground):
+    """(points, polys): where and what the rows of ``index_values`` evaluate
+    for the norm-one eigenvalue data ``values``.
+
+    Over E the points are the y_j and the polys their characteristic
+    polynomials P_j over E.  Over F, y = a + b*rt with a^2 - delta*b^2 = 1,
+    so the eigenvalues of y come in pairs y, 1/y: the points are the tower
+    halves a_j = (y_j + tau(y_j))/2 in F_pm,j, and the polys the
+    characteristic polynomials R_j of the a_j over F, of degree n_j =
+    [F_pm,j : F], with P_j(T) = (2T)^(n_j) * R_j((T + 1/T)/2)."""
+    if ground == "E":
+        return list(values), [charpoly_over(v, "E") for v in values]
+    points = [v.a for v in values]
+    return points, [a.tower.base_charpoly(a) for a in points]
+
+
+def index_values(points, polys, i, cache):
+    """Row i: q_j(z_i) for j != i, and q_i'(z_i) at j = i, in the ring of
+    z_i = points[i], where q_j = polys[j]; all on one set of powers of z_i
     (``_poly.peval_many``), and kept in ``cache`` by i, so each row is
-    evaluated once.  By Cayley-Hamilton P_i(y_i) = 0, so the row holds the
-    factors of P'(y_i) = P_i'(y_i) * prod_(j != i) P_j(y_i)."""
+    evaluated once.  By Cayley-Hamilton q_i(z_i) = 0, so the row holds the
+    factors of Q'(z_i) = q_i'(z_i) * prod_(j != i) q_j(z_i), Q = prod q_j:
+    P'(y_i) over E, and over F (``charpoly_rows``) R'(a_i), R = prod R_j,
+    in the field F_pm,i."""
     if i not in cache:
-        y = values[i]
+        z = points[i]
         cache[i] = _poly.peval_many([_poly.pderiv(q) if j == i else q for j, q in enumerate(polys)],
-                                    y, y.algebra.zero())
+                                    z, z.ring.zero())
     return cache[i]
 
 
-def is_regular(values, polys, ends, cache):
+def is_regular(points, polys, ends, cache):
     """The conservative sufficient condition on P = prod P_j, the product of
-    the characteristic polynomials P_j of the y_i over the case ground: P is
-    squarefree, and the formulary's denominators P(1) and P(-1), given as
-    ``ends``, are nonzero.  Where a case has an eigenvalue-1 line, P(1) != 0
-    is what keeps P * (T - 1) squarefree.
+    the characteristic polynomials P_j of the norm-one y_i over the case
+    ground: P is squarefree, and the formulary's denominators P(1) and
+    P(-1) are nonzero.  ``points`` and ``polys`` are those of
+    ``charpoly_rows``, and ``ends`` the products of the polys at 1 and -1.
+    Where a case has an eigenvalue-1 line, P(1) != 0 is what keeps
+    P * (T - 1) squarefree.
 
     Squarefreeness is read off the rows of ``index_values``.  The algebra
     of y_i is etale of the degree of P_i over the ground, so the roots of
     P_i are the images of y_i, and P'(y_i) is a unit iff P' vanishes at no
     root of P_i.  Every root of P is a root of some P_i, so P is squarefree
     iff every P'(y_i) is a unit, that is iff every factor P_i'(y_i) and
-    P_j(y_i), j != i, is one."""
-    return all(ends) and all(v.is_unit() for i in range(len(values))
-                             for v in index_values(values, polys, i, cache))
+    P_j(y_i), j != i, is one: over E these are the rows.  Over F, P_j(y_i)
+    = (2y_i)^(n_j) * R_j(a_i), P_i'(y_i) = (2y_i)^(n_i) * R_i'(a_i) *
+    b_i*rt * tau(y_i) (see ``factor.Formula``) and P(+-1) = (+-2)^(d') *
+    R(+-1); b_i = 0 would make a_i = +-1 a root of R.  So the rows, in the
+    fields F_pm,i, and the ends must be nonzero."""
+    return all(ends) and all(v.is_unit() for i in range(len(points))
+                             for v in index_values(points, polys, i, cache))
 
 
 def check_regularity(param, g, role="endoscopic"):
-    """Regularity of a parameter pack: is_regular on the characteristic
-    polynomials of its eigenvalue data."""
-    values = _norm_one_values(param, g, role)
-    polys = [charpoly_over(v, g.info["ground"]) for v in values]
+    """Regularity of a parameter pack: is_regular on the rows of its
+    eigenvalue data, which must have norm 1 (``validate_param``)."""
+    ground = g.info["ground"]
+    points, polys = charpoly_rows(_norm_one_values(param, g, role), ground)
     ends = [charpoly_at(polys, t, ground_scalar(g)) for t in (1, -1)]
-    return is_regular(values, polys, ends, {})
+    return is_regular(points, polys, ends, {})
 
 
 def _structure_key(en):
@@ -538,7 +564,11 @@ def match_stable_classes(y, x, g, e=None):
             if xe.value != ye.value:
                 return False
             continue
-        if xe.value / xe.value.tau() != ye.value * _twist(g, xe.algebra):
+        # x/tau(x) = y * nu/tau(nu) * (-1)^(d+1), times tau(x)*tau(nu): every
+        # operand is a validated unit, so no inverse is needed
+        nu = xe.algebra.element(g.nu)
+        rhs = xe.value.tau() * ye.value * nu
+        if xe.value * nu.tau() != (rhs if g.d % 2 else -rhs):
             return False
     return True
 

@@ -60,7 +60,7 @@ class LieParam:
     eigenvalue for the distinguished line, then the index blocks).  P_y is
     (T - 1) * P, P the product of the P_j, on the whole space, and dP_y its
     derivative.  ``run`` is the factor engine's trace of y: P_j holds its
-    pack's polys by name, and its C_i verdicts and total are what the
+    pack's P_j by name, and its C_i verdicts and total are what the
     cross-checks compare against.
     """
 
@@ -90,7 +90,8 @@ def make_lie_param(y, x, g, run, c=None):
     """Assemble the Lie-side data for a validated odd twisted instance.
 
     ``run`` is the factor engine's trace of y (from compute_delta); P_j is
-    read from its pack's ``polys``, and only X, Q_j, Q_X, c_D and P_y,
+    read from its pack's ``P_j``, expanded there once from the half-degree
+    polynomials of the tower halves, and only X, Q_j, Q_X, c_D and P_y,
     (T - 1) times the product of the P_j, are computed here, each once.
     ``c`` optionally maps index names to tau-fixed auxiliaries in F_pm^x
     (default: 1 everywhere).  c_D is derived as -nu times the product of
@@ -123,9 +124,9 @@ def make_lie_param(y, x, g, run, c=None):
         det_prod *= Fraction(_poly.charpoly(scaled, 1)[0], L ** len(gram))
     Q_X = _poly.pmul([Fraction(0), Fraction(1)], charpoly_product(Q_j.values(), g))
     c_D = F.element(-g.nu * det_prod)
-    P_y = _poly.pmul(charpoly_product(run.pack.polys, g), [Fraction(-1), Fraction(1)])
+    P_y = _poly.pmul(charpoly_product(run.pack.P_j, g), [Fraction(-1), Fraction(1)])
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
-                    P_j=dict(zip(run.pack.names, run.pack.polys)), Q_j=Q_j, Q_X=Q_X,
+                    P_j=dict(zip(run.pack.names, run.pack.P_j)), Q_j=Q_j, Q_X=Q_X,
                     dQ_X=_poly.pderiv(Q_X), P_y=P_y, dP_y=_poly.pderiv(P_y), run=run)
 
 

@@ -13,12 +13,14 @@ import random
 
 from endofactor import _poly, forms
 from endofactor._poly import degree, gcd_mod, pderiv
+from endofactor.errors import DivisionByZero, UnsupportedCase, ZeroValuation
 from endofactor.etale import (
     UnitaryBaseData,
     charpoly_over,
     quadratic_field,
     split_algebra,
 )
+from endofactor.factor import formula_for
 from endofactor.localfield import (
     MAX_TOWER_DEGREE,
     BaseField,
@@ -35,9 +37,12 @@ from endofactor.params import (
     RegularParam,
     TameCharacter,
     _norm_one_values,
+    charpoly_at,
     charpoly_product,
     check_regularity,
     ground_scalar,
+    index_values,
+    is_regular,
     side_dimensions,
     validate_endoscopic,
     validate_group,
@@ -751,3 +756,72 @@ def regular_by_whole_P(param, g, role="endoscopic"):
     product P of the characteristic polynomials of its eigenvalue data."""
     polys = [charpoly_over(v, g.info["ground"]) for v in _norm_one_values(param, g, role)]
     return is_regular_charpoly(charpoly_product(polys, g), g)
+
+
+# ---------------------------------------------------------------------------
+# the full-degree route: the reference of the engine's tower-half pack
+# ---------------------------------------------------------------------------
+
+class FullDegreePack:
+    """The characteristic-polynomial pack of y on the full-degree route, over
+    either ground: P_j = charpoly_over(y_j), of degree 2n_j over F, the
+    rows P_j(y_i), j != i, and P_i'(y_i) in the algebra K_i of y_i, and
+    side_at and P_at from the P_j.  ``factor.CharPolyPack`` reads the same
+    quantities off the tower halves a_j over F."""
+
+    def __init__(self, y, g):
+        ground = g.info["ground"]
+        scalar = ground_scalar(g)
+        self.ground = ground
+        self.names = [en.name for en in y.entries]
+        self.ys = [en.value for en in y.entries]
+        self.polys = [charpoly_over(v, ground) for v in self.ys]
+        self.side_at = {(side, t): charpoly_at([q for en, q in zip(y.entries, self.polys)
+                                                if en.side == side], t, scalar)
+                        for side in "-+" for t in ((0, 1, -1) if ground == "E" else (1, -1))}
+        self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
+        self.cache = {}
+
+    def regular(self):
+        return is_regular(self.ys, self.polys, self.P_at.values(), self.cache)
+
+    def derivative_at(self, name):
+        """P'(y_i), the product of row i in K_i."""
+        row = index_values(self.ys, self.polys, self.names.index(name), self.cache)
+        return math.prod(row[1:], start=row[0])
+
+
+def full_degree_C(name, pack, y, x, g):
+    """C_i on the full-degree route, for a FullDegreePack: the formula's
+    product in K_i with P'(y_i) and the power of y, the negative powers
+    inverted once, then the tau-fixed check.  Returns (value in K_i, value
+    in F_pm), and raises as ``factor.compute_C`` does."""
+    ye = y.entry(name)
+    xe = x.entry(name)
+    if not ye.algebra.is_field:
+        raise UnsupportedCase(f"index {name!r} is split; C is only defined for field indices")
+    yv = ye.value
+    row = formula_for(g)
+    if (row.offset - g.d) % 2:
+        raise UnsupportedCase("half-integral exponent: case/parity mismatch")
+    point, power = row.pole
+    plus, minus = row.y_factor
+    try:
+        lead = x.x_D if row.lead == "x_D" else g.eta
+        if pack.ground == "E":
+            lead = yv.algebra.element(lead)
+        c, den = row.scalar * lead * pack.derivative_at(name), None
+        for value, k in ((xe.c, 1) if row.coef == "c" else (xe.value, -1),
+                         (yv, (row.offset - g.d) // 2), (1 + yv, plus), (yv - 1, minus),
+                         (pack.P_at[point], power)):
+            if k > 0:
+                c = c * value ** k
+            elif k < 0:
+                den = value ** -k if den is None else den * value ** -k
+        if den is not None:
+            c = c * den.inverse()
+    except ZeroValuation as exc:
+        raise DivisionByZero(f"index {name!r}: {exc}") from None
+    if not c:
+        raise DivisionByZero(f"index {name!r}: C vanished (non-regular input)")
+    return c, c.as_base()

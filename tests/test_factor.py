@@ -253,22 +253,31 @@ class TestComputeDelta:
         assert value.sign == (1 if eta.as_fraction() * c0 > 0 else -1)
 
     def test_one_charpoly_per_index(self, rng, monkeypatch):
+        """One characteristic polynomial per index: of y_j over E, and over F
+        of the tower half a_j = (y_j + tau(y_j))/2, on its tower."""
         from support import make_instance
-        from endofactor import etale, factor, params, verify
+        from endofactor import params
+        from endofactor.localfield import IntegerStructure
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return etale.charpoly_over(*args)
+        def over(x, ground, _original=params.charpoly_over):
+            calls.append(x)
+            return _original(x, ground)
 
-        for module in (factor, params, verify):
-            if getattr(module, "charpoly_over", None) is etale.charpoly_over:
-                monkeypatch.setattr(module, "charpoly_over", counting)
+        def base(ring, x, _original=IntegerStructure.base_charpoly):
+            calls.append(x)
+            return _original(ring, x)
+
+        monkeypatch.setattr(params, "charpoly_over", over)
+        monkeypatch.setattr(IntegerStructure, "base_charpoly", base)
         for case in ALL_CASES:
             inst = make_instance(rng, case, p=5, n_indices=(2, 3))
             calls.clear()
             compute_delta(*inst.astuple())
-            assert len(calls) == len(inst.y.entries), case
+            want = [en.value if inst.g.info["ground"] == "E" else en.value.a
+                    for en in inst.y.entries]
+            assert [(x.ring, x.num, x.den) for x in calls] == [
+                (x.ring, x.num, x.den) for x in want], case
 
     def test_P_at_one_and_minus_one_once_per_pack(self, rng, monkeypatch):
         """Each P_j is evaluated once at each of 1 and -1, and over E at 0,

@@ -192,13 +192,17 @@ class TestRecordClasses:
 
     def test_pack_and_param_calls(self):
         entries = (IndexEntry("i", "+", None, None), IndexEntry("j", "-", None, None))
-        polys = [[Fraction(-1), 0, 1], [Fraction(2), 3, 1]]
-        pack = CharPolyPack("F", Fraction, entries, polys)
-        same = CharPolyPack(ground="F", scalar=Fraction, entries=entries, polys=polys)
+        # over F the pack holds the half-degree R_j of the tower halves, and
+        # P_j(t) = (2t)^(n_j) * R_j(t) at t = 1, -1
+        points, polys = [None, None], [[Fraction(-1), 0, 1], [Fraction(2), 3, 1]]
+        pack = CharPolyPack("F", Fraction, entries, points, polys)
+        same = CharPolyPack(ground="F", scalar=Fraction, entries=entries, points=points,
+                            polys=polys)
         assert vars(pack) == vars(same)
-        assert (pack.names, pack.polys) == (["i", "j"], polys)
+        assert (pack.names, pack.points, pack.polys) == (["i", "j"], points, polys)
         assert pack.P_at == {1: 0, -1: 0}
-        assert pack.side_at == {("+", 1): 0, ("+", -1): 0, ("-", 1): 6, ("-", -1): 0}
+        assert pack.side_at == {("+", 1): 0, ("+", -1): 0, ("-", 1): 24, ("-", -1): 0}
+        assert pack.P_j == [[1, 0, -2, 0, 1], [1, 6, 10, 6, 1]]
         x_D = F5.element(2)
         assert vars(RegularParam((), x_D)) == vars(RegularParam(entries=[], x_D=x_D))
         assert TameCharacter(None, Fraction(1, 2), 3) == TameCharacter(

@@ -58,7 +58,7 @@ def variants(rng, inst):
 def _engine_verdict(param, g):
     """The verdict of validation's path: the pack's cached values."""
     pack = build_charpoly_pack(param, g)
-    return is_regular(pack.ys, pack.polys, pack.P_at.values(), pack.cache)
+    return is_regular(pack.points, pack.polys, pack.P_at.values(), pack.cache)
 
 
 def test_per_index_verdict_matches_the_whole_P_reference():
@@ -82,9 +82,10 @@ def test_per_index_verdict_matches_the_whole_P_reference():
 
 
 def test_each_value_is_evaluated_once(monkeypatch):
-    """Regularity evaluates every P_j(y_i) and P_i'(y_i) once, row i on the
-    powers of y_i alone; compute_C reads them from the pack and evaluates
-    nothing more."""
+    """Regularity evaluates every row value once, row i on the powers of its
+    point alone: y_i over E, and over F the tower half a_i = (y_i +
+    tau(y_i))/2, where the row holds R_j(a_i) and R_i'(a_i); compute_C
+    reads them from the pack and evaluates nothing more."""
     from endofactor import _poly
     from endofactor.factor import compute_delta
     calls = []
@@ -101,7 +102,9 @@ def test_each_value_is_evaluated_once(monkeypatch):
         calls.clear()
         compute_delta(*inst.astuple())
         k = len(inst.y.entries)
-        assert calls == [(en.value, k) for en in inst.y.entries], case
+        points = [en.value if inst.g.info["ground"] == "E" else en.value.a
+                  for en in inst.y.entries]
+        assert calls == [(z, k) for z in points], case
 
 
 @pytest.mark.parametrize("regular", [True, False], ids=["distinct", "subfield"])

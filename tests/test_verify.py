@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from endofactor.errors import MatchFailure, NotInFixedField, PoleAtMinusOne, PoleAtOne
-from endofactor.etale import quadratic_field
+from endofactor.etale import charpoly_over, quadratic_field
 from endofactor.factor import FactorTrace, build_charpoly_pack, compute_delta
 from endofactor.forms import gram_block
 from endofactor.localfield import BaseField, trivial_tower
@@ -253,16 +253,18 @@ class TestSuite:
 
     def test_engine_runs_once(self, rng, monkeypatch):
         # compute_delta validates, builds the one pack and computes each C_i
-        # once; the Lie side adds only the Q_j to the engine's P_j and reads
-        # the C_i verdicts from the engine's run
+        # once; the Lie side adds only the Q_j to the engine's P_j, which the
+        # pack expands once from its half-degree R_j, and reads the C_i
+        # verdicts from the engine's run
         inst = _mixed_instance(rng)
         counts = _count_calls(monkeypatch, "validate_package", "build_charpoly_pack",
-                              "charpoly_over", "compute_C")
+                              "charpoly_rows", "self_reciprocal", "charpoly_over",
+                              "compute_C")
         results = run_suite(*inst.astuple())
         assert all(ok for _, ok in results)
         assert counts == {
-            "validate_package": 1, "build_charpoly_pack": 1,
-            "charpoly_over": 2 * len(inst.y.entries),
+            "validate_package": 1, "build_charpoly_pack": 1, "charpoly_rows": 1,
+            "self_reciprocal": len(inst.y.entries), "charpoly_over": len(inst.y.entries),
             "compute_C": len(inst.y.field_indices("-"))}
 
     def test_lie_side_reads_the_validated_pack(self, rng, monkeypatch):
@@ -278,19 +280,21 @@ class TestSuite:
         [pack], [data] = returned["validate_package"], returned["make_lie_param"]
         assert data.run.pack is pack
         assert list(data.P_j) == pack.names
-        assert all(q is pack.polys[i] for i, q in enumerate(data.P_j.values()))
+        assert all(q is pack.P_j[i] for i, q in enumerate(data.P_j.values()))
+        assert pack.P_j == [charpoly_over(en.value, "F") for en in inst.y.entries]
 
     def test_check_command_counts(self, monkeypatch):
         # the command validates once more before the suite; see cli.cmd_check
         from pathlib import Path
 
         from endofactor.cli import main
-        counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_over",
-                              "is_regular", "compute_C")
+        counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_rows",
+                              "self_reciprocal", "charpoly_over", "is_regular", "compute_C")
         sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
         assert main(["check", str(sample)]) == 0
         assert counts == {
-            "build_charpoly_pack": 2, "charpoly_over": 3, "is_regular": 2, "compute_C": 1}
+            "build_charpoly_pack": 2, "charpoly_rows": 2, "self_reciprocal": 1,
+            "charpoly_over": 1, "is_regular": 2, "compute_C": 1}
 
     def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
         # a plus-side x_j replaced by tau(x_j), off its matching class: the
