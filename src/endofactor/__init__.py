@@ -31,12 +31,12 @@ _EXPORTS = {
     "forms": "FormInvariants QuadraticSpace invariants isomorphic "
              "symmetrize_twisted trace_form_gram",
     "params": "EndoscopicDatum GroupDescriptor IndexEntry RegularParam TameCharacter "
-              "check_regularity match_stable_classes stable_class_of "
+              "check_regularity match_stable_classes "
               "validate_endoscopic validate_group validate_param",
     "factor": "CharPolyPack FactorTrace UnitCircleValue build_charpoly_pack compute_C "
               "compute_delta eval_character special_case_indicator swapped_delta",
     "verify": "LieParam cayley cayley_inv check_Aij_is_norm check_Bi_Ci_consistency "
-              "check_cD_square_class delta_I_lie eta_from_nu li_identity_1 "
+              "check_cD_square_class eta_from_nu li_identity_1 "
               "li_identity_2 make_lie_param",
     "document": "InstanceDocument dump_document load_document",
 }

@@ -7,17 +7,15 @@ one implementation serves Q, towers, and etale algebras, and ``charpoly``
 also runs on the integer matrices of the tower kernel.
 ``peval`` evaluates at an element of a tower or etale algebra on that ring's
 integer matrix of the element, ``peval_many`` several polynomials on one set
-of its powers (the factor engine's rows of values, over F at the tower half
-a = (y + tau(y))/2 of a norm-one y), and ``peval_scalar`` at 0, 1 and -1 by
-coefficient sums alone.  ``self_reciprocal`` expands P(T) = (2T)^n *
-R((T + 1/T)/2) from the characteristic polynomial R of a.  Polynomial
-division lives here alone: ``rem_mod``, the remainder over F_l that
-``gcd_mod`` and the residue fields of ``localfield`` use.
+of its powers (the rows of the factor engine's pack), and ``peval_scalar``
+at 0, 1 and -1 by coefficient sums alone.  Polynomial division lives here
+alone: ``rem_mod``, the remainder over F_l that ``gcd_mod`` and the residue
+fields of ``localfield`` use.
 """
 
 import operator
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 
 def trim(coeffs):
@@ -45,19 +43,6 @@ def pmul(p, q):
 
 def pderiv(p):
     return trim([p[k] * k for k in range(1, len(p))])
-
-
-def self_reciprocal(r):
-    """(2T)^n * r((T + 1/T)/2), n = deg r: the polynomial of degree 2n whose
-    roots are the y and 1/y with (y + 1/y)/2 a root of r.  With r = sum
-    r_k X^k it is sum r_k * 2^(n-k) * T^(n-k) * (T^2 + 1)^k."""
-    n = degree(r)
-    out = [0] * (2 * n + 1)
-    for k, c in enumerate(r):
-        c = c * 2 ** (n - k)
-        for m in range(k + 1):
-            out[n - k + 2 * m] += c * comb(k, m)
-    return trim(out)
 
 
 def peval(p, x, zero):

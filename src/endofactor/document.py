@@ -536,7 +536,7 @@ def dump_document(g, e, y, x):
         alg = ye.algebra
         if alg.unitary_base is not None:
             aspec = {"kind": "tensor"}
-        elif alg.split_root is not None:
+        elif not alg.is_field:
             aspec = {"kind": "split"}
         else:
             aspec = {"kind": "field", "delta": repr(alg.delta)}

@@ -3,9 +3,8 @@ traces, and characteristic polynomials over the ground field.
 
 An algebra is presented as F_pm[rt]/(rt^2 - delta), with a + b*rt for a,
 b in the tower F_pm, and tau is b -> -b.  It is a field iff delta is a
-non-square.  When delta is a square with a known root s (split algebras
-are built with delta = 1, s = 1), the element corresponds to the
-coordinate pair (a + b*s, a - b*s) of F_pm (+) F_pm and tau is the
+non-square.  Split algebras are built with delta = 1, where a + b*rt is
+the coordinate pair (a + b, a - b) of F_pm (+) F_pm and tau is the
 coordinate swap.
 
 The algebra is an IntegerStructure of its own, on the 2n monomials
@@ -31,7 +30,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import _poly
-from . import localfield
 from .errors import (
     NotInFixedField,
     UnsupportedCase,
@@ -53,14 +51,13 @@ from .localfield import (
 class QuadraticEtale(IntegerStructure):
     """F_pm[rt]/(rt^2 - delta); a quadratic field or the split algebra."""
 
-    def __init__(self, base_pm, delta, *, split_root=None, unitary_base=None):
+    def __init__(self, base_pm, delta, *, unitary_base=None):
         if not isinstance(delta, FieldElement):
             delta = base_pm.element(delta)
         if not delta:
             raise ZeroValuation("delta must be nonzero")
         self.base_pm = base_pm
         self.delta = delta
-        self.split_root = split_root
         self.unitary_base = unitary_base
         self.is_field = not is_square(delta)
         self._fingerprint = ("etale", base_pm._fingerprint, delta.num, delta.den,
@@ -111,16 +108,6 @@ class QuadraticEtale(IntegerStructure):
         """The square root of delta."""
         return self.element(0, 1)
 
-    def from_pair(self, first, second):
-        """Element with the given split coordinates (needs a known root)."""
-        if self.split_root is None:
-            raise UnsupportedCase("no explicit square root of delta is known")
-        first = self.base_pm.element(first)
-        second = self.base_pm.element(second)
-        half = Fraction(1, 2)
-        return self.element((first + second) * half,
-                            (first - second) * half / self.split_root)
-
     def _invert(self, x):
         """tau(x) / N(x), N(x) inverted in the tower."""
         n = x.norm()
@@ -142,8 +129,8 @@ def quadratic_field(base_pm, delta):
 
 
 def split_algebra(base_pm):
-    """F_pm (+) F_pm, presented with delta = 1 and the evident root."""
-    return QuadraticEtale(base_pm, base_pm.one(), split_root=base_pm.one())
+    """F_pm (+) F_pm, presented with delta = 1."""
+    return QuadraticEtale(base_pm, base_pm.one())
 
 
 class EtaleElement(FlatElement):
@@ -204,14 +191,6 @@ class EtaleElement(FlatElement):
         if any(self.num[self.algebra.base_pm.n:]):
             raise NotInFixedField("rt-coordinate is nonzero")
         return self.a
-
-    def as_pair(self):
-        """Split coordinates (needs the algebra's explicit root)."""
-        s = self.algebra.split_root
-        if s is None:
-            raise UnsupportedCase("no explicit square root of delta is known")
-        a, b = self.a, self.b
-        return (a + b * s, a - b * s)
 
     def __repr__(self):
         if not self:
@@ -369,10 +348,6 @@ class UnitaryBaseData:
             scale = Fraction(p) ** -v
             coords = [a * scale, b * scale * p ** k]
         return v, res.element([_reduce_mod(c, p) for c in coords])
-
-    def sgn(self, x):
-        """The norm character sgn_{E/F} on F^x."""
-        return localfield.hilbert_symbol(self.F.element(x), self.E.delta)
 
     def __eq__(self, other):
         return isinstance(other, UnitaryBaseData) and self.fingerprint == other.fingerprint

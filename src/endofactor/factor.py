@@ -1,13 +1,13 @@
 """The transfer-factor engine.
 
-Builds the characteristic polynomials attached to the endoscopic
-parameters, evaluates the per-index quantities C_i for field indices on
-the minus side, runs the norm character on each, applies the case's
-character prefactors, and multiplies everything into an exact value on the
-unit circle.  Over the base field F every y has norm 1, and the engine
-works on its tower half a = (y + tau(y))/2 in F_pm: half-degree
-characteristic polynomials, regularity values in F_pm, and C_i with no
-power of y (see CharPolyPack and Formula).  The trace keeps every
+Builds the characteristic-polynomial pack of the endoscopic parameters,
+which also decides their regularity, evaluates the per-index quantities
+C_i for field indices on the minus side, runs the norm character on each,
+applies the case's character prefactors, and multiplies everything into an
+exact value on the unit circle.  Over the base field F every y has norm 1,
+and the engine works on its tower half a = (y + tau(y))/2 in F_pm: the
+pack (``CharPolyPack``) is the one place that states and applies that
+rule, and ``Formula`` shows C_i with no power of y.  The trace keeps every
 intermediate as a value, and prints them so a run can be audited line by
 line.
 """
@@ -26,6 +26,7 @@ from .errors import (
     ValidationFailure,
     ZeroValuation,
 )
+from .etale import charpoly_over
 from .localfield import FieldElement, hilbert_symbol, norm_test
 from .params import (
     CASES,
@@ -33,11 +34,6 @@ from .params import (
     IndexEntry,
     RegularParam,
     TameCharacter,
-    charpoly_at,
-    charpoly_rows,
-    ground_scalar,
-    index_values,
-    is_regular,
     match_stable_classes,
     side_dimensions,
     validate_endoscopic,
@@ -110,59 +106,110 @@ class UnitCircleValue:
 
 
 class CharPolyPack:
-    """The per-index characteristic polynomials P_j of y over the case's
-    ground, by entry, and the values of P = prod P_j that the formulary
-    reads, each evaluated once.
+    """The characteristic polynomials of the norm-one eigenvalue data y_j of
+    ``entries`` over the case ground of g, and every value of them that the
+    formulary reads, each evaluated once.
 
-    ``points`` and ``polys`` are those of ``params.charpoly_rows``: the y_j
-    and P_j over E, and over F the tower halves a_j and their half-degree
-    R_j, Fraction coefficients, constant term first.  ``P_j`` holds the
-    whole P_j by entry, over F expanded from the R_j once, for a reader
-    that asks (the Lie side of verify).  ``scalar`` maps a base-field scalar
-    into the ground ring (``params.ground_scalar``).  ``side_at`` holds
-    P_-(t) and P_+(t), the products over each side, at t = 1 and -1, and
-    over E also at 0, for the unitary prefactors; over F, P_j(t) =
-    (2t)^(n_j) * R_j(t).  ``P_at`` holds P(1) and P(-1): regularity, the
-    formulary's poles and the prefactors all read them there.  ``cache``
-    holds the rows of ``params.index_values`` by entry position: regularity
-    reads them all, and ``derivative_at`` multiplies one out.
+    Over E the points are the y_j and the polys their characteristic
+    polynomials P_j over E.  Over F, y = a + b*rt with a^2 - delta*b^2 = 1,
+    so the eigenvalues of y come in pairs y, 1/y: the points are the tower
+    halves a_j = (y_j + tau(y_j))/2 in F_pm,j, and the polys the
+    characteristic polynomials R_j of the a_j over F, of degree n_j =
+    [F_pm,j : F], with
+
+        P_j(T) = (2T)^(n_j) * R_j((T + 1/T)/2),
+
+    so P_j(t) = (2t)^(n_j) * R_j(t) at t = 1, -1.  Polys are lists of
+    coefficients, Fractions over F, constant term first.  ``degree`` is the
+    sum of their degrees: d' = sum n_j over F.
+
+    ``side_at`` holds P_-(t) and P_+(t), the products over each side, at t =
+    1 and -1, and over E also at 0, for the unitary prefactors; ``P_at``
+    holds P(1) and P(-1), which regularity, the formulary's poles and the
+    prefactors read.  ``P_j`` expands the whole P_j, once, for a reader that
+    asks (the Lie side of verify).
     """
 
-    def __init__(self, ground, scalar, entries, points, polys):
-        self.ground = ground
+    def __init__(self, g, entries, values):
+        self.ground = g.info["ground"]
         self.names = [en.name for en in entries]
-        self.points = list(points)
-        self.polys = list(polys)
-        sides = {side: [q for en, q in zip(entries, self.polys) if en.side == side]
-                 for side in "-+"}
-        if ground == "E":
-            self.side_at = {(side, t): charpoly_at(qs, t, scalar)
-                            for side, qs in sides.items() for t in (0, 1, -1)}
+        if self.ground == "E":
+            self.points = list(values)
+            self.polys = [charpoly_over(v, "E") for v in self.points]
+            zero, one, ts = g.E.E.zero(), g.E.E.one(), (0, 1, -1)
         else:
-            self.side_at = {(side, t): (2 * t) ** sum(map(_poly.degree, qs))
-                            * charpoly_at(qs, t, scalar)
-                            for side, qs in sides.items() for t in (1, -1)}
+            self.points = [v.a for v in values]
+            self.polys = [a.tower.base_charpoly(a) for a in self.points]
+            zero, one, ts = Fraction(0), Fraction(1), (1, -1)
+        self.degree = sum(map(_poly.degree, self.polys))
+        self.side_at = {}
+        for side in "-+":
+            qs = [q for en, q in zip(entries, self.polys) if en.side == side]
+            n = sum(map(_poly.degree, qs))
+            for t in ts:
+                value = math.prod((_poly.peval_scalar(q, t, zero) for q in qs), start=one)
+                self.side_at[side, t] = value if self.ground == "E" else (2 * t) ** n * value
         self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
-        self.cache = {}
+        self._rows = {}
 
-    @cached_property
-    def P_j(self):
-        return self.polys if self.ground == "E" else list(map(_poly.self_reciprocal, self.polys))
+    def _row(self, i):
+        """q_j(z_i) for j != i, and q_i'(z_i) at j = i, in the ring of z_i =
+        points[i], q_j = polys[j]; all on one set of powers of z_i, and
+        evaluated once.  By Cayley-Hamilton q_i(z_i) = 0, so the row holds
+        the factors of Q'(z_i), Q = prod q_j: P'(y_i) over E and R'(a_i), R
+        = prod R_j, over F."""
+        if i not in self._rows:
+            z = self.points[i]
+            self._rows[i] = _poly.peval_many(
+                [_poly.pderiv(q) if j == i else q for j, q in enumerate(self.polys)],
+                z, z.ring.zero())
+        return self._rows[i]
 
     def derivative_at(self, name):
         """The product of row i, for the first entry i named ``name``:
-        P'(y_i) over E, and R'(a_i), R = prod R_j, over F."""
-        row = index_values(self.points, self.polys, self.names.index(name), self.cache)
+        P'(y_i) over E, and R'(a_i) over F."""
+        row = self._row(self.names.index(name))
         return math.prod(row[1:], start=row[0])
+
+    def is_regular(self):
+        """The conservative sufficient condition on P = prod P_j: P is
+        squarefree, and the formulary's denominators P(1) and P(-1) are
+        nonzero.  Where a case has an eigenvalue-1 line, P(1) != 0 is what
+        keeps P * (T - 1) squarefree.
+
+        The algebra of y_i is etale of the degree of P_i over the ground, so
+        the roots of P_i are the images of y_i, and P is squarefree iff
+        every P'(y_i) is a unit, that is iff every factor P_i'(y_i) and
+        P_j(y_i), j != i, is one: over E these are the rows.  Over F,
+        P_j(y_i) = (2y_i)^(n_j) * R_j(a_i), P_i'(y_i) = (2y_i)^(n_i) *
+        R_i'(a_i) * b_i*rt * tau(y_i) (see ``Formula``), and b_i = 0 would
+        make a_i = +-1 a root of R, so P(1) * P(-1) = 0.  So the rows, in
+        the fields F_pm,i, and the ends must be nonzero."""
+        return all(self.P_at.values()) and all(
+            v.is_unit() for i in range(len(self.points)) for v in self._row(i))
+
+    @cached_property
+    def P_j(self):
+        """The whole P_j by entry; over F, with R_j = sum r_k X^k of degree
+        n, P_j = sum r_k * 2^(n-k) * T^(n-k) * (T^2 + 1)^k."""
+        if self.ground == "E":
+            return self.polys
+        out = []
+        for r in self.polys:
+            n = _poly.degree(r)
+            p = [0] * (2 * n + 1)
+            for k, c in enumerate(r):
+                c = c * 2 ** (n - k)
+                for m in range(k + 1):
+                    p[n - k + 2 * m] += c * math.comb(k, m)
+            out.append(_poly.trim(p))
+        return out
 
 
 def build_charpoly_pack(y, g):
-    """The pack of y: each per-index characteristic polynomial computed
-    once, by entry, so it stays exact for an unvalidated y that repeats a
-    name."""
-    ground = g.info["ground"]
-    return CharPolyPack(ground, ground_scalar(g), y.entries,
-                        *charpoly_rows([en.value for en in y.entries], ground))
+    """The pack of y, by entry, so it stays exact for an unvalidated y that
+    repeats a name."""
+    return CharPolyPack(g, y.entries, [en.value for en in y.entries])
 
 
 class Formula(namedtuple("Formula", "label scalar lead coef pole offset y_factor")):
@@ -249,9 +296,8 @@ def compute_C(name, pack, y, x, g):
         else:
             # the factors in F_pm wait for as_base; y^(d'-1) joins the power
             # of y, which is then 0 once the dimensions are validated
-            d_half = sum(map(_poly.degree, pack.polys))
-            front = pack.derivative_at(name) * (row.scalar * 2 ** d_half * lead)
-            c, y_power = yv.algebra.element(0, yv.b), y_power + d_half - 1
+            front = pack.derivative_at(name) * (row.scalar * 2 ** pack.degree * lead)
+            c, y_power = yv.algebra.element(0, yv.b), y_power + pack.degree - 1
         # one inversion, of the negative powers' product; P(point) comes last,
         # as over E it lies in E, not in F_i
         den = None
@@ -358,7 +404,7 @@ def validation_steps(y, x, g, e):
                ValidationFailure(f"sides have dimensions {dims}, "
                                  f"datum says ({e.d_minus}, {e.d_plus})"))
     pack = build_charpoly_pack(y, g)
-    if not is_regular(pack.points, pack.polys, pack.P_at.values(), pack.cache):
+    if not pack.is_regular():
         yield (["regularity: not suitably regular"],
                ValidationFailure("parameters are not suitably regular"))
         return pack

@@ -10,6 +10,7 @@ discriminant 1 by convention.
 """
 
 from .errors import Degenerate, NonSymmetric
+from .etale import EtaleElement
 from .localfield import hilbert_symbol, square_class, trivial_tower
 
 
@@ -181,7 +182,8 @@ def gram_block(algebra, coeff):
     coefficient is tau-fixed."""
     if coeff.tau() != coeff:
         raise NonSymmetric("form coefficient is not tau-fixed")
-    basis = list(algebra._basis_elements())
+    n = algebra.n
+    basis = [EtaleElement(algebra, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
     rows = []
     for w1 in basis:
         t1 = w1.tau()

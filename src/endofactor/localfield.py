@@ -350,11 +350,6 @@ class IntegerStructure:
     def one(self):
         return self.element(1)
 
-    def _basis_elements(self):
-        cls = type(self.one())
-        for k in range(self.n):
-            yield cls(self, tuple(int(i == k) for i in range(self.n)), 1)
-
     def _num_matrix(self, x):
         """The integer matrix of y -> x*y on the flat basis, over x.den * D."""
         m = [[0] * self.n for _ in range(self.n)]
@@ -365,11 +360,6 @@ class IntegerStructure:
                 for k, s in prod:
                     m[k][j] += xi * s
         return m
-
-    def mult_matrix(self, x):
-        """Matrix of y -> x*y on the flat basis, over Q."""
-        d = x.den * self._D
-        return [[Fraction(c, d) if c else _Q0 for c in row] for row in self._num_matrix(x)]
 
     def trace_to_base(self, x):
         """The trace of y -> x*y over the base field, as an exact Fraction."""
@@ -981,9 +971,6 @@ class _ResidueRing:
         accepts p-integral Eisenstein coefficients."""
         inv = pow(x.den * self.tower._D, -1, self.mods[0])
         return [[c * inv % m for c in row] for row, m in zip(self.tower._num_matrix(x), self.mods)]
-
-    def encode(self, x):
-        return sum(map(operator.mul, x, self.weights))
 
     def rows(self):
         """The elements with coordinate 0 zero, in the order of their

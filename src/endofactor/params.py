@@ -4,17 +4,16 @@ Seven group cases are supported: symplectic, odd/even special orthogonal,
 the twisted linear group in even/odd dimension, unitary, and the twisted
 group obtained from a unitary group by base change.  Validation is
 report-style: every rule violation is collected with a stable code instead
-of raising, so front ends can print complete diagnoses.  Over F,
-regularity is read off the tower halves (y + tau(y))/2 of the norm-one y
-(``charpoly_rows``).
+of raising, so front ends can print complete diagnoses.  Regularity is
+decided by the factor engine's characteristic-polynomial pack
+(``check_regularity``).
 """
 
 import math
 from fractions import Fraction
 
-from . import _poly
 from .errors import IndexMismatch, UnsupportedCase
-from .etale import EtaleElement, charpoly_over
+from .etale import EtaleElement
 from .localfield import FieldElement, is_square, trivial_tower
 
 # The independent facts of each case; every dimension and parity rule
@@ -27,7 +26,7 @@ from .localfield import FieldElement, is_square, trivial_tower
 # Over F, d has the parity of line (over E it is free); the index degrees
 # sum to d - line; d_minus + d_plus = d - line + the number of so_odd
 # halves.  Regularity asks the same of P in every case: squarefree, with
-# P(1) and P(-1) nonzero (see is_regular).
+# P(1) and P(-1) nonzero (see check_regularity).
 _INFO = {
     "symplectic":      dict(factors=("so_even", "symplectic"), twisted=False,
                             ground="F", c_sign=-1, line=0),
@@ -451,100 +450,11 @@ def _norm_one_values(param, g, role):
     return [en.value for en in param.entries]
 
 
-def ground_scalar(g):
-    """The case's ground ring for characteristic polynomials, as the map
-    from base-field scalars into it: Fraction, or E's ``element`` in the
-    unitary cases."""
-    return g.E.E.element if g.info["ground"] == "E" else Fraction
-
-
-def charpoly_product(polys, g):
-    """Product of the polynomials ``polys`` over the case ground: the base
-    field, or E in the unitary cases.  Over the base field the integer
-    numerators of each over their lcm are multiplied, and the Fractions are
-    made once, over the product of the lcms."""
-    if g.info["ground"] == "E":
-        poly = [g.E.E.one()]
-        for q in polys:
-            poly = _poly.pmul(poly, q)
-        return poly
-    num, den = [1], 1
-    for q in polys:
-        d = math.lcm(*(c.denominator for c in q))
-        q = [c.numerator * (d // c.denominator) for c in q]
-        # a product by 1 is q itself
-        num, den = _poly.trim(q) if num == [1] else _poly.pmul(num, q), den * d
-    return [Fraction(c, den) for c in num]
-
-
-def charpoly_at(polys, t, scalar):
-    """The product of the polys at t = 0, 1 or -1, in the ground ring of
-    ``scalar`` (``ground_scalar``); 1 for no polys."""
-    zero = scalar(0)
-    return math.prod((_poly.peval_scalar(q, t, zero) for q in polys), start=scalar(1))
-
-
-def charpoly_rows(values, ground):
-    """(points, polys): where and what the rows of ``index_values`` evaluate
-    for the norm-one eigenvalue data ``values``.
-
-    Over E the points are the y_j and the polys their characteristic
-    polynomials P_j over E.  Over F, y = a + b*rt with a^2 - delta*b^2 = 1,
-    so the eigenvalues of y come in pairs y, 1/y: the points are the tower
-    halves a_j = (y_j + tau(y_j))/2 in F_pm,j, and the polys the
-    characteristic polynomials R_j of the a_j over F, of degree n_j =
-    [F_pm,j : F], with P_j(T) = (2T)^(n_j) * R_j((T + 1/T)/2)."""
-    if ground == "E":
-        return list(values), [charpoly_over(v, "E") for v in values]
-    points = [v.a for v in values]
-    return points, [a.tower.base_charpoly(a) for a in points]
-
-
-def index_values(points, polys, i, cache):
-    """Row i: q_j(z_i) for j != i, and q_i'(z_i) at j = i, in the ring of
-    z_i = points[i], where q_j = polys[j]; all on one set of powers of z_i
-    (``_poly.peval_many``), and kept in ``cache`` by i, so each row is
-    evaluated once.  By Cayley-Hamilton q_i(z_i) = 0, so the row holds the
-    factors of Q'(z_i) = q_i'(z_i) * prod_(j != i) q_j(z_i), Q = prod q_j:
-    P'(y_i) over E, and over F (``charpoly_rows``) R'(a_i), R = prod R_j,
-    in the field F_pm,i."""
-    if i not in cache:
-        z = points[i]
-        cache[i] = _poly.peval_many([_poly.pderiv(q) if j == i else q for j, q in enumerate(polys)],
-                                    z, z.ring.zero())
-    return cache[i]
-
-
-def is_regular(points, polys, ends, cache):
-    """The conservative sufficient condition on P = prod P_j, the product of
-    the characteristic polynomials P_j of the norm-one y_i over the case
-    ground: P is squarefree, and the formulary's denominators P(1) and
-    P(-1) are nonzero.  ``points`` and ``polys`` are those of
-    ``charpoly_rows``, and ``ends`` the products of the polys at 1 and -1.
-    Where a case has an eigenvalue-1 line, P(1) != 0 is what keeps
-    P * (T - 1) squarefree.
-
-    Squarefreeness is read off the rows of ``index_values``.  The algebra
-    of y_i is etale of the degree of P_i over the ground, so the roots of
-    P_i are the images of y_i, and P'(y_i) is a unit iff P' vanishes at no
-    root of P_i.  Every root of P is a root of some P_i, so P is squarefree
-    iff every P'(y_i) is a unit, that is iff every factor P_i'(y_i) and
-    P_j(y_i), j != i, is one: over E these are the rows.  Over F, P_j(y_i)
-    = (2y_i)^(n_j) * R_j(a_i), P_i'(y_i) = (2y_i)^(n_i) * R_i'(a_i) *
-    b_i*rt * tau(y_i) (see ``factor.Formula``) and P(+-1) = (+-2)^(d') *
-    R(+-1); b_i = 0 would make a_i = +-1 a root of R.  So the rows, in the
-    fields F_pm,i, and the ends must be nonzero."""
-    return all(ends) and all(v.is_unit() for i in range(len(points))
-                             for v in index_values(points, polys, i, cache))
-
-
 def check_regularity(param, g, role="endoscopic"):
-    """Regularity of a parameter pack: is_regular on the rows of its
-    eigenvalue data, which must have norm 1 (``validate_param``)."""
-    ground = g.info["ground"]
-    points, polys = charpoly_rows(_norm_one_values(param, g, role), ground)
-    ends = [charpoly_at(polys, t, ground_scalar(g)) for t in (1, -1)]
-    return is_regular(points, polys, ends, {})
+    """Regularity of a parameter pack: ``factor.CharPolyPack.is_regular`` on
+    its eigenvalue data, which must have norm 1 (``validate_param``)."""
+    from .factor import CharPolyPack
+    return CharPolyPack(g, param.entries, _norm_one_values(param, g, role)).is_regular()
 
 
 def _structure_key(en):
@@ -571,20 +481,3 @@ def match_stable_classes(y, x, g, e=None):
         if xe.value * nu.tau() != (rhs if g.d % 2 else -rhs):
             return False
     return True
-
-
-def stable_class_of(param, g, role="endoscopic"):
-    """Canonical key of the stable class: forgets the c_i; in the twisted
-    cases reduces x_i modulo F_pm^x (keyed by x_i / tau(x_i)) and drops
-    x_D."""
-    info = g.info
-    twisted_group = role == "group" and info["twisted"]
-    items = []
-    for en in param.entries:
-        if twisted_group:
-            r = en.value / en.value.tau()
-        else:
-            r = en.value
-        vkey = (r.a.num, r.a.den, r.b.num, r.b.den)
-        items.append((en.side, en.algebra._fingerprint, vkey))
-    return (g.case, tuple(sorted(items)))

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .etale import charpoly_over, norm_to_ground
 from .localfield import is_square, norm_test
-from .params import charpoly_product
 
 
 def cayley(y):
@@ -49,6 +48,19 @@ def cayley_inv(x):
     if not den.is_unit():
         raise PoleAtOne("1 - X is not invertible")
     return (one + x) * den.inverse()
+
+
+def charpoly_product(polys):
+    """Product of the base-field polynomials ``polys``: the integer
+    numerators of each over their lcm are multiplied, and the Fractions are
+    made once, over the product of the lcms."""
+    num, den = [1], 1
+    for q in polys:
+        d = math.lcm(*(c.denominator for c in q))
+        q = [c.numerator * (d // c.denominator) for c in q]
+        # a product by 1 is q itself
+        num, den = _poly.trim(q) if num == [1] else _poly.pmul(num, q), den * d
+    return [Fraction(c, den) for c in num]
 
 
 class LieParam:
@@ -122,9 +134,9 @@ def make_lie_param(y, x, g, run, c=None):
         L = math.lcm(*(c.denominator for row in gram for c in row))
         scaled = [[c.numerator * (L // c.denominator) for c in row] for row in gram]
         det_prod *= Fraction(_poly.charpoly(scaled, 1)[0], L ** len(gram))
-    Q_X = _poly.pmul([Fraction(0), Fraction(1)], charpoly_product(Q_j.values(), g))
+    Q_X = _poly.pmul([Fraction(0), Fraction(1)], charpoly_product(Q_j.values()))
     c_D = F.element(-g.nu * det_prod)
-    P_y = _poly.pmul(charpoly_product(run.pack.P_j, g), [Fraction(-1), Fraction(1)])
+    P_y = _poly.pmul(charpoly_product(run.pack.P_j), [Fraction(-1), Fraction(1)])
     return LieParam(y=y, x=x, g=g, eta=eta, c=cvals, c_D=c_D, X=X,
                     P_j=dict(zip(run.pack.names, run.pack.P_j)), Q_j=Q_j, Q_X=Q_X,
                     dQ_X=_poly.pderiv(Q_X), P_y=P_y, dP_y=_poly.pderiv(P_y), run=run)
@@ -132,19 +144,6 @@ def make_lie_param(y, x, g, run, c=None):
 
 def _field_names(data, side):
     return [en.name for en in data.y.field_indices(side)]
-
-
-def delta_I_lie(data, eta=None):
-    """Product over minus-side field indices of the norm character at
-    eta * c_i * Q_X'(X_i); insensitive to X -> lambda^2 X."""
-    eta = data.eta if eta is None else eta
-    total = factor.UnitCircleValue.one()
-    for name in _field_names(data, "-"):
-        en = data.y.entry(name)
-        qx = _poly.peval(data.dQ_X, data.X[name], en.algebra.zero())
-        arg = qx.as_base() * data.c[name] * eta
-        total = total * factor.UnitCircleValue.from_sign(norm_test(arg, en.algebra))
-    return total
 
 
 def li_identity_1(data, i, j):

@@ -9,9 +9,10 @@ generation retries until the regularity gate passes.
 from fractions import Fraction
 from math import gcd, lcm
 import math
+import operator
 import random
 
-from endofactor import _poly, forms
+from endofactor import _poly, factor, forms
 from endofactor._poly import degree, gcd_mod, pderiv
 from endofactor.errors import DivisionByZero, UnsupportedCase, ZeroValuation
 from endofactor.etale import (
@@ -25,8 +26,10 @@ from endofactor.localfield import (
     MAX_TOWER_DEGREE,
     BaseField,
     ResidueField,
+    hilbert_symbol,
     is_square,
     make_extension,
+    norm_test,
     trivial_tower,
     valuation,
 )
@@ -37,12 +40,7 @@ from endofactor.params import (
     RegularParam,
     TameCharacter,
     _norm_one_values,
-    charpoly_at,
-    charpoly_product,
     check_regularity,
-    ground_scalar,
-    index_values,
-    is_regular,
     side_dimensions,
     validate_endoscopic,
     validate_group,
@@ -182,7 +180,7 @@ def sgn_probes(E):
     for t in (E.base.p, E.F.residue.multiplicative_generator()[0]):
         v, u = E.tame_coordinates(E.E.element(t))
         m = prime_field_log(res, u, E.residue_generator)
-        out.append((v, Fraction(m, res.q - 1), E.sgn(t)))
+        out.append((v, Fraction(m, res.q - 1), sgn(E, t)))
     return tuple(out)
 
 
@@ -545,11 +543,11 @@ def hermitian_gram_det(inst):
     for en in inst.x.entries:
         tower = en.algebra.base_pm
         n = tower.n
-        basis = [en.algebra.element(w) for w in tower._basis_elements()]
+        basis = [en.algebra.element(w) for w in basis_elements(tower)]
 
         def tr_e(z):
-            A = tower.mult_matrix(z.a)
-            B = tower.mult_matrix(z.b)
+            A = mult_matrix(tower, z.a)
+            B = mult_matrix(tower, z.b)
             tra = sum((A[i][i] for i in range(n)), Fraction(0))
             trb = sum((B[i][i] for i in range(n)), Fraction(0))
             return E.E.element(tra, trb)
@@ -642,7 +640,7 @@ def _make_datum(rng, g, y, dm, dp):
 
 
 # ---------------------------------------------------------------------------
-# the whole-P regularity test: the reference of params.is_regular
+# the whole-P regularity test: the reference of factor.CharPolyPack.is_regular
 # ---------------------------------------------------------------------------
 
 # Primes l = 3 (mod 4) from 2^61 - 1 down, in a fixed order.  The squarefree
@@ -724,6 +722,22 @@ def _pair_prem(a, b, D):
     return rem
 
 
+def ground_scalar(g):
+    """The case's ground ring for characteristic polynomials, as the map
+    from base-field scalars into it: Fraction, or E's ``element`` in the
+    unitary cases."""
+    return g.E.E.element if g.info["ground"] == "E" else Fraction
+
+
+def charpoly_product(polys, g):
+    """Product of the polynomials ``polys`` over the case ground: a fold of
+    pmul from 1, the reference of ``verify.charpoly_product`` over F."""
+    poly = [ground_scalar(g)(1)]
+    for q in polys:
+        poly = _poly.pmul(poly, q)
+    return poly
+
+
 def charpoly_ends(poly, zero):
     """{1: P(1), -1: P(-1)}, in the ring of ``zero``."""
     return {t: _poly.peval_scalar(poly, t, zero) for t in (1, -1)}
@@ -747,8 +761,7 @@ def whole_charpolys(y, g):
     ground = g.info["ground"]
     polys = [(en.side, charpoly_over(en.value, ground)) for en in y.entries]
     P_minus, P_plus = (charpoly_product([q for side, q in polys if side == s], g) for s in "-+")
-    P = _poly.pmul(P_minus, P_plus) if ground == "E" else charpoly_product((P_minus, P_plus), g)
-    return P, P_minus, P_plus
+    return charpoly_product((P_minus, P_plus), g), P_minus, P_plus
 
 
 def regular_by_whole_P(param, g, role="endoscopic"):
@@ -765,29 +778,32 @@ def regular_by_whole_P(param, g, role="endoscopic"):
 class FullDegreePack:
     """The characteristic-polynomial pack of y on the full-degree route, over
     either ground: P_j = charpoly_over(y_j), of degree 2n_j over F, the
-    rows P_j(y_i), j != i, and P_i'(y_i) in the algebra K_i of y_i, and
-    side_at and P_at from the P_j.  ``factor.CharPolyPack`` reads the same
-    quantities off the tower halves a_j over F."""
+    rows P_j(y_i), j != i, and P_i'(y_i) in the algebra K_i of y_i, each by
+    its own ``_poly.peval``, and side_at and P_at from the P_j.
+    ``factor.CharPolyPack`` reads the same quantities off the tower halves
+    a_j over F."""
 
     def __init__(self, y, g):
         ground = g.info["ground"]
-        scalar = ground_scalar(g)
+        zero, one = ground_scalar(g)(0), ground_scalar(g)(1)
         self.ground = ground
         self.names = [en.name for en in y.entries]
         self.ys = [en.value for en in y.entries]
         self.polys = [charpoly_over(v, ground) for v in self.ys]
-        self.side_at = {(side, t): charpoly_at([q for en, q in zip(y.entries, self.polys)
-                                                if en.side == side], t, scalar)
+        self.side_at = {(side, t): math.prod((_poly.peval_scalar(q, t, zero)
+                                              for en, q in zip(y.entries, self.polys)
+                                              if en.side == side), start=one)
                         for side in "-+" for t in ((0, 1, -1) if ground == "E" else (1, -1))}
         self.P_at = {t: self.side_at["-", t] * self.side_at["+", t] for t in (1, -1)}
-        self.cache = {}
+        self.rows = [[_poly.peval(_poly.pderiv(q) if j == i else q, z, z.algebra.zero())
+                      for j, q in enumerate(self.polys)] for i, z in enumerate(self.ys)]
 
     def regular(self):
-        return is_regular(self.ys, self.polys, self.P_at.values(), self.cache)
+        return all(self.P_at.values()) and all(v.is_unit() for row in self.rows for v in row)
 
     def derivative_at(self, name):
         """P'(y_i), the product of row i in K_i."""
-        row = index_values(self.ys, self.polys, self.names.index(name), self.cache)
+        row = self.rows[self.names.index(name)]
         return math.prod(row[1:], start=row[0])
 
 
@@ -825,3 +841,69 @@ def full_degree_C(name, pack, y, x, g):
     if not c:
         raise DivisionByZero(f"index {name!r}: C vanished (non-regular input)")
     return c, c.as_base()
+
+
+# ---------------------------------------------------------------------------
+# names that only the tests read
+# ---------------------------------------------------------------------------
+
+def from_pair(alg, first, second):
+    """The element of a split algebra (delta = 1) with split coordinates
+    (first, second): a + b*rt with a + b = first and a - b = second."""
+    first, second = alg.base_pm.element(first), alg.base_pm.element(second)
+    half = Fraction(1, 2)
+    return alg.element((first + second) * half, (first - second) * half)
+
+
+def as_pair(x):
+    """The split coordinates (a + b, a - b) of x = a + b*rt in a split
+    algebra."""
+    return (x.a + x.b, x.a - x.b)
+
+
+def basis_elements(ring):
+    """The flat monomial basis of a tower or etale algebra, as elements."""
+    cls = type(ring.one())
+    return [cls(ring, tuple(int(i == k) for i in range(ring.n)), 1) for k in range(ring.n)]
+
+
+def mult_matrix(ring, x):
+    """Matrix of y -> x*y on the flat basis of the ring, over Q."""
+    d = x.den * ring._D
+    return [[Fraction(c, d) for c in row] for row in ring._num_matrix(x)]
+
+
+def encode(ring, x):
+    """The mixed-radix encoding of a reduced element of a brute-force
+    oracle's residue ring (``localfield._ResidueRing``)."""
+    return sum(map(operator.mul, x, ring.weights))
+
+
+def sgn(E, x):
+    """The norm character sgn_{E/F} on F^x, for a ``UnitaryBaseData`` E."""
+    return hilbert_symbol(E.F.element(x), E.E.delta)
+
+
+def stable_class_of(param, g, role="endoscopic"):
+    """Canonical key of the stable class: forgets the c_i; in the twisted
+    cases reduces x_i modulo F_pm^x (keyed by x_i / tau(x_i)) and drops
+    x_D."""
+    twisted_group = role == "group" and g.info["twisted"]
+    items = []
+    for en in param.entries:
+        r = en.value / en.value.tau() if twisted_group else en.value
+        items.append((en.side, en.algebra._fingerprint, (r.a.num, r.a.den, r.b.num, r.b.den)))
+    return (g.case, tuple(sorted(items)))
+
+
+def delta_I_lie(data, eta=None):
+    """Product over minus-side field indices of the norm character at
+    eta * c_i * Q_X'(X_i), for a ``verify.LieParam``; insensitive to
+    X -> lambda^2 X."""
+    eta = data.eta if eta is None else eta
+    total = factor.UnitCircleValue.one()
+    for en in data.y.field_indices("-"):
+        qx = _poly.peval(data.dQ_X, data.X[en.name], en.algebra.zero())
+        arg = qx.as_base() * data.c[en.name] * eta
+        total = total * factor.UnitCircleValue.from_sign(norm_test(arg, en.algebra))
+    return total

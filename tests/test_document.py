@@ -19,7 +19,7 @@ from endofactor.errors import ParseError
 from endofactor.etale import UnitaryBaseData, quadratic_field, split_algebra
 from endofactor.factor import compute_delta
 from endofactor.localfield import BaseField, make_extension, trivial_tower
-from endofactor.params import stable_class_of
+from support import stable_class_of
 from fractions import Fraction
 from test_tower_reference import SHAPES, _eis
 

@@ -86,8 +86,7 @@ class TestUnitaryPrefactors:
     def test_arguments_nonzero_under_regularity(self, rng):
         from endofactor.factor import build_charpoly_pack
         from endofactor import _poly
-        from endofactor.params import ground_scalar
-        from support import make_instance, whole_charpolys
+        from support import ground_scalar, make_instance, whole_charpolys
         for case in ("unitary", "bc_unitary"):
             inst = make_instance(rng, case, p=5)
             pack = build_charpoly_pack(inst.y, inst.g)

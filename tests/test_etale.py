@@ -13,6 +13,7 @@ from endofactor.etale import (
     tau,
 )
 from endofactor.localfield import BaseField, _vp, make_extension, norm_test, trivial_tower
+from support import as_pair, from_pair, sgn
 
 Q5 = BaseField("p-adic", 5)
 F5 = trivial_tower(Q5)
@@ -33,8 +34,8 @@ class TestTau:
         assert tau(x) == K.element(3, -2)
 
     def test_split_swaps_pair(self):
-        y = S.from_pair(3, 7)
-        assert tau(y).as_pair() == (F5.element(7), F5.element(3))
+        y = from_pair(S, 3, 7)
+        assert as_pair(tau(y)) == (F5.element(7), F5.element(3))
 
     def test_involution(self, rng):
         from support import random_etale_unit
@@ -50,7 +51,7 @@ class TestNormTrace:
         assert (x.norm(), x.trace()) == (F5.element(9 - 5 * 4), F5.element(6))
 
     def test_split_formula(self):
-        y = S.from_pair(3, 7)
+        y = from_pair(S, 3, 7)
         assert (y.norm(), y.trace()) == (F5.element(21), F5.element(10))
 
     def test_norm_one_constraint(self, rng):
@@ -75,7 +76,7 @@ class TestCharpoly:
         assert charpoly_over(x, "F") == [Fraction(-11), Fraction(-6), Fraction(1)]
 
     def test_split_coordinates_are_roots(self):
-        alpha = S.from_pair(2, Fraction(1, 2))
+        alpha = from_pair(S, 2, Fraction(1, 2))
         assert charpoly_over(alpha, "F") == [Fraction(1), Fraction(-5, 2), Fraction(1)]
 
     def test_degree_on_random_tower(self, rng):
@@ -97,7 +98,7 @@ class TestCharpoly:
     def test_split_charpoly_factors(self, rng):
         from support import random_etale_unit
         x = random_etale_unit(rng, S)
-        a, b = x.as_pair()
+        a, b = as_pair(x)
         prod = _poly.pmul([-a.as_fraction(), Fraction(1)],
                           [-b.as_fraction(), Fraction(1)])
         assert charpoly_over(x, "F") == prod
@@ -159,7 +160,7 @@ class TestUnitary:
         ubr = UnitaryBaseData(Q5, 5)     # ramified
         assert ubr.e_valuation(ubr.E.rt()) == 1
         assert ubr.e_valuation(ubr.E.element(5)) == 2
-        assert ubr.sgn(2) == -1
+        assert sgn(ubr, 2) == -1
 
     def test_e_valuation_rejects_odd_norm_valuation(self):
         # an element of the ramified K has a norm of odd valuation, which no

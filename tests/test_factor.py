@@ -256,11 +256,11 @@ class TestComputeDelta:
         """One characteristic polynomial per index: of y_j over E, and over F
         of the tower half a_j = (y_j + tau(y_j))/2, on its tower."""
         from support import make_instance
-        from endofactor import params
+        from endofactor import factor
         from endofactor.localfield import IntegerStructure
         calls = []
 
-        def over(x, ground, _original=params.charpoly_over):
+        def over(x, ground, _original=factor.charpoly_over):
             calls.append(x)
             return _original(x, ground)
 
@@ -268,7 +268,7 @@ class TestComputeDelta:
             calls.append(x)
             return _original(ring, x)
 
-        monkeypatch.setattr(params, "charpoly_over", over)
+        monkeypatch.setattr(factor, "charpoly_over", over)
         monkeypatch.setattr(IntegerStructure, "base_charpoly", base)
         for case in ALL_CASES:
             inst = make_instance(rng, case, p=5, n_indices=(2, 3))

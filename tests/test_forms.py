@@ -21,6 +21,7 @@ from endofactor.localfield import (
     trivial_tower,
 )
 from endofactor.params import IndexEntry, RegularParam
+from support import from_pair
 from test_poly_reference import gauss_det
 
 Q5 = BaseField("p-adic", 5)
@@ -116,7 +117,7 @@ class TestTraceFormGram:
 
     def test_split_index_is_hyperbolic(self):
         s = split_algebra(F5)
-        p = RegularParam((IndexEntry("i", "-", s, s.from_pair(1, 1)),))
+        p = RegularParam((IndexEntry("i", "-", s, from_pair(s, 1, 1)),))
         inv = invariants(trace_form_gram(p))
         assert inv.dim == 2 and inv.disc == F5.one()
 
@@ -140,7 +141,7 @@ class TestTraceFormGram:
 class TestSymmetrize:
     def test_single_split_index(self):
         s = split_algebra(F5)
-        p = RegularParam((IndexEntry("i", "-", s, s.from_pair(1, 1)),))
+        p = RegularParam((IndexEntry("i", "-", s, from_pair(s, 1, 1)),))
         sp = symmetrize_twisted(p)
         # x is already tau-fixed, so the Gram is twice the trace form
         q = trace_form_gram(p)

@@ -15,6 +15,7 @@ import pytest
 
 import endofactor
 from endofactor.document import InstanceDocument
+from endofactor.etale import quadratic_field
 from endofactor.factor import CharPolyPack, FactorTrace, UnitCircleValue
 from endofactor.forms import FormInvariants
 from endofactor.localfield import BaseField, trivial_tower
@@ -38,12 +39,12 @@ PUBLIC = [
     "brute_force_norm_oracle", "build_charpoly_pack", "cayley", "cayley_inv",
     "charpoly_over", "check_Aij_is_norm", "check_Bi_Ci_consistency",
     "check_cD_square_class", "check_regularity", "compute_C", "compute_delta",
-    "delta_I_lie", "document", "dump_document", "errors", "eta_from_nu", "etale",
+    "document", "dump_document", "errors", "eta_from_nu", "etale",
     "eval_character", "factor", "forms", "hilbert_symbol", "invariants", "is_square",
     "isomorphic", "li_identity_1", "li_identity_2", "load_document", "localfield",
     "make_extension", "make_lie_param", "match_stable_classes", "norm_test", "params",
     "quadratic_field", "special_case_indicator", "split_algebra", "square_class",
-    "stable_class_of", "swapped_delta", "symmetrize_twisted", "tau", "trace_form_gram",
+    "swapped_delta", "symmetrize_twisted", "tau", "trace_form_gram",
     "trivial_tower", "validate_endoscopic", "validate_group", "validate_param",
     "valuation", "verify",
 ]
@@ -69,7 +70,7 @@ def loaded_after(code, *names):
 
 class TestPublicNames:
     def test_all_is_pinned(self):
-        assert len(PUBLIC) == 67
+        assert len(PUBLIC) == 65
         assert endofactor.__all__ == PUBLIC
 
     def test_each_name_is_its_home_modules_object(self):
@@ -191,18 +192,23 @@ class TestRecordClasses:
         assert vars(by_position) == vars(by_keyword) == dict(zip(names, values))
 
     def test_pack_and_param_calls(self):
-        entries = (IndexEntry("i", "+", None, None), IndexEntry("j", "-", None, None))
-        # over F the pack holds the half-degree R_j of the tower halves, and
-        # P_j(t) = (2t)^(n_j) * R_j(t) at t = 1, -1
-        points, polys = [None, None], [[Fraction(-1), 0, 1], [Fraction(2), 3, 1]]
-        pack = CharPolyPack("F", Fraction, entries, points, polys)
-        same = CharPolyPack(ground="F", scalar=Fraction, entries=entries, points=points,
-                            polys=polys)
+        # over F the pack holds the half-degree R_j of the tower halves a_j,
+        # and P_j(t) = (2t)^(n_j) * R_j(t) at t = 1, -1: here y = 9 + 4*rt,
+        # rt^2 = 5, and y = 3 + 2*rt, rt^2 = 2, both of norm 1, with R_j = T - 9
+        # and T - 3, and P_j = T^2 - 18T + 1 and T^2 - 6T + 1
+        k5, k2 = quadratic_field(F5, 5), quadratic_field(F5, 2)
+        values = [k5.element(9, 4), k2.element(3, 2)]
+        entries = (IndexEntry("i", "+", k5, values[0]), IndexEntry("j", "-", k2, values[1]))
+        g = GroupDescriptor("symplectic", 4, Q5)
+        pack = CharPolyPack(g, entries, values)
+        same = CharPolyPack(g=g, entries=entries, values=values)
         assert vars(pack) == vars(same)
-        assert (pack.names, pack.points, pack.polys) == (["i", "j"], points, polys)
-        assert pack.P_at == {1: 0, -1: 0}
-        assert pack.side_at == {("+", 1): 0, ("+", -1): 0, ("-", 1): 24, ("-", -1): 0}
-        assert pack.P_j == [[1, 0, -2, 0, 1], [1, 6, 10, 6, 1]]
+        assert (pack.names, pack.points, pack.degree) == (["i", "j"], [F5.element(9), F5.element(3)], 2)
+        assert pack.polys == [[-9, 1], [-3, 1]]
+        assert pack.side_at == {("+", 1): -16, ("+", -1): 20, ("-", 1): -4, ("-", -1): 8}
+        assert pack.P_at == {1: 64, -1: 160}
+        assert pack.P_j == [[1, -18, 1], [1, -6, 1]]
+        assert pack.is_regular()
         x_D = F5.element(2)
         assert vars(RegularParam((), x_D)) == vars(RegularParam(entries=[], x_D=x_D))
         assert TameCharacter(None, Fraction(1, 2), 3) == TameCharacter(

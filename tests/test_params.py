@@ -16,17 +16,15 @@ from endofactor.params import (
     RegularParam,
     TameCharacter,
     case_info,
-    charpoly_product,
     check_regularity,
-    ground_scalar,
     match_stable_classes,
     side_dimensions,
-    stable_class_of,
     validate_endoscopic,
     validate_group,
     validate_param,
 )
-from support import is_regular_charpoly, is_squarefree
+from endofactor.verify import charpoly_product
+from support import ground_scalar, is_regular_charpoly, is_squarefree, sgn, stable_class_of
 from test_poly_reference import horner
 
 Q5 = BaseField("p-adic", 5)
@@ -185,7 +183,7 @@ class TestTameCharacter:
             for exp in range(ub.residue_field().q - 1):
                 mu = TameCharacter(ub, Fraction(num, 4), exp)
                 for k in (0, 1):
-                    want = all(mu.angle(t) == Fraction(1, 2) * (ub.sgn(t) ** k == -1)
+                    want = all(mu.angle(t) == Fraction(1, 2) * (sgn(ub, t) ** k == -1)
                                for t in points)
                     assert restricts_by_probes(probes, mu, k) == want
                     assert mu.restricts_to_sgn_power(k) == want
@@ -219,7 +217,7 @@ class TestTameCharacter:
         import random
         mu = _mu_character(random.Random(0), ub, 1)
         assert mu.restricts_to_sgn_power(1)
-        assert not mu.restricts_to_sgn_power(0) or ub.sgn(5) == 1
+        assert not mu.restricts_to_sgn_power(0) or sgn(ub, 5) == 1
 
     @pytest.mark.parametrize("p, delta", [(3, 2), (3, 3), (5, 2), (5, 5), (5, 10),
                                           (7, 3), (7, 21), (11, 2), (11, 11)])
@@ -340,11 +338,10 @@ class TestCharpolyProduct:
         """Over the base field, the product of the integer numerators over
         one denominator is the fold of pmul on the Fractions, from [1]; the
         empty list gives [1]."""
-        g = GroupDescriptor("symplectic", 2, Q5)
         want = [Fraction(1)]
         for q in polys:
             want = _poly.pmul(want, q)
-        got = charpoly_product(polys, g)
+        got = charpoly_product(polys)
         assert got == want
         assert all(type(c) is Fraction for c in got)
         if not polys:

@@ -7,9 +7,9 @@ The Gauss eliminations below are the references for the tower norm, the
 tower inverse and the Gram determinant, which all go through ``charpoly``.
 
 ``support.is_squarefree``, the whole-P regularity reference of
-``params.is_regular``, decides on one path over Z[s], s^2 = D:
-E-coefficient polynomials with E's D, Fraction-coefficient ones as pairs
-(x, 0) with D = 1.  A certificate modulo a prime near 2^61 comes first,
+``factor.CharPolyPack.is_regular``, decides on one path over Z[s], s^2 =
+D: E-coefficient polynomials with E's D, Fraction-coefficient ones as
+pairs (x, 0) with D = 1.  A certificate modulo a prime near 2^61 comes first,
 then remainder sequences divided by their integer content.  Its reference
 is the Euclidean gcd of p and p' over Q or E, ``pgcd`` below, and the
 certificate is also checked against the remainder sequence alone.

@@ -1,7 +1,7 @@
 """Regularity read off the per-index values against the whole-P reference.
 
-``params.is_regular`` decides from the values P_i'(y_i) and P_j(y_i),
-j != i, that C_i also reads; ``support.regular_by_whole_P`` runs the
+``factor.CharPolyPack.is_regular`` decides from the values P_i'(y_i) and
+P_j(y_i), j != i, that C_i also reads; ``support.regular_by_whole_P`` runs the
 squarefree test on the whole product P.  The sweep draws instances of every
 case at p = 3, 5 and 7, and from each makes non-regular variants: a
 duplicated y, tau(y) on a second index, y = 1 and y = -1, and a y in a
@@ -16,7 +16,7 @@ import pytest
 
 import support
 from endofactor.factor import build_charpoly_pack
-from endofactor.params import IndexEntry, RegularParam, check_regularity, is_regular
+from endofactor.params import IndexEntry, RegularParam, check_regularity
 from support import ALL_CASES, make_instance
 
 
@@ -57,8 +57,7 @@ def variants(rng, inst):
 
 def _engine_verdict(param, g):
     """The verdict of validation's path: the pack's cached values."""
-    pack = build_charpoly_pack(param, g)
-    return is_regular(pack.points, pack.polys, pack.P_at.values(), pack.cache)
+    return build_charpoly_pack(param, g).is_regular()
 
 
 def test_per_index_verdict_matches_the_whole_P_reference():

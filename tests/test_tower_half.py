@@ -19,7 +19,7 @@ import support
 from endofactor.document import load_document
 from endofactor.errors import EndofactorError
 from endofactor.factor import build_charpoly_pack, compute_C
-from endofactor.params import check_regularity, is_regular
+from endofactor.params import check_regularity
 from support import ALL_CASES, make_instance
 from test_document import _perfbench_corpus
 from test_regularity import variants
@@ -40,7 +40,7 @@ def assert_same_as_full_degree(y, x, g):
     pack, ref = build_charpoly_pack(y, g), support.FullDegreePack(y, g)
     assert pack.P_j == ref.polys
     assert (pack.P_at, pack.side_at) == (ref.P_at, ref.side_at)
-    regular = is_regular(pack.points, pack.polys, pack.P_at.values(), pack.cache)
+    regular = pack.is_regular()
     assert regular is ref.regular() is check_regularity(y, g)
     for en in y.field_indices("-"):
         assert (_outcome(compute_C, en.name, pack, y, x, g)

@@ -38,6 +38,7 @@ from endofactor.localfield import (
     trivial_tower,
     valuation,
 )
+from support import basis_elements, mult_matrix
 from test_poly_reference import gauss_det, gauss_solve
 
 P = 5
@@ -128,17 +129,17 @@ def test_flat_product_matches_reference(tower, rng):
     one = _rows(tower, tower.one())
     monomials = [tower.from_coords([[0] * tower.f] * b + [[0] * a + [1]])
                  for b in range(tower.e) for a in range(tower.f)]
-    assert [m.coords for m in monomials] == [m.coords for m in tower._basis_elements()]
+    assert [m.coords for m in monomials] == [m.coords for m in basis_elements(tower)]
     for _ in range(12):
         x, y = _random_element(rng, tower), _random_element(rng, tower)
         assert _rows(tower, x * y) == _ref_mul(tower, _rows(tower, x), _rows(tower, y))
         cols = [sum(_ref_mul(tower, _rows(tower, x), _rows(tower, m)), [])
                 for m in monomials]
-        assert tower.mult_matrix(x) == [list(row) for row in zip(*cols)]
+        assert mult_matrix(tower, x) == [list(row) for row in zip(*cols)]
         assert _ref_mul(tower, _rows(tower, x), _rows(tower, x.inverse())) == one
-        assert tower.norm_to_base(x) == gauss_det(tower.mult_matrix(x))
+        assert tower.norm_to_base(x) == gauss_det(mult_matrix(tower, x))
         e_1 = [1] + [0] * (tower.n - 1)
-        assert list(x.inverse().coords) == gauss_solve(tower.mult_matrix(x), e_1)
+        assert list(x.inverse().coords) == gauss_solve(mult_matrix(tower, x), e_1)
         if not tower.base.is_real:
             assert valuation(x) == _ref_valuation(tower, x)
             if valuation(x) >= 0:
@@ -260,7 +261,7 @@ def _ref_etale_inverse(alg, x):
 def _ref_charpoly_f(alg, x):
     """The Fraction block matrix [[A, delta*B], [B, A]] and its charpoly."""
     tower = alg.base_pm
-    A, DB, B = (tower.mult_matrix(v) for v in (x.a, alg.delta * x.b, x.b))
+    A, DB, B = (mult_matrix(tower, v) for v in (x.a, alg.delta * x.b, x.b))
     mat = [ra + rdb for ra, rdb in zip(A, DB)] + [rb + ra for rb, ra in zip(B, A)]
     return _poly.charpoly(mat, Fraction(1))
 
@@ -268,7 +269,7 @@ def _ref_charpoly_f(alg, x):
 def _ref_charpoly_e(alg, x):
     """The matrix A + B*rt with entries in E, and its charpoly."""
     tower, E = alg.base_pm, alg.unitary_base.E
-    A, B = tower.mult_matrix(x.a), tower.mult_matrix(x.b)
+    A, B = mult_matrix(tower, x.a), mult_matrix(tower, x.b)
     n = tower.n
     return _poly.charpoly([[E.element(A[i][j], B[i][j]) for j in range(n)] for i in range(n)],
                           E.one())

@@ -4,7 +4,7 @@ import pytest
 
 from endofactor.errors import MatchFailure, NotInFixedField, PoleAtMinusOne, PoleAtOne
 from endofactor.etale import charpoly_over, quadratic_field
-from endofactor.factor import FactorTrace, build_charpoly_pack, compute_delta
+from endofactor.factor import CharPolyPack, FactorTrace, build_charpoly_pack, compute_delta
 from endofactor.forms import gram_block
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import IndexEntry, RegularParam
@@ -14,7 +14,6 @@ from endofactor.verify import (
     check_Aij_is_norm,
     check_Bi_Ci_consistency,
     check_cD_square_class,
-    delta_I_lie,
     eta_from_nu,
     li_identity_1,
     li_identity_2,
@@ -22,6 +21,7 @@ from endofactor.verify import (
     reconstruct_delta,
     run_suite,
 )
+from support import delta_I_lie
 from test_poly_reference import gauss_det
 
 Q5 = BaseField("p-adic", 5)
@@ -41,21 +41,27 @@ def _mixed_instance(rng, p=5, tries=60):
 
 def _count_calls(monkeypatch, *names):
     """Count the calls of each named function, wrapped wherever an
-    endofactor module binds it; returns name -> count, filled as they run."""
+    endofactor module binds it, or of each (class, name) method; returns
+    name -> count, filled as they run."""
     import sys
-    counts = dict.fromkeys(names, 0)
+    counts = {}
     for name in names:
-        modules = [m for key, m in sorted(sys.modules.items())
-                   if key.startswith("endofactor.") and hasattr(m, name)]
-        original = getattr(modules[0], name)
+        if isinstance(name, tuple):
+            cls, name = name
+            owners = [cls]
+        else:
+            owners = [m for key, m in sorted(sys.modules.items())
+                      if key.startswith("endofactor.") and hasattr(m, name)]
+        original = getattr(owners[0], name)
+        counts[name] = 0
 
         def counting(*args, _original=original, _name=name):
             counts[_name] += 1
             return _original(*args)
 
-        for module in modules:
-            if getattr(module, name) is original:
-                monkeypatch.setattr(module, name, counting)
+        for owner in owners:
+            if getattr(owner, name) is original:
+                monkeypatch.setattr(owner, name, counting)
     return counts
 
 
@@ -253,18 +259,17 @@ class TestSuite:
 
     def test_engine_runs_once(self, rng, monkeypatch):
         # compute_delta validates, builds the one pack and computes each C_i
-        # once; the Lie side adds only the Q_j to the engine's P_j, which the
-        # pack expands once from its half-degree R_j, and reads the C_i
-        # verdicts from the engine's run
+        # once; the Lie side adds only the Q_j (charpoly_over) to the
+        # engine's P_j, which the one pack expands once, as a cached
+        # property, and reads the C_i verdicts from the engine's run
         inst = _mixed_instance(rng)
         counts = _count_calls(monkeypatch, "validate_package", "build_charpoly_pack",
-                              "charpoly_rows", "self_reciprocal", "charpoly_over",
-                              "compute_C")
+                              "charpoly_over", "compute_C")
         results = run_suite(*inst.astuple())
         assert all(ok for _, ok in results)
         assert counts == {
-            "validate_package": 1, "build_charpoly_pack": 1, "charpoly_rows": 1,
-            "self_reciprocal": len(inst.y.entries), "charpoly_over": len(inst.y.entries),
+            "validate_package": 1, "build_charpoly_pack": 1,
+            "charpoly_over": len(inst.y.entries),
             "compute_C": len(inst.y.field_indices("-"))}
 
     def test_lie_side_reads_the_validated_pack(self, rng, monkeypatch):
@@ -288,13 +293,12 @@ class TestSuite:
         from pathlib import Path
 
         from endofactor.cli import main
-        counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_rows",
-                              "self_reciprocal", "charpoly_over", "is_regular", "compute_C")
+        counts = _count_calls(monkeypatch, "build_charpoly_pack", "charpoly_over", "compute_C",
+                              (CharPolyPack, "is_regular"))
         sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
         assert main(["check", str(sample)]) == 0
         assert counts == {
-            "build_charpoly_pack": 2, "charpoly_rows": 2, "self_reciprocal": 1,
-            "charpoly_over": 1, "is_regular": 2, "compute_C": 1}
+            "build_charpoly_pack": 2, "charpoly_over": 1, "compute_C": 1, "is_regular": 2}
 
     def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
         # a plus-side x_j replaced by tau(x_j), off its matching class: the
