@@ -81,7 +81,9 @@ def cmd_compute(args, out):
 def cmd_check(args, out):
     from . import verify
     doc = load_document(_read(args.document), precision=args.precision)
-    validate_package(doc.y, doc.x, doc.group, doc.endoscopic)
+    if doc.group.case != verify.FULL_SUITE:
+        # the full suite validates in its engine run; the reduced one does not
+        validate_package(doc.y, doc.x, doc.group, doc.endoscopic)
     results = verify.run_suite(doc.y, doc.x, doc.group, doc.endoscopic)
     ok = all(flag for _, flag in results)
     if args.json:

@@ -323,9 +323,7 @@ class FactorTrace:
     (name, C in F_pm, norm verdict) record per minus-side field index, one
     (text, argument, value) record per prefactor, the total, and the
     characteristic-polynomial pack it read.  ``lines()`` prints all but the
-    pack, deterministically, ending with ``total_line()``; an engine-refused
-    instance has a trace with no records, no total and an unvalidated pack
-    (see verify.run_suite)."""
+    pack, deterministically, ending with ``total_line()``."""
 
     def __init__(self, case, label=None, indices=None, prefactors=None, total=None, pack=None):
         self.case = case

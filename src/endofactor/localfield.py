@@ -554,16 +554,6 @@ class ExtensionTower(IntegerStructure):
             return self.element(5)
         return self.from_coords([list(self.residue.first_nonsquare())])
 
-    def square_class_reps(self):
-        """The canonical representatives of F^x / F^x2 for this tower."""
-        if self.base.is_real:
-            return [self.element(1), self.element(-1)]
-        if self.base.p == 2:
-            return [self.element(k) for k in (1, 3, 5, 7, 2, 6, 10, 14)]
-        u = self.unit_nonsquare()
-        pi = self.pi()
-        return [self.one(), u, pi, u * pi]
-
     @property
     def is_trivial(self):
         return self.n == 1

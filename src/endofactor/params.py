@@ -435,26 +435,11 @@ def side_dimensions(param, g):
 # regularity, matching, stable classes
 # ---------------------------------------------------------------------------
 
-def _twist(g, algebra):
-    """nu/tau(nu) * (-1)^(d+1) in an index algebra of a twisted case: the
-    matching relation reads x_i/tau(x_i) = y_i * _twist(g, F_i)."""
-    nu = algebra.one() * g.nu
-    return nu / nu.tau() * (-1) ** (g.d + 1)
-
-
-def _norm_one_values(param, g, role):
-    """The eigenvalue data y_i (deriving them through the matching relation
-    for a twisted group side)."""
-    if role == "group" and g.info["twisted"]:
-        return [en.value / en.value.tau() / _twist(g, en.algebra) for en in param.entries]
-    return [en.value for en in param.entries]
-
-
-def check_regularity(param, g, role="endoscopic"):
-    """Regularity of a parameter pack: ``factor.CharPolyPack.is_regular`` on
-    its eigenvalue data, which must have norm 1 (``validate_param``)."""
-    from .factor import CharPolyPack
-    return CharPolyPack(g, param.entries, _norm_one_values(param, g, role)).is_regular()
+def check_regularity(param, g):
+    """Regularity of endoscopic parameters of norm 1 (``validate_param``):
+    ``factor.CharPolyPack.is_regular`` on their pack."""
+    from .factor import build_charpoly_pack
+    return build_charpoly_pack(param, g).is_regular()
 
 
 def _structure_key(en):

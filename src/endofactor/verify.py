@@ -9,7 +9,9 @@ P-values at y with Q-values at X, the norm-triviality of the cross-index
 quantities A_{i,j}, the square class of the distinguished-line coefficient
 c_D, and the consistency of the per-index B_i, derived here, with the
 engine's C_i.  Only norm-class (convention-free) consequences are checked;
-the auxiliary characters themselves are never evaluated.
+the auxiliary characters themselves are never evaluated.  The engine run
+comes first and validates the instance: an instance it refuses raises its
+typed error, and there is no Lie side to compare.
 
 The auxiliary coefficients are generated here, not accepted from users:
 any tau-fixed c_i works for the identities (default 1), and c_D comes from
@@ -30,6 +32,9 @@ from .errors import (
 )
 from .etale import charpoly_over, norm_to_ground
 from .localfield import is_square, norm_test
+
+# The one case that has the identity chain; the others get the reduced suite.
+FULL_SUITE = "twisted_gl_odd"
 
 
 def cayley(y):
@@ -110,7 +115,7 @@ def make_lie_param(y, x, g, run, c=None):
     the index trace-form determinants, so the square-class check against
     eta * P(1) * P(-1) runs on two independent code paths.
     """
-    if g.case != "twisted_gl_odd":
+    if g.case != FULL_SUITE:
         raise UnsupportedCase("the identity chain is for the odd twisted case")
     F = g.F
     eta = F.element(eta_from_nu(g.nu))
@@ -214,7 +219,7 @@ def _b_base(data, i):
 def check_Bi_Ci_consistency(data, i):
     """sgn(C_i) = sgn(B_i) * sgn(c_D * x_D) with
     B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i), and sgn(C_i) the
-    engine's verdict, read from its run (False when the run has none).
+    engine's verdict, read from its run.
 
     The correction class c_D * x_D is evaluated through the defining class
     eta * P(1) * P(-1) * x_D, so the identity holds for every Cayley-linked
@@ -249,12 +254,12 @@ def run_suite(y, x, g, e):
     """The cmd-check battery: (name, ok) pairs, full for the odd twisted
     case and reduced (Cayley round trips only) otherwise.
 
-    The full suite runs compute_delta once, first; the Lie side reads its
-    trace: the validated pack, each C_i's verdict and the total.  When the
-    engine refuses the instance, the trace holds the unvalidated pack and
-    no records, so B-C-consistency and the reconstruction fail.  The
-    reduced suite runs no validation, so the check command validates every
-    document before it prints anything, and an odd twisted one twice."""
+    The full suite runs compute_delta once, first, so an instance that the
+    engine refuses raises the engine's typed error before any check runs;
+    the Lie side reads the run's trace: the validated pack, each C_i's
+    verdict and the total.  The reduced suite runs no validation, so the
+    check command validates those documents itself, before the suite."""
+    run = factor.compute_delta(y, x, g, e)[1] if g.case == FULL_SUITE else None
     results = []
     for en in y.entries:
         try:
@@ -262,16 +267,10 @@ def run_suite(y, x, g, e):
         except (PoleAtMinusOne, PoleAtOne):
             ok = False
         results.append((f"cayley-roundtrip[{en.name}]", ok))
-    if g.case != "twisted_gl_odd":
+    if run is None:
         results.append(("notice: reduced suite (identities are for the odd twisted case)", True))
         return results
     try:
-        _, run = factor.compute_delta(y, x, g, e)
-    except EndofactorError:
-        run = None
-    try:
-        if run is None:
-            run = factor.FactorTrace(g.case, pack=factor.build_charpoly_pack(y, g))
         data = make_lie_param(y, x, g, run)
     except EndofactorError:
         results.append(("lie-data", False))
@@ -292,7 +291,7 @@ def run_suite(y, x, g, e):
             results.append((f"B-C-consistency[{i}]", False))
     results.append(("cD-square-class", check_cD_square_class(data)))
     try:
-        recon_ok = run.total is not None and reconstruct_delta(data, e.chi) == run.total
+        recon_ok = reconstruct_delta(data, e.chi) == run.total
     except EndofactorError:
         recon_ok = False
     results.append(("lie-side-reconstruction", recon_ok))

@@ -39,7 +39,6 @@ from endofactor.params import (
     IndexEntry,
     RegularParam,
     TameCharacter,
-    _norm_one_values,
     check_regularity,
     side_dimensions,
     validate_endoscopic,
@@ -92,9 +91,20 @@ def _nonresidue(p):
     return 1
 
 
+def square_class_reps(tower):
+    """The canonical representatives of F^x / F^x2 for the tower's field F."""
+    if tower.base.is_real:
+        return [tower.element(1), tower.element(-1)]
+    if tower.base.p == 2:
+        return [tower.element(k) for k in (1, 3, 5, 7, 2, 6, 10, 14)]
+    u = tower.unit_nonsquare()
+    pi = tower.pi()
+    return [tower.one(), u, pi, u * pi]
+
+
 def random_field_algebra(rng, tower):
     """A quadratic field extension of the tower."""
-    reps = tower.square_class_reps()
+    reps = square_class_reps(tower)
     delta = rng.choice(reps[1:])
     sq = random_unit(rng, tower)
     return quadratic_field(tower, delta * sq * sq)
@@ -400,7 +410,7 @@ def _try_instance(rng, case, p, n_indices, need_minus_field, split_ratio,
 
     g = GroupDescriptor(case=case, d=d, base=base, delta=delta,
                         E=ub, nu=nu, eta=eta)
-    if not check_regularity(y, g, "endoscopic"):
+    if not check_regularity(y, g):
         return None
 
     dm, dp = side_dimensions(y, g)
@@ -509,7 +519,7 @@ def indicator_instance(rng, p):
             inv = forms.invariants(q_minus)
             if d == 2 and is_square(inv.disc):
                 continue
-            hits = [c for c in F.square_class_reps()
+            hits = [c for c in square_class_reps(F)
                     if forms.isomorphic(q_minus, qs_even_model(F, d, c, inv.disc))]
             if not hits:
                 continue
@@ -528,7 +538,7 @@ def indicator_instance(rng, p):
                 continue
             x = RegularParam(tuple(x_entries))
             g = GroupDescriptor(case="twisted_gl_even", d=d, base=base, nu=eta, eta=eta)
-            if not check_regularity(y, g, "endoscopic"):
+            if not check_regularity(y, g):
                 continue
             e = EndoscopicDatum(d_minus=d, d_plus=1, delta_minus=inv.disc)
             return Instance(g, e, y, x)
@@ -569,7 +579,7 @@ def unitary_swap_instance(rng, p):
     F = g.F
     D = hermitian_gram_det(inst).as_base()
     if g.d % 2 == 1:
-        t = rng.choice(F.square_class_reps()[:4])
+        t = rng.choice(square_class_reps(F)[:4])
         trivial = hilbert_symbol(D * t, g.E.delta_e) == 1
         eta = g.E.E.element(t)
     else:
@@ -624,7 +634,7 @@ def _make_datum(rng, g, y, dm, dp):
         if dp == 2 and delta_plus is not None and is_square(delta_plus):
             return None
     if g.case == "twisted_gl_odd":
-        chi = rng.choice(g.F.square_class_reps())
+        chi = rng.choice(square_class_reps(g.F))
     if g.case == "unitary":
         mu_minus = _mu_character(rng, g.E, dp)
         mu_plus = _mu_character(rng, g.E, dm)
@@ -764,10 +774,23 @@ def whole_charpolys(y, g):
     return charpoly_product((P_minus, P_plus), g), P_minus, P_plus
 
 
+def norm_one_values(param, g, role="endoscopic"):
+    """The eigenvalue data y_i of a parameter pack: on a twisted group side
+    derived through the matching relation x_i/tau(x_i) = y_i * nu/tau(nu) *
+    (-1)^(d+1)."""
+    if role == "group" and g.info["twisted"]:
+        out = []
+        for en in param.entries:
+            nu = en.algebra.one() * g.nu
+            out.append(en.value / en.value.tau() / (nu / nu.tau() * (-1) ** (g.d + 1)))
+        return out
+    return [en.value for en in param.entries]
+
+
 def regular_by_whole_P(param, g, role="endoscopic"):
     """Regularity of a parameter pack by is_regular_charpoly on the whole
     product P of the characteristic polynomials of its eigenvalue data."""
-    polys = [charpoly_over(v, g.info["ground"]) for v in _norm_one_values(param, g, role)]
+    polys = [charpoly_over(v, g.info["ground"]) for v in norm_one_values(param, g, role)]
     return is_regular_charpoly(charpoly_product(polys, g), g)
 
 

@@ -23,6 +23,19 @@ def run_cli(args):
 
 
 @pytest.fixture
+def two_sided(tmp_path):
+    """The path of a copy of the two-sided odd twisted golden, changed in
+    place by ``mutate(doc)``."""
+    def two_sided(mutate):
+        doc = json.loads((GOLDEN / "twisted-odd-two-sided.json").read_text())
+        mutate(doc)
+        out = tmp_path / "two-sided.json"
+        out.write_text(json.dumps(doc))
+        return str(out)
+    return two_sided
+
+
+@pytest.fixture
 def doc_path(rng, tmp_path):
     from support import make_instance
     inst = make_instance(rng, "twisted_gl_odd", p=5)
@@ -380,6 +393,37 @@ class TestCheck:
             "invalid: ValidationFailure: group: case-unknown: unknown group case 'foo'\n")
 
 
+def _copy_minus_index_to_plus(doc):
+    """A plus-side copy of the minus-side field index i2 (degree 4 over F),
+    with d and d_plus raised to match: P gets a repeated factor."""
+    copy = dict(next(en for en in doc["indices"] if en["name"] == "i2"), name="copy", side="+")
+    del copy["c_endoscopic"]        # a plus-side c is tau-odd; none is needed
+    doc["indices"].append(copy)
+    doc["group"]["d"] += 4
+    doc["endoscopic"]["d_plus"] += 4
+
+
+@pytest.mark.parametrize("mutate, step", [
+    (lambda doc: doc.pop("x_D"), "xD-missing"),
+    (lambda doc: doc["endoscopic"].__setitem__("d_minus", 7), "dim-sum"),
+    (_copy_minus_index_to_plus, "not suitably regular"),
+    (lambda doc: doc["indices"][2].__setitem__("y", f"({doc['indices'][2]['y']})^3"),
+     "stable classes do not correspond"),
+    (lambda doc: doc["group"].__setitem__("eta", "3"), "eta-pinning"),
+], ids=["x_D", "d_minus", "regularity", "matching", "pinning"])
+def test_check_refuses_as_compute(two_sided, capsys, mutate, step):
+    """An odd twisted document that compute refuses at a validation step:
+    check and check --json end with compute's exit code and stderr line,
+    and print nothing."""
+    path = two_sided(mutate)
+    code, out = run_cli(["compute", path])
+    err = capsys.readouterr().err
+    assert code == 1 and out == "" and step in err and err.count("\n") == 1
+    for args in (["check", path], ["check", path, "--json"]):
+        assert run_cli(args) == (code, "")
+        assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("command", ["compute", "check"])
 def test_failure_message_is_one_line(tmp_path, capsys, command):
     """A step with several violations fails with all of them on one line;
@@ -450,15 +494,9 @@ class TestEtaPinning:
     PINNING = "group: eta-pinning: odd twisted case needs eta in the square class of -nu"
 
     @pytest.fixture
-    def path(self, tmp_path):
+    def path(self, two_sided):
         """The two-sided golden with ``group[key]`` set to ``value``."""
-        def path(key, value):
-            doc = json.loads((GOLDEN / "twisted-odd-two-sided.json").read_text())
-            doc["group"][key] = value
-            out = tmp_path / "pinning.json"
-            out.write_text(json.dumps(doc))
-            return str(out)
-        return path
+        return lambda key, value: two_sided(lambda doc: doc["group"].__setitem__(key, value))
 
     @pytest.mark.parametrize("key, value", [("eta", "-6/10"), ("eta", "3"), ("nu", "65")])
     def test_eta_off_the_class_of_minus_nu_is_invalid(self, path, capsys, key, value):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from endofactor import _poly
 from endofactor.errors import IndexMismatch
 from endofactor.etale import UnitaryBaseData, quadratic_field
+from endofactor.factor import CharPolyPack
 from endofactor.localfield import BaseField, trivial_tower
 from endofactor.params import (
     CASES,
@@ -354,24 +355,28 @@ class TestRegularity:
         p = RegularParam((IndexEntry("a", "-", k, y, None),
                           IndexEntry("b", "+", k, y, None)))
         g = GroupDescriptor("symplectic", 4, Q5, eta=F5.element(1))
-        assert not check_regularity(p, g, "endoscopic")
+        assert not check_regularity(p, g)
 
     def test_minus_one_rejected(self):
         k = quadratic_field(F5, F5.element(5))
         p = RegularParam((IndexEntry("a", "-", k, k.element(-1), None),))
         g = GroupDescriptor("so_even", 2, Q5, delta=F5.element(5),
                             eta=F5.element(1))
-        assert not check_regularity(p, g, "endoscopic")
+        assert not check_regularity(p, g)
 
     def test_generic_accepted(self, rng):
         from support import make_instance
         inst = make_instance(rng, "so_even", p=5)
-        assert check_regularity(inst.y, inst.g, "endoscopic")
+        assert check_regularity(inst.y, inst.g)
 
     def test_twisted_group_side(self, rng):
-        from support import make_instance
+        # the eigenvalue data derived from x through the matching relation
+        # are y's, and their pack is regular
+        from support import make_instance, norm_one_values
         inst = make_instance(rng, "twisted_gl_odd", p=5)
-        assert check_regularity(inst.x, inst.g, "group")
+        values = norm_one_values(inst.x, inst.g, "group")
+        assert values == [en.value for en in inst.y.entries]
+        assert CharPolyPack(inst.g, inst.x.entries, values).is_regular()
 
 
 def _regular_with_adjoined_line(poly, g):

@@ -340,7 +340,7 @@ def test_e_valued_matrices(rng, checked_charpoly, delta_e):
 def test_degree_eight_matrices_of_quartic_tower(rng, checked_charpoly):
     tower = make_extension(BaseField("p-adic", 5), 2, [[0, -5], [0, 0], [1]])
     xs = []
-    for delta in tower.square_class_reps()[1:]:
+    for delta in support.square_class_reps(tower)[1:]:
         alg = quadratic_field(tower, delta)
         xs += [support.random_etale_unit(rng, alg) for _ in range(4)]
     # drawing the elements takes tower norms and inverses, checked above

@@ -21,6 +21,7 @@ from endofactor.localfield import (
     valuation,
 )
 from endofactor.params import EndoscopicDatum, GroupDescriptor, IndexEntry, RegularParam
+from support import square_class_reps
 
 Q5 = BaseField("p-adic", 5)
 
@@ -85,7 +86,7 @@ def test_arithmetic_properties(quartic, rng):
 
 
 def test_hilbert_axioms(quartic):
-    reps = quartic.square_class_reps()
+    reps = square_class_reps(quartic)
     one = quartic.one()
     for a in reps:
         assert hilbert_symbol(a, -a) == 1
@@ -110,7 +111,7 @@ def test_oracle_rejects_large_towers(quartic):
     """At depth 3 the oracle's O/pi^N, N <= 4, has at most 5^8 elements,
     and its verdicts are the norm test's; at depth 6, O/pi^6 has 5^12 and
     is refused."""
-    reps = quartic.square_class_reps()
+    reps = square_class_reps(quartic)
     for delta in reps[1:]:
         k = quadratic_field(quartic, delta)
         for c in reps:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import support
-from endofactor.factor import build_charpoly_pack
+from endofactor.factor import CharPolyPack, build_charpoly_pack
 from endofactor.params import IndexEntry, RegularParam, check_regularity
 from support import ALL_CASES, make_instance
 
@@ -72,8 +72,10 @@ def test_per_index_verdict_matches_the_whole_P_reference():
                 assert _engine_verdict(param, inst.g) is want, (case, p, label)
                 verdicts.setdefault(label, set()).add(want)
             if inst.g.info["twisted"]:
-                assert check_regularity(inst.x, inst.g, "group") is support.regular_by_whole_P(
-                    inst.x, inst.g, "group") is True
+                values = support.norm_one_values(inst.x, inst.g, "group")
+                assert values == [en.value for en in inst.y.entries], (case, p)
+                assert CharPolyPack(inst.g, inst.x.entries, values).is_regular() is \
+                    support.regular_by_whole_P(inst.x, inst.g, "group") is True
     assert verdicts["drawn"] == {True}
     for label in ("duplicate", "y=1", "y=-1"):
         assert verdicts[label] == {False}, label

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from endofactor.errors import MatchFailure, NotInFixedField, PoleAtMinusOne, PoleAtOne
+from endofactor.errors import (
+    ArithmeticFailure,
+    MatchFailure,
+    NotInFixedField,
+    PoleAtMinusOne,
+    PoleAtOne,
+    ValidationFailure,
+)
 from endofactor.etale import charpoly_over, quadratic_field
 from endofactor.factor import CharPolyPack, FactorTrace, build_charpoly_pack, compute_delta
 from endofactor.forms import gram_block
@@ -21,7 +28,7 @@ from endofactor.verify import (
     reconstruct_delta,
     run_suite,
 )
-from support import delta_I_lie
+from support import delta_I_lie, square_class_reps
 from test_poly_reference import gauss_det
 
 Q5 = BaseField("p-adic", 5)
@@ -73,10 +80,11 @@ def test_lie_param_needs_norm_one_values(rng):
                     for en in inst.y.entries)
     y = RegularParam(entries, inst.y.x_D)
     with pytest.raises(NotInFixedField):
-        # the engine refuses y; run_suite hands the Lie side this run
         make_lie_param(y, inst.x, inst.g,
                        FactorTrace(inst.g.case, pack=build_charpoly_pack(y, inst.g)))
-    assert ("lie-data", False) in run_suite(y, inst.x, inst.g, inst.e)
+    # the engine runs first in the suite, and its validation refuses y
+    with pytest.raises(ValidationFailure):
+        run_suite(y, inst.x, inst.g, inst.e)
 
 
 class TestCayley:
@@ -156,7 +164,7 @@ class TestAij:
         inst = _mixed_instance(rng)
         j = inst.y.field_indices("+")[0].name
         jalg = inst.y.entry(j).algebra
-        reps = jalg.base_pm.square_class_reps()
+        reps = square_class_reps(jalg.base_pm)
         _, run = compute_delta(*inst.astuple())
         for r in reps:
             data = make_lie_param(inst.y, inst.x, inst.g, run, c={j: r})
@@ -289,7 +297,8 @@ class TestSuite:
         assert pack.P_j == [charpoly_over(en.value, "F") for en in inst.y.entries]
 
     def test_check_command_counts(self, monkeypatch):
-        # the command validates once more before the suite; see cli.cmd_check
+        # the command leaves an odd twisted document's validation to the
+        # engine run of the suite, so it is validated once
         from pathlib import Path
 
         from endofactor.cli import main
@@ -298,30 +307,31 @@ class TestSuite:
         sample = Path(__file__).resolve().parent.parent / "sample-instance.json"
         assert main(["check", str(sample)]) == 0
         assert counts == {
-            "build_charpoly_pack": 2, "charpoly_over": 1, "compute_C": 1, "is_regular": 2}
+            "build_charpoly_pack": 1, "charpoly_over": 1, "compute_C": 1, "is_regular": 1}
 
     def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
         # a plus-side x_j replaced by tau(x_j), off its matching class: the
-        # engine refuses the instance, so there is no engine C_i to compare
-        # with B_i, although the minus-side data behind both are untouched
+        # engine refuses the instance before any C_i, and the suite raises
+        # its error; a run with no C_i records gives B_i nothing to match
         inst = _mixed_instance(rng)
         j = inst.y.field_indices("+")[0].name
         bad_x = RegularParam(tuple(
             IndexEntry(en.name, en.side, en.algebra,
                        en.value.tau() if en.name == j else en.value, en.c)
             for en in inst.x.entries), inst.x.x_D)
-        with pytest.raises(MatchFailure):
-            compute_delta(inst.y, bad_x, inst.g, inst.e)
         counts = _count_calls(monkeypatch, "compute_C")
-        results = dict(run_suite(inst.y, bad_x, inst.g, inst.e))
-        minus = [en.name for en in inst.y.field_indices("-")]
-        assert minus and all(results[f"B-C-consistency[{i}]"] is False for i in minus)
-        assert results["lie-side-reconstruction"] is False
+        with pytest.raises(MatchFailure):
+            run_suite(inst.y, bad_x, inst.g, inst.e)
         assert counts == {"compute_C": 0}
+        data = make_lie_param(inst.y, bad_x, inst.g,
+                              FactorTrace(inst.g.case, pack=build_charpoly_pack(inst.y, inst.g)))
+        minus = [en.name for en in inst.y.field_indices("-")]
+        assert minus and not any(check_Bi_Ci_consistency(data, i) for i in minus)
 
     def test_non_regular_instance_is_flagged(self, rng):
         # a plus-side copy of a minus-side field index makes Q_j(X_i) = 0;
-        # A_{i,j} inverts it
+        # A_{i,j} inverts it, which the suite would flag as a failed
+        # A-is-norm, but the suite's engine run refuses the instance first
         from support import make_instance
         inst = make_instance(rng, "twisted_gl_odd", p=5, n_indices=(1, 1))
         en = inst.y.field_indices("-")[0]
@@ -330,14 +340,17 @@ class TestSuite:
             IndexEntry("copy", "+", en.algebra, en.value, en.c),), inst.y.x_D)
         x = RegularParam(inst.x.entries + (
             IndexEntry("copy", "+", xe.algebra, xe.value, xe.c),), inst.x.x_D)
-        results = dict(run_suite(y, x, inst.g, inst.e))
-        assert results[f"A-is-norm[{en.name},copy]"] is False
-        assert results["lie-side-reconstruction"] is False
+        with pytest.raises(ValidationFailure):
+            run_suite(y, x, inst.g, inst.e)
+        data = make_lie_param(y, x, inst.g,
+                              FactorTrace(inst.g.case, pack=build_charpoly_pack(y, inst.g)))
+        with pytest.raises(ArithmeticFailure):
+            check_Aij_is_norm(data, en.name, "copy")
 
     def test_corruption_is_caught(self, rng):
         # corrupting y_j breaks the correspondence with x; the identities on
-        # the re-derived Cayley data still hold, but the reconstruction
-        # against the factor engine fails and the suite reports it
+        # the re-derived Cayley data still hold, so it is the suite's engine
+        # run that refuses the instance
         inst = _mixed_instance(rng)
         j = inst.y.field_indices("+")[0].name
         bad_entries = tuple(
@@ -345,9 +358,13 @@ class TestSuite:
                        en.value ** 3 if en.name == j else en.value, en.c)
             for en in inst.y.entries)
         bad_y = RegularParam(bad_entries)
-        results = dict(run_suite(bad_y, inst.x, inst.g, inst.e))
-        assert results["lie-side-reconstruction"] is False
-        assert not all(results.values())
+        with pytest.raises(MatchFailure):
+            run_suite(bad_y, inst.x, inst.g, inst.e)
+        data = make_lie_param(bad_y, inst.x, inst.g,
+                              FactorTrace(inst.g.case, pack=build_charpoly_pack(bad_y, inst.g)))
+        for i in [en.name for en in inst.y.field_indices("-")]:
+            assert all(li_identity_1(data, i, en.name) for en in inst.y.field_indices("+"))
+            assert li_identity_2(data, i)
 
     def test_reduced_suite(self, rng):
         from support import make_instance
