@@ -9,9 +9,10 @@ the signature replaces (det, Hasse).  Dimension 0 is allowed and carries
 discriminant 1 by convention.
 """
 
+from fractions import Fraction
+
 from .errors import Degenerate, NonSymmetric
-from .etale import EtaleElement
-from .localfield import hilbert_symbol, square_class, trivial_tower
+from .localfield import hilbert_symbol, square_class, trivial_tower, valuation
 
 
 class QuadraticSpace:
@@ -105,7 +106,7 @@ def _pick_pivot(m, k, field):
         best = None
         for i in range(k, d):
             if m[i][i]:
-                v = m[i][i].valuation()
+                v = valuation(m[i][i])
                 if best is None or v < best[0]:
                     best = (v, i)
         if best is not None:
@@ -179,16 +180,20 @@ def _assemble(ground, index_blocks, x_d=None):
 def gram_block(algebra, coeff):
     """Gram of (v, w) -> trace(tau(v) * w * coeff) on the monomial basis of
     the etale algebra, over the base field.  Raises NonSymmetric unless the
-    coefficient is tau-fixed."""
+    coefficient is tau-fixed.  It is S * M on the integer structure
+    constants: M is the integer matrix of coeff, and S[k][l] = Tr(tau(b_k)
+    * b_l), the product's numerators times the monomial traces, is negated
+    for the b_k with a factor rt."""
     if coeff.tau() != coeff:
         raise NonSymmetric("form coefficient is not tau-fixed")
-    n = algebra.n
-    basis = [EtaleElement(algebra, tuple(int(i == k) for i in range(n)), 1) for k in range(n)]
-    rows = []
-    for w1 in basis:
-        t1 = w1.tau()
-        rows.append([algebra.trace_to_base(t1 * w2 * coeff) for w2 in basis])
-    return rows
+    n, table = algebra.n, algebra._table
+    # D times the trace of monomial j: its coefficient in b_j * b_i, over i
+    tr = [sum(s for i, prod in enumerate(row) for k, s in prod if k == i) for row in table]
+    S = [[(-1) ** (k >= algebra.base_pm.n) * sum(s * tr[j] for j, s in prod) for prod in row]
+         for k, row in enumerate(table)]
+    M, den = algebra._num_matrix(coeff), coeff.den * algebra._D ** 3
+    return [[Fraction(sum(s * M[l][m] for l, s in enumerate(srow) if s), den)
+             for m in range(n)] for srow in S]
 
 
 def trace_form_gram(param, *, side=None):

@@ -68,18 +68,33 @@ def _prime_factors(n):
 
 
 def _vp(x, p):
-    """p-adic valuation of a nonzero int or Fraction."""
+    """p-adic valuation of a nonzero int or Fraction; ``_vp_int`` runs only
+    on what p divides."""
     if not x:
         raise ZeroValuation("valuation of zero")
+    n, d = x.numerator, x.denominator
+    return (n % p == 0 and _vp_int(n, p)) - (d % p == 0 and _vp_int(d, p))
+
+
+def _vp_int(n, p):
+    """v_p of a nonzero int: one division at a time for the first 4
+    factors, then by p^(2^k), k = 0, 1, ..., while they divide, and back
+    down through the same powers: about 2 log2(v) divisions for v."""
     v = 0
-    n = x.numerator
-    while n % p == 0:
+    while v < 4 and not n % p:
         n //= p
         v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
+    if v < 4:
+        return v
+    powers = [p]
+    while not n % powers[-1]:
+        n //= powers[-1]
+        v += 1 << len(powers) - 1
+        powers.append(powers[-1] ** 2)
+    for k in range(len(powers) - 2, -1, -1):
+        if not n % powers[k]:
+            n //= powers[k]
+            v += 1 << k
     return v
 
 
@@ -361,14 +376,6 @@ class IntegerStructure:
                     m[k][j] += xi * s
         return m
 
-    def trace_to_base(self, x):
-        """The trace of y -> x*y over the base field, as an exact Fraction."""
-        tr = 0
-        for xi, row in zip(x.num, self._table):
-            if xi:
-                tr += xi * sum(s for j, prod in enumerate(row) for k, s in prod if k == j)
-        return Fraction(tr, x.den * self._D)
-
     def base_charpoly(self, x):
         """The characteristic polynomial of y -> x*y over the base field,
         constant term first, as Fractions.  The matrix of x is N / s with N
@@ -462,6 +469,12 @@ class ExtensionTower(IntegerStructure):
         prods = [[tuple((k, c // g) for k, c in enumerate(v) if c) for v in row] for row in rows]
         return (tuple(tuple(prods[i % f + j % f][i // f + j // f] for j in range(n))
                       for i in range(n)), d ** (e - 1) // g)
+
+    @cached_property
+    def _pi_e_by_p(self):
+        """The residue of the unit pi^e / p = -eis_0 / p, for ``unit_residue``."""
+        p = self.base.p
+        return self.residue.element([_reduce_mod(-c / p, p) for c in self.eis[0]])
 
     # -- construction of elements ------------------------------------------
 
@@ -724,30 +737,6 @@ class FieldElement(FlatElement):
             raise ValueError("element of a proper extension is not rational")
         return Fraction(self.num[0], self.den)
 
-    def valuation(self):
-        return valuation(self)
-
-    def residue(self):
-        """Image in the residue field, as its coefficient tuple (requires
-        valuation >= 0)."""
-        t = self.tower
-        if t.base.is_real:
-            raise UnsupportedCase("no residue field over R")
-        v = self.valuation() if self else 1
-        if v < 0:
-            raise ZeroValuation("residue of a non-integral element")
-        if v > 0:
-            return (0,) * t.f
-        # every coordinate of a unit is p-integral, so den is prime to p
-        p = t.base.p
-        inv = pow(self.den, -1, p)
-        return tuple(c * inv % p for c in self.num[:t.f])
-
-    def unit_split(self):
-        """(v, x * pi^(-v)) with v = v(x); exact."""
-        v = valuation(self)
-        return v, (self * self.tower.pi() ** (-v) if v else self)
-
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.coords):
@@ -842,8 +831,29 @@ def valuation(a):
     if not a:
         raise ZeroValuation("valuation of zero")
     p, e, f = t.base.p, t.e, t.f
-    vd = _vp(a.den, p)
-    return min(e * (_vp(c, p) - vd) + k // f for k, c in enumerate(a.num) if c)
+    vd = _vp_int(a.den, p)
+    return min(e * (_vp_int(c, p) - vd) + k // f for k, c in enumerate(a.num) if c)
+
+
+def unit_residue(a):
+    """(v, r) for a nonzero p-adic a: v = v(a), and r the residue of the
+    unit a * pi^(-v), read off the coordinates with no tower product (over
+    Q_2, the trivial tower only, r is a / 2^v modulo 8).  With b0 = v mod e
+    and m = v // e, a * pi^(-v) is (sum_a x_(a,b0)/p^m * u^a) * (p/pi^e)^m
+    modulo pi, and pi^e / p is -eis_0 / p modulo pi: for e = 1 too."""
+    t, v = a.tower, valuation(a)
+    p, f = t.base.p, t.f
+    if p == 2:
+        return v, _reduce_mod(a.as_fraction() / Fraction(2) ** v, 8)
+    b0, m = v % t.e, v // t.e
+    s = _vp_int(a.den, p)
+    # the row's numerators are divisible by p^(m + s), as v_p(x_(a,b0)) >= m
+    scale, dinv = p ** (m + s), pow(a.den // p ** s, -1, p)
+    res = t.residue
+    r = res.element([c // scale * dinv for c in a.num[b0 * f:(b0 + 1) * f]])
+    if m and t._pi_e_by_p != res.one:
+        r = res._mul(r, res._pow(t._pi_e_by_p, -m))
+    return v, r
 
 
 def is_square(a):
@@ -853,13 +863,8 @@ def is_square(a):
         raise ZeroValuation("squareness of zero")
     if t.base.is_real:
         return a.as_fraction() > 0
-    v = valuation(a)
-    if v % 2:       # decided before the unit part x * pi^(-v) is computed
-        return False
-    u = a * t.pi() ** (-v) if v else a
-    if t.base.p == 2:
-        return _reduce_mod(u.as_fraction(), 8) == 1
-    return t.residue.is_square(u.residue())
+    v, r = unit_residue(a)
+    return not v % 2 and (r == 1 if t.base.p == 2 else t.residue.is_square(r))
 
 
 def square_class(a):
@@ -869,15 +874,18 @@ def square_class(a):
         raise ZeroValuation("square class of zero")
     if t.base.is_real:
         return t.element(1) if a.as_fraction() > 0 else t.element(-1)
-    v, u = a.unit_split()
+    v, r = unit_residue(a)
     if t.base.p == 2:
-        return t.element(_reduce_mod(u.as_fraction(), 8)) * t.pi() ** (v % 2)
-    unit_rep = t.one() if t.residue.is_square(u.residue()) else t.unit_nonsquare()
+        return t.element(r) * t.pi() ** (v % 2)
+    unit_rep = t.one() if t.residue.is_square(r) else t.unit_nonsquare()
     return unit_rep * t.pi() ** (v % 2)
 
 
 def hilbert_symbol(a, b):
-    """(a, b) = +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution."""
+    """(a, b) = +1 iff z^2 = a x^2 + b y^2 has a nontrivial solution.  Over
+    an odd p, the quadratic character of the residue of (-1)^(alpha*beta) *
+    ua^beta / ub^alpha, alpha and beta the valuations and ua and ub the
+    units: the characters of -1, of ua for odd beta and of ub for odd alpha."""
     t = a.tower
     if not isinstance(b, FieldElement) or b.tower._fingerprint != t._fingerprint:
         b = t.element(b)
@@ -885,26 +893,19 @@ def hilbert_symbol(a, b):
         raise ZeroValuation("Hilbert symbol needs nonzero arguments")
     if t.base.is_real:
         return -1 if (a.as_fraction() < 0 and b.as_fraction() < 0) else 1
+    alpha, ra = unit_residue(a)
+    beta, rb = unit_residue(b)
     if t.base.p == 2:
-        # trivial tower only (proper dyadic towers cannot be built)
-        return _hilbert2(a.as_fraction(), b.as_fraction())
-    alpha, ua = a.unit_split()
-    beta, ub = b.unit_split()
-    arg = t.element((-1) ** (alpha * beta)) * ua ** beta * ub ** (-alpha)
-    return 1 if t.residue.is_square(arg.residue()) else -1
-
-
-def _hilbert2(a, b):
-    va, vb = _vp(a, 2), _vp(b, 2)
-    u = a / Fraction(2) ** va
-    w = b / Fraction(2) ** vb
-    u8, w8 = _reduce_mod(u, 8), _reduce_mod(w, 8)
-    eps_u = (u8 - 1) // 2 % 2
-    eps_w = (w8 - 1) // 2 % 2
-    om_u = (u8 ** 2 - 1) // 8 % 2
-    om_w = (w8 ** 2 - 1) // 8 % 2
-    exp = eps_u * eps_w + va * om_w + vb * om_u
-    return -1 if exp % 2 else 1
+        # the trivial tower of Q_2 only: ra and rb are the units modulo 8
+        exp = (ra - 1) * (rb - 1) // 4 + alpha * (rb * rb - 1) // 8 + beta * (ra * ra - 1) // 8
+        return -1 if exp % 2 else 1
+    res = t.residue
+    sign = -1 if alpha * beta % 2 and res.q % 4 == 3 else 1
+    if beta % 2 and not res.is_square(ra):
+        sign = -sign
+    if alpha % 2 and not res.is_square(rb):
+        sign = -sign
+    return sign
 
 
 def norm_test(c, ext):

@@ -20,6 +20,7 @@ determinant bookkeeping of the index trace forms.
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import _poly, factor, forms
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     PoleAtMinusOne,
     PoleAtOne,
     UnsupportedCase,
+    ZeroValuation,
 )
 from .etale import charpoly_over, norm_to_ground
 from .localfield import is_square, norm_test
@@ -78,7 +80,8 @@ class LieParam:
     (T - 1) * P, P the product of the P_j, on the whole space, and dP_y its
     derivative.  ``run`` is the factor engine's trace of y: P_j holds its
     pack's P_j by name, and its C_i verdicts and total are what the
-    cross-checks compare against.
+    cross-checks compare against.  ``values`` holds the values at the
+    indices that several checks read (``_at``), each made on first use.
     """
 
     def __init__(self, y, x, g, eta, c, c_D, X, P_j, Q_j, Q_X, dQ_X, P_y, dP_y, run):
@@ -96,6 +99,11 @@ class LieParam:
         self.P_y = P_y
         self.dP_y = dP_y
         self.run = run          # factor.FactorTrace
+
+    @cached_property
+    def values(self):
+        """(kind, i, j) -> a value at index i, filled as the checks run."""
+        return {}
 
 
 def eta_from_nu(nu):
@@ -151,50 +159,54 @@ def _field_names(data, side):
     return [en.name for en in data.y.field_indices(side)]
 
 
+def _at(data, kind, i, j=None):
+    """A value at index i that several checks read, made once per
+    LieParam: "P" is P_j(y_i), "Q" is Q_j(X_i) and "dQ_X" is Q_X'(X_i), in
+    F_i, and "B" is the norm verdict of B_i from F_i."""
+    key = (kind, i, j)
+    if key not in data.values:
+        en = data.y.entry(i)
+        if kind == "B":
+            value = norm_test(_b_base(data, i), en.algebra)
+        elif kind == "P":
+            value = _poly.peval(data.P_j[j], en.value, en.algebra.zero())
+        else:
+            value = _poly.peval(data.Q_j[j] if kind == "Q" else data.dQ_X, data.X[i],
+                                en.algebra.zero())
+        data.values[key] = value
+    return data.values[key]
+
+
 def li_identity_1(data, i, j):
-    """P_j(y_i) = (1 - X_i)^(-deg) * P_j(-1) * Q_j(X_i), exactly in F_i."""
-    en = data.y.entry(i)
-    alg = en.algebra
-    yv = en.value
-    xi = data.X[i]
+    """P_j(y_i) = (1 - X_i)^(-deg) * P_j(-1) * Q_j(X_i), exactly in F_i,
+    tested times (1 - X_i)^deg: 1 - X_i = 2 / (1 + y_i) is a unit."""
     pj = data.P_j[j]
-    qj = data.Q_j[j]
-    nj = _poly.degree(pj)
-    lhs = _poly.peval(pj, yv, alg.zero())
-    pj_m1 = _poly.peval_scalar(pj, -1, Fraction(0))
-    rhs = (alg.one() - xi) ** (-nj) * pj_m1 * _poly.peval(qj, xi, alg.zero())
-    return lhs == rhs
+    lhs = _at(data, "P", i, j) * (data.y.entry(i).algebra.one() - data.X[i]) ** _poly.degree(pj)
+    return lhs == _poly.peval_scalar(pj, -1, Fraction(0)) * _at(data, "Q", i, j)
 
 
 def li_identity_2(data, i):
     """2 (1 - X_i)^(d-2) P_y'(y_i) = -P_y(-1) * Q_X'(X_i) with
     P_y = (T - 1) * P, exactly in F_i."""
     en = data.y.entry(i)
-    alg = en.algebra
-    yv = en.value
-    xi = data.X[i]
-    d = data.g.d
-    lhs = 2 * (alg.one() - xi) ** (d - 2) * _poly.peval(data.dP_y, yv, alg.zero())
-    p_y_m1 = _poly.peval_scalar(data.P_y, -1, Fraction(0))
-    rhs = -1 * p_y_m1 * _poly.peval(data.dQ_X, xi, alg.zero())
-    return lhs == rhs
+    lhs = (2 * (en.algebra.one() - data.X[i]) ** (data.g.d - 2)
+           * _poly.peval(data.dP_y, en.value, en.algebra.zero()))
+    return lhs == -_poly.peval_scalar(data.P_y, -1, Fraction(0)) * _at(data, "dQ_X", i)
 
 
 def check_Aij_is_norm(data, i, j):
-    """A_{i,j} is tau-fixed and a norm from F_i."""
-    en_i = data.y.entry(i)
-    en_j = data.y.entry(j)
-    alg = en_i.algebra
-    x_i = data.x.entry(i).value
-    x_j = data.x.entry(j).value
-    nj = _poly.degree(data.P_j[j])
-    c_i = alg.element(data.c[i])
-    c_j = en_j.algebra.element(data.c[j])
-    lead = (c_i ** (-1) * x_i.tau()) ** nj
-    nrm = norm_to_ground(c_j * x_j.tau().inverse())
-    p_at = _poly.peval(data.P_j[j], en_i.value, alg.zero())
-    q_at = _poly.peval(data.Q_j[j], data.X[i], alg.zero())
-    a_ij = lead * nrm * p_at * q_at.inverse()
+    """A_{i,j} is tau-fixed and a norm from F_i.  Its factor
+    N(c_j * tau(x_j)^(-1)) is taken as N(c_j) / N(x_j) over F, and its
+    factor c_i^(-n_j) as c_i^(n_j): c_i is in F_pm, so the two differ by
+    the norm c_i^(2 n_j) of c_i^(n_j), which leaves both verdicts as
+    they are."""
+    alg = data.y.entry(i).algebra
+    n_xj = norm_to_ground(data.x.entry(j).value)
+    if not n_xj:
+        raise ZeroValuation(f"x at index {j!r} is not a unit")
+    lead = (alg.element(data.c[i]) * data.x.entry(i).value.tau()) ** _poly.degree(data.P_j[j])
+    nrm = norm_to_ground(data.y.entry(j).algebra.element(data.c[j])) / n_xj
+    a_ij = lead * nrm * _at(data, "P", i, j) * _at(data, "Q", i, j).inverse()
     base = a_ij.as_base()   # NotInFixedField when the assertion fails
     return norm_test(base, alg) == 1
 
@@ -210,9 +222,8 @@ def check_cD_square_class(data):
 
 def _b_base(data, i):
     """B_i = (1/2) * eta * Q_X'(X_i) * (y_i + 1) * tau(x_i), in F_pm."""
-    en = data.y.entry(i)
-    qx = _poly.peval(data.dQ_X, data.X[i], en.algebra.zero())
-    b_i = Fraction(1, 2) * data.eta * qx * (en.value + 1) * data.x.entry(i).value.tau()
+    b_i = (Fraction(1, 2) * data.eta * _at(data, "dQ_X", i) * (data.y.entry(i).value + 1)
+           * data.x.entry(i).value.tau())
     return b_i.as_base()   # NotInFixedField when the assertion fails
 
 
@@ -225,12 +236,11 @@ def check_Bi_Ci_consistency(data, i):
     eta * P(1) * P(-1) * x_D, so the identity holds for every Cayley-linked
     instance regardless of how the bookkeeping c_D was produced."""
     alg = data.y.entry(i).algebra
-    b_base = _b_base(data, i)
     verdicts = [verdict for name, _, verdict in data.run.indices if name == i]
     p1 = data.run.pack.P_at[1]
     pm1 = data.run.pack.P_at[-1]
     correction = alg.base_pm.element(data.eta * p1 * pm1 * data.x.x_D)
-    rhs = norm_test(b_base, alg) * norm_test(correction, alg)
+    rhs = _at(data, "B", i) * norm_test(correction, alg)
     return verdicts == [rhs]
 
 
@@ -241,7 +251,7 @@ def reconstruct_delta(data, chi):
     total = factor.UnitCircleValue.one()
     for name in _field_names(data, "-"):
         alg = data.y.entry(name).algebra
-        total = total * factor.UnitCircleValue.from_sign(norm_test(_b_base(data, name), alg))
+        total = total * factor.UnitCircleValue.from_sign(_at(data, "B", name))
         correction = alg.base_pm.element(data.c_D * data.x.x_D)
         total = total * factor.UnitCircleValue.from_sign(norm_test(correction, alg))
     p1 = data.run.pack.P_at[1]
@@ -260,19 +270,22 @@ def run_suite(y, x, g, e):
     verdict and the total.  The reduced suite runs no validation, so the
     check command validates those documents itself, before the suite."""
     run = factor.compute_delta(y, x, g, e)[1] if g.case == FULL_SUITE else None
+    try:
+        data = None if run is None else make_lie_param(y, x, g, run)
+    except EndofactorError:
+        data = None
     results = []
     for en in y.entries:
         try:
-            ok = cayley_inv(cayley(en.value)) == en.value
+            xi = cayley(en.value) if data is None else data.X[en.name]
+            ok = cayley_inv(xi) == en.value
         except (PoleAtMinusOne, PoleAtOne):
             ok = False
         results.append((f"cayley-roundtrip[{en.name}]", ok))
     if run is None:
         results.append(("notice: reduced suite (identities are for the odd twisted case)", True))
         return results
-    try:
-        data = make_lie_param(y, x, g, run)
-    except EndofactorError:
+    if data is None:
         results.append(("lie-data", False))
         return results
     minus = _field_names(data, "-")

@@ -12,9 +12,9 @@ import math
 import operator
 import random
 
-from endofactor import _poly, factor, forms
+from endofactor import _poly, factor, forms, localfield
 from endofactor._poly import degree, gcd_mod, pderiv
-from endofactor.errors import DivisionByZero, UnsupportedCase, ZeroValuation
+from endofactor.errors import DivisionByZero, NonSymmetric, UnsupportedCase, ZeroValuation
 from endofactor.etale import (
     UnitaryBaseData,
     charpoly_over,
@@ -930,3 +930,111 @@ def delta_I_lie(data, eta=None):
         arg = qx.as_base() * data.c[en.name] * eta
         total = total * factor.UnitCircleValue.from_sign(norm_test(arg, en.algebra))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the unit parts and the product-based Gram block: the references of
+# localfield's residue reads (_vp, unit_residue and the symbols on it) and
+# of forms.gram_block
+# ---------------------------------------------------------------------------
+
+def vp_loop(x, p):
+    """p-adic valuation of a nonzero int or Fraction, one division at a
+    time: the reference of ``localfield._vp``."""
+    v = 0
+    n = x.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = x.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def residue(x):
+    """Image of a tower element of valuation >= 0 in the residue field, as
+    its coefficient tuple: a unit's coordinates are p-integral, so its den
+    is prime to p."""
+    t = x.tower
+    v = valuation(x) if x else 1
+    if v < 0:
+        raise ZeroValuation("residue of a non-integral element")
+    if v > 0:
+        return (0,) * t.f
+    p = t.base.p
+    inv = pow(x.den, -1, p)
+    return tuple(c * inv % p for c in x.num[:t.f])
+
+
+def unit_split(x):
+    """(v, x * pi^(-v)) with v = v(x), by a power of pi in the tower."""
+    v = valuation(x)
+    return v, (x * x.tower.pi() ** (-v) if v else x)
+
+
+def is_square_by_unit(a):
+    """Squareness through the unit part formed in the tower."""
+    t = a.tower
+    if t.base.is_real:
+        return a.as_fraction() > 0
+    v, u = unit_split(a)
+    if v % 2:
+        return False
+    if t.base.p == 2:
+        return localfield._reduce_mod(u.as_fraction(), 8) == 1
+    return t.residue.is_square(residue(u))
+
+
+def square_class_by_unit(a):
+    """The canonical square-class representative, through the unit part."""
+    t = a.tower
+    if t.base.is_real:
+        return t.element(1) if a.as_fraction() > 0 else t.element(-1)
+    v, u = unit_split(a)
+    if t.base.p == 2:
+        return t.element(localfield._reduce_mod(u.as_fraction(), 8)) * t.pi() ** (v % 2)
+    unit_rep = t.one() if t.residue.is_square(residue(u)) else t.unit_nonsquare()
+    return unit_rep * t.pi() ** (v % 2)
+
+
+def hilbert_symbol_by_unit(a, b):
+    """The tame Hilbert symbol over an odd p: squareness of the residue of
+    (-1)^(alpha*beta) * ua^beta * ub^(-alpha), the units formed in the
+    tower."""
+    t = a.tower
+    b = t.element(b)
+    alpha, ua = unit_split(a)
+    beta, ub = unit_split(b)
+    arg = t.element((-1) ** (alpha * beta)) * ua ** beta * ub ** (-alpha)
+    return 1 if t.residue.is_square(residue(arg)) else -1
+
+
+def trace_to_base(ring, x):
+    """The trace of y -> x*y over the base field, as an exact Fraction."""
+    tr = 0
+    for xi, row in zip(x.num, ring._table):
+        if xi:
+            tr += xi * sum(s for j, prod in enumerate(row) for k, s in prod if k == j)
+    return Fraction(tr, x.den * ring._D)
+
+
+def hilbert2(a, b):
+    """The Hilbert symbol of two nonzero rationals over Q_2, from their
+    2-adic valuations and their odd parts modulo 8."""
+    va, vb = vp_loop(a, 2), vp_loop(b, 2)
+    u8 = localfield._reduce_mod(a / Fraction(2) ** va, 8)
+    w8 = localfield._reduce_mod(b / Fraction(2) ** vb, 8)
+    eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
+    om_u, om_w = (u8 ** 2 - 1) // 8 % 2, (w8 ** 2 - 1) // 8 % 2
+    return -1 if (eps_u * eps_w + va * om_w + vb * om_u) % 2 else 1
+
+
+def gram_block_by_products(algebra, coeff):
+    """Gram of (v, w) -> trace(tau(v) * w * coeff) on the monomial basis,
+    one product and one trace per entry."""
+    if coeff.tau() != coeff:
+        raise NonSymmetric("form coefficient is not tau-fixed")
+    basis = basis_elements(algebra)
+    return [[trace_to_base(algebra, w1.tau() * w2 * coeff) for w2 in basis] for w1 in basis]

@@ -171,3 +171,32 @@ class TestSymmetrize:
         q_xt = symmetrize_twisted(inst.x)
         q_minus = trace_form_gram(inst.y)
         assert invariants(q_xt).disc == invariants(q_minus).disc
+
+
+def test_gram_block_agrees_with_the_products():
+    """The Gram block read off the structure constants equals the one made
+    by a product and a trace per entry, on every index algebra of the
+    benchmark's seed-1 corpora, with the coefficients 1, x + tau(x), c and
+    N(x); and both refuse each x and c that is not tau-fixed."""
+    from support import gram_block_by_products
+    from endofactor.document import load_document
+    from test_document import _perfbench_corpus
+    corpus = _perfbench_corpus()
+    blocks = refused = 0
+    for workload in ("batch-mixed", "deep-towers", "large-prime-unitary"):
+        for text in corpus.generate(workload, 1):
+            doc = load_document(text)
+            for en in doc.y.entries + doc.x.entries:
+                alg, x = en.algebra, en.value
+                for c in (alg.one(), x + x.tau(), en.c, alg.element(x.norm()), x):
+                    if not c:
+                        continue
+                    if c.tau() == c:
+                        assert gram_block(alg, c) == gram_block_by_products(alg, c)
+                        blocks += 1
+                        continue
+                    for build in (gram_block, gram_block_by_products):
+                        with pytest.raises(NonSymmetric):
+                            build(alg, c)
+                    refused += 1
+    assert blocks > 3000 and refused > 1000

@@ -309,6 +309,56 @@ class TestSuite:
         assert counts == {
             "build_charpoly_pack": 1, "charpoly_over": 1, "compute_C": 1, "is_regular": 1}
 
+    def test_suite_counts(self, monkeypatch):
+        # on a document with three indices, one a minus-side field index
+        # and one a plus-side field index: the round trips take the X_i of
+        # the Lie data, each polynomial is evaluated once at each point,
+        # B_i is formed once, and the symbols take no inverse
+        import sys
+        from collections import Counter
+        from pathlib import Path
+
+        from endofactor import _poly, verify
+        from endofactor.document import load_document
+        from endofactor.localfield import ExtensionTower
+        path = Path(__file__).resolve().parent / "golden" / "twisted-odd-two-sided.json"
+        doc = load_document(path.read_text())
+        assert [(en.side, en.algebra.is_field) for en in doc.y.entries] == [
+            ("-", False), ("+", True), ("-", True)]
+        counts = _count_calls(monkeypatch, "cayley", "_b_base")
+        evaluations, inside, inversions = Counter(), [], Counter()
+        peval, invert = _poly.peval, ExtensionTower._invert
+
+        def counted_peval(poly, x, zero):
+            evaluations[id(poly), x] += 1
+            return peval(poly, x, zero)
+
+        def counted_invert(tower, x):
+            inversions["all"] += 1
+            inversions["in symbols"] += bool(inside)
+            return invert(tower, x)
+
+        for name in ("hilbert_symbol", "is_square", "square_class"):
+            original = getattr(sys.modules["endofactor.localfield"], name)
+
+            def entered(*args, _original=original):
+                inside.append(1)
+                try:
+                    return _original(*args)
+                finally:
+                    inside.pop()
+
+            for key, module in sorted(sys.modules.items()):
+                if key.startswith("endofactor.") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, entered)
+        monkeypatch.setattr(_poly, "peval", counted_peval)
+        monkeypatch.setattr(ExtensionTower, "_invert", counted_invert)
+        results = verify.run_suite(doc.y, doc.x, doc.group, doc.endoscopic)
+        assert results and all(ok for _, ok in results)
+        assert counts == {"cayley": 3, "_b_base": 1}
+        assert len(evaluations) == 4 and set(evaluations.values()) == {1}
+        assert inversions == {"all": 8, "in symbols": 0}
+
     def test_engine_refusal_fails_the_C_comparison(self, rng, monkeypatch):
         # a plus-side x_j replaced by tau(x_j), off its matching class: the
         # engine refuses the instance before any C_i, and the suite raises
